@@ -1,7 +1,13 @@
 """Command-line front end: build and export circuits, verify them against
 the classical oracles, and tabulate gate counts.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including a
+size whose matrices do not fit in memory).
+
+Every ``--n`` (and both ends of ``--n-range``) must lie within 1..MAX_N.
+MAX_N sits below the QFT angle overflow (``1 << k`` stops converting to a
+float at k = 1024) and keeps the largest build, qht-rec with ~3M gates,
+under a gigabyte.
 """
 from __future__ import annotations
 
@@ -12,10 +18,10 @@ import sys
 import numpy as np
 
 from . import gadgets, hartley, oracle, qft, trig
-from .simcore import count_gates, data_register_action, export_circuit
+from .simcore import STATEVECTOR_WIDTH_CAP, count_gates, data_register_action, export_circuit
 
 SCHEMA_VERSION = 1
-STATEVECTOR_CAP = 20
+MAX_N = 512
 
 TRANSFORMS = (
     "qht-lcu", "qht-rec", "qct1", "qst1", "qst1-opt", "qct2", "qst2",
@@ -75,10 +81,6 @@ def _classical_map_error(circuit, n, fn):
 def verify_transform(name: str, n: int, tolerance: float, incorrect_d2: bool = False) -> dict:
     """Run the oracle check for one transform; returns the report dict."""
     circuit = build_transform(name, n, incorrect_d2)
-    if circuit.width > STATEVECTOR_CAP:
-        raise ValueError(
-            f"verification needs {circuit.width} wires, above the statevector cap "
-            f"{STATEVECTOR_CAP}")
     report = {
         "schema": SCHEMA_VERSION,
         "transform": name,
@@ -119,6 +121,8 @@ def verify_transform(name: str, n: int, tolerance: float, incorrect_d2: bool = F
         max_error, residual = _classical_map_error(circuit, n, wrap)
     elif name == "or-tree":
         from .simcore import _run_flat
+        if circuit.width > STATEVECTOR_WIDTH_CAP:
+            raise ValueError(f"statevector runs are capped at {STATEVECTOR_WIDTH_CAP} qubits")
         dim = 1 << circuit.width
         root = circuit.width - 1
         max_error = residual = 0.0
@@ -285,9 +289,16 @@ def main(argv=None) -> int:
         parser.error("counts needs --n or --n-range")
     if getattr(args, "incorrect_d2", False) and args.transform not in ("qct4", "qst4"):
         parser.error("--incorrect-d2 applies to qct4/qst4 only")
+    sizes = [args.n] if getattr(args, "n", None) is not None else []
+    sizes += list(getattr(args, "n_range", None) or ())
     try:
+        for n in sizes:
+            if not 1 <= n <= MAX_N:
+                raise ValueError(f"n must lie within 1..{MAX_N}, got {n}")
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # a size too large for this machine is a usage error, not a failed
+        # verification
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -241,31 +241,9 @@ def _target_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"no matrix for kind {kind!r}")
 
 
-def operand_matrix(gate: Gate) -> np.ndarray:
-    """Full matrix over the gate's operand wires, first operand = most
-    significant bit of the matrix index (textbook layout)."""
-    tgt = _target_matrix(gate)
-    k = len(gate.controls)
-    if k == 0:
-        return tgt
-    dim = (1 << k) * tgt.shape[0]
-    full = np.eye(dim, dtype=complex)
-    full[dim - tgt.shape[0]:, dim - tgt.shape[0]:] = tgt
-    return full
-
-
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
-
-
-def _apply_operand(tensor: np.ndarray, mat: np.ndarray, wires, width: int) -> np.ndarray:
-    """Apply ``mat`` over ``wires`` of a state tensor shaped (2,)*width [+ batch]."""
-    k = len(wires)
-    axes = [width - 1 - w for w in wires]
-    mat_t = mat.reshape((2,) * (2 * k))
-    out = np.tensordot(mat_t, tensor, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
 
 
 _DIAGONAL_KINDS = {"Z", "S", "Sdg", "Phase", "Rz", "CPhase", "CS", "CSdg"}
@@ -329,9 +307,7 @@ def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, width: int) -> np.ndarray
         b[...] = 1j * a
         a[...] = tmp
         return tensor
-    out = _apply_operand(tensor, operand_matrix(gate), gate.operands, width)
-    tensor[...] = out
-    return tensor
+    raise ValueError(f"no simulation rule for gate kind {kind!r}")
 
 
 def _relabel_rows(flat: np.ndarray, relabeling, width: int) -> np.ndarray:
@@ -397,14 +373,37 @@ def data_register_action(circuit: Circuit, data_wires=None, batch: int = 128):
     """Action of the circuit on a data sub-register with all other wires |0>.
 
     Returns ``(matrix, residual)`` where ``matrix[r, c]`` is the amplitude of
-    data basis state r given input c, and ``residual`` is the largest output
-    amplitude found outside the all-ancillas-zero subspace.  A residual at
+    data basis state r given input c, and ``residual`` bounds the output
+    amplitude outside the all-ancillas-zero subspace.  A residual at
     rounding level certifies that the ancillas are returned clean and that
     ``matrix`` is the whole story.
+
+    When the data register is narrower than the circuit, some wires start in
+    |0> and the support-sparse engine runs: it keeps only the nonzero
+    amplitudes, at most 2^d per column for circuits whose ancillas hold
+    classical functions of the data.  It drops entries below 1e-14 and adds
+    the largest per-column L2 norm it dropped to ``residual``, so the
+    residual stays an upper bound on the true leak and on the pruning error
+    of every matrix entry.  The bound is folded into ``residual`` rather
+    than returned as a field of its own because every caller already fails
+    a run whose residual reaches its tolerance: pruning can never hide a
+    leak, and no caller has to learn a new field.  A full-width data
+    register runs the dense statevector engine, ``batch`` columns at a time.
     """
     if data_wires is None:
         data_wires = circuit.data_wires
     data_wires = list(data_wires)
+    if len(data_wires) < circuit.width:
+        return _sparse_register_action(circuit, data_wires)
+    return _dense_register_action(circuit, data_wires, batch)
+
+
+def _dense_register_action(circuit: Circuit, data_wires: list, batch: int = 128):
+    """Statevector engine of ``data_register_action``: every column runs
+    through the full 2^width state; the residual is the largest amplitude
+    found outside the clean-ancilla subspace."""
+    if circuit.width > STATEVECTOR_WIDTH_CAP:
+        raise ValueError(f"statevector runs are capped at {STATEVECTOR_WIDTH_CAP} qubits")
     d = len(data_wires)
     dim = 1 << circuit.width
     in_labels = np.zeros(1 << d, dtype=np.int64)
@@ -429,6 +428,115 @@ def data_register_action(circuit: Circuit, data_wires=None, batch: int = 128):
             residual = max(residual, float(np.max(np.abs(off))))
         matrix[rows[on_subspace], start:start + len(cols)] = out[on_subspace, :]
     return matrix, residual
+
+
+_PRUNE_BELOW = 1e-14
+_KEY_BITS = 62
+
+
+def _sparse_register_action(circuit: Circuit, data_wires: list):
+    """Support-sparse engine of ``data_register_action``.
+
+    Each nonzero amplitude of every column is one entry: an int64 key
+    ``(label << d) | column`` and a complex amplitude, so all 2^d columns
+    run in one pass and wire ``w`` is key bit ``w + d``.  Entries below
+    ``_PRUNE_BELOW`` are dropped after each split; the per-column L2 norm
+    dropped is summed over the run and the largest sum is added to the
+    residual.
+    """
+    width, d = circuit.width, len(data_wires)
+    if width + d > _KEY_BITS:
+        raise ValueError(
+            f"sparse simulation packs {width} wires and {d} column bits into one "
+            f"int64 key, above the {_KEY_BITS}-bit cap")
+    cols = np.arange(1 << d, dtype=np.int64)
+    labels = np.zeros_like(cols)
+    for pos, w in enumerate(data_wires):
+        labels |= ((cols >> pos) & 1) << w
+    keys = (labels << d) | cols
+    amps = np.ones(1 << d, dtype=complex)
+    pruned = np.zeros(1 << d)
+    for gate in circuit.gates:
+        keys, amps = _apply_gate_sparse(keys, amps, gate, d, pruned)
+    col_mask = (1 << d) - 1
+    if circuit.relabeling is not None:
+        moved = keys & col_mask
+        for w, dest in enumerate(circuit.relabeling):
+            moved |= ((keys >> (w + d)) & 1) << (dest + d)
+        keys = moved
+    labels, cols = keys >> d, keys & col_mask
+    ancilla_mask = sum(1 << w for w in range(width) if w not in data_wires)
+    on = (labels & ancilla_mask) == 0
+    rows = np.zeros(int(np.count_nonzero(on)), dtype=np.int64)
+    for pos, w in enumerate(data_wires):
+        rows |= ((labels[on] >> w) & 1) << pos
+    matrix = np.zeros((1 << d, 1 << d), dtype=complex)
+    matrix[rows, cols[on]] = amps[on]
+    leak = float(np.max(np.abs(amps[~on]), initial=0.0))
+    return matrix, leak + float(np.max(pruned))
+
+
+def _apply_gate_sparse(keys, amps, gate: Gate, d: int, pruned):
+    """Apply one gate to the (keys, amps) entries; returns the new arrays
+    (the inputs may be updated in place)."""
+    kind = gate.kind
+    if kind == "GlobalPhase":
+        amps *= np.exp(1j * gate.angle)
+        return keys, amps
+    ctrl = 0
+    for w in gate.controls:
+        ctrl |= 1 << (w + d)
+    bit = 1 << (gate.targets[0] + d)
+    if kind in _FLIP_KINDS or kind == "Y":
+        if kind == "Y":  # |0> -> m[1,0] |1> and |1> -> m[0,1] |0>
+            m = _target_matrix(gate)
+            amps *= np.where(keys & bit, m[0, 1], m[1, 0])
+        keys ^= ((keys & ctrl) == ctrl) * bit if ctrl else bit
+        return keys, amps
+    if kind == "SWAP":
+        a, b = gate.targets[0] + d, gate.targets[1] + d
+        keys ^= (((keys >> a) ^ (keys >> b)) & 1) * ((1 << a) | (1 << b))
+        return keys, amps
+    if kind in _DIAGONAL_KINDS:
+        diag = np.diagonal(_target_matrix(gate))
+        for value in (0, 1):
+            if diag[value] != 1:
+                want = ctrl | (bit if value else 0)
+                amps[(keys & (ctrl | bit)) == want] *= diag[value]
+        return keys, amps
+    if kind in ("H", "CH"):
+        # each entry splits over its pair (base, base | bit); entries sharing
+        # a base are summed, then small results are pruned
+        m = _target_matrix(gate)
+        sel = (keys & ctrl) == ctrl
+        k, a = keys[sel], amps[sel]
+        one = (k & bit) != 0
+        base, pair = np.unique(k & ~bit, return_inverse=True)
+        k = np.concatenate((base, base | bit))
+        a = np.concatenate((_sum_by(pair, np.where(one, m[0, 1], m[0, 0]) * a, len(base)),
+                            _sum_by(pair, np.where(one, m[1, 1], m[1, 0]) * a, len(base))))
+        k, a = _prune(k, a, d, pruned)
+        if ctrl:  # entries whose controls are off pass through unchanged
+            k = np.concatenate((keys[~sel], k))
+            a = np.concatenate((amps[~sel], a))
+        return k, a
+    raise ValueError(f"no simulation rule for gate kind {kind!r}")
+
+
+def _sum_by(index, values, size: int):
+    return (np.bincount(index, values.real, size)
+            + 1j * np.bincount(index, values.imag, size))
+
+
+def _prune(keys, amps, d: int, pruned):
+    """Drop entries below ``_PRUNE_BELOW``, adding each column's dropped L2
+    norm to ``pruned``."""
+    small = np.abs(amps) < _PRUNE_BELOW
+    if small.any():
+        cols = keys[small] & ((1 << d) - 1)
+        pruned += np.sqrt(np.bincount(cols, np.abs(amps[small]) ** 2, len(pruned)))
+        keys, amps = keys[~small], amps[~small]
+    return keys, amps
 
 
 # ---------------------------------------------------------------------------

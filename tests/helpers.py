@@ -2,7 +2,20 @@
 exhaustive classical-map checker for permutation gadgets."""
 import numpy as np
 
-from qrt_kit.simcore import operand_matrix, data_register_action
+from qrt_kit.simcore import _target_matrix, data_register_action
+
+
+def operand_matrix(gate):
+    """Full matrix over the gate's operand wires, first operand = most
+    significant bit of the matrix index (textbook layout)."""
+    tgt = _target_matrix(gate)
+    k = len(gate.controls)
+    if k == 0:
+        return tgt
+    dim = (1 << k) * tgt.shape[0]
+    full = np.eye(dim, dtype=complex)
+    full[dim - tgt.shape[0]:, dim - tgt.shape[0]:] = tgt
+    return full
 
 
 def brute_unitary(circuit):

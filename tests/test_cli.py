@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism, round trips."""
 import json
+import resource
 import subprocess
 import sys
 
@@ -97,8 +98,29 @@ def test_verify_deterministic(capsys):
     assert a == b
 
 
+def test_verify_beyond_statevector_width(capsys):
+    # width 21, above STATEVECTOR_WIDTH_CAP: the sparse engine has no width cap
+    assert cli.build_transform("qht-rec", 8).width == 21
+    code, out, _ = run_cli(["verify", "--transform", "qht-rec", "--n", "8"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["max_error"] < 1e-10 and report["ancilla_residual"] < 1e-10
+
+
 def test_verify_cap_exceeded_is_usage_error(capsys):
-    code, _, err = run_cli(["verify", "--transform", "qht-rec", "--n", "9"], capsys)
+    # width 48 plus 17 column bits overflow the sparse engine's int64 key
+    code, _, err = run_cli(["verify", "--transform", "qht-rec", "--n", "17"], capsys)
+    assert code == 2
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("name,n", [
+    ("qft", 21),      # no ancillas: dense engine, width above STATEVECTOR_WIDTH_CAP
+    ("or-tree", 11),  # dense or-tree loop, width 21
+])
+def test_dense_verify_cap_exceeded_is_usage_error(name, n, capsys):
+    code, _, err = run_cli(["verify", "--transform", name, "--n", str(n)], capsys)
     assert code == 2
     assert "cap" in err
 
@@ -119,6 +141,51 @@ def test_invalid_size_is_usage_error(capsys):
     code, _, err = run_cli(["build", "--transform", "twos-comp", "--n", "1"], capsys)
     assert code == 2
     assert "two" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", "--transform", "qft", "--n", str(cli.MAX_N + 1)],
+    ["counts", "--transform", "qft", "--n-range", f"2:{cli.MAX_N + 1}"],
+    ["build", "--transform", "qft", "--n", "0"],
+    ["verify", "--transform", "qct4", "--n", "-3"],
+])
+def test_size_outside_bounds_is_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: n must lie within") and err.count("\n") == 1
+
+
+def test_huge_size_exits_two_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrt_kit.cli", "counts", "--transform", "qft",
+         "--n", "100000"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_size_beyond_memory_exits_two_without_traceback():
+    # inc at n=13 needs a 2^14 x 2^14 complex matrix (4 GiB); under a 3 GiB
+    # address-space limit the allocation fails at once
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrt_kit.cli", "verify", "--transform", "inc",
+         "--n", "13"],
+        capture_output=True, text=True, preexec_fn=limit_memory)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_largest_size_builds(capsys):
+    code, out, _ = run_cli(["counts", "--transform", "qft", "--n", str(cli.MAX_N),
+                            "--format", "json"], capsys)
+    assert code == 0
+    n = cli.MAX_N
+    assert json.loads(out)["rows"][0]["total"] == n * (n + 1) // 2 + n // 2
 
 
 def test_counts_json(capsys):

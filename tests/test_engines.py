@@ -1,0 +1,164 @@
+"""The two engines behind ``data_register_action``: the support-sparse one
+(data register narrower than the circuit) against the dense statevector one
+and against the brute-force unitary, on random circuits."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qrt_kit.simcore import (
+    Circuit,
+    CircuitBuilder,
+    Gate,
+    _dense_register_action,
+    _sparse_register_action,
+    data_register_action,
+)
+
+from helpers import brute_unitary
+
+ARITY = {
+    "X": (0, 1), "Y": (0, 1), "Z": (0, 1), "H": (0, 1), "S": (0, 1),
+    "Sdg": (0, 1), "Phase": (0, 1), "Rz": (0, 1), "CPhase": (1, 1),
+    "CNOT": (1, 1), "CH": (1, 1), "CS": (1, 1), "CSdg": (1, 1),
+    "Toffoli": (2, 1), "SWAP": (0, 2), "GlobalPhase": (0, 0), "MCX": (1, 1),
+}
+ANGLED = {"Phase", "Rz", "CPhase", "GlobalPhase"}
+
+
+@st.composite
+def gates(draw, width):
+    kind = draw(st.sampled_from(
+        [k for k, (c, t) in ARITY.items() if c + t <= width]))
+    n_ctrl, n_tgt = ARITY[kind]
+    if kind == "MCX":
+        n_ctrl = draw(st.integers(1, width - 1))
+    wires = draw(st.permutations(range(width)))[:n_ctrl + n_tgt]
+    angle = None
+    if kind in ANGLED:
+        angle = draw(st.floats(-2 * math.pi, 2 * math.pi))
+    return Gate(kind, tuple(wires[:n_ctrl]), tuple(wires[n_ctrl:]), angle)
+
+
+@st.composite
+def cases(draw, max_width=10, max_gates=12):
+    """A random circuit over all gate kinds, optionally followed by its own
+    inverse (so ancillas come back clean through exact cancellations), with
+    an optional relabeling, and a random data register."""
+    width = draw(st.integers(1, max_width))
+    body = draw(st.lists(gates(width), max_size=max_gates))
+    if draw(st.booleans()):
+        body += [g.inverse() for g in reversed(body)]
+    relabeling = None
+    if draw(st.booleans()):
+        relabeling = tuple(draw(st.permutations(range(width))))
+    data = draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width))
+    return Circuit(width, tuple(body), relabeling=relabeling), data
+
+
+def brute_action(circuit, data_wires):
+    """(matrix, residual) of data_register_action, read off the brute-force
+    unitary."""
+    width, d = circuit.width, len(data_wires)
+    labels = np.arange(1 << width)
+    on = np.ones(1 << width, dtype=bool)
+    for w in range(width):
+        if w not in data_wires:
+            on &= ((labels >> w) & 1) == 0
+    in_labels = [sum(((c >> pos) & 1) << w for pos, w in enumerate(data_wires))
+                 for c in range(1 << d)]
+    rows = [sum(((lab >> w) & 1) << pos for pos, w in enumerate(data_wires))
+            for lab in labels[on]]
+    cols = brute_unitary(circuit)[:, in_labels]
+    matrix = np.zeros((1 << d, 1 << d), dtype=complex)
+    matrix[rows, :] = cols[on, :]
+    off = np.abs(cols[~on, :])
+    return matrix, float(off.max()) if off.size else 0.0
+
+
+SETTINGS = dict(derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(cases())
+def test_sparse_dense_and_brute_force_agree(case):
+    circuit, data = case
+    m_sparse, r_sparse = _sparse_register_action(circuit, data)
+    m_dense, r_dense = _dense_register_action(circuit, data)
+    m_brute, r_brute = brute_action(circuit, data)
+    np.testing.assert_allclose(m_sparse, m_brute, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m_dense, m_brute, rtol=0, atol=1e-12)
+    assert abs(r_sparse - r_brute) < 1e-12
+    assert abs(r_dense - r_brute) < 1e-12
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(cases(max_gates=40))
+def test_sparse_and_dense_agree_on_longer_circuits(case):
+    circuit, data = case
+    m_sparse, r_sparse = _sparse_register_action(circuit, data)
+    m_dense, r_dense = _dense_register_action(circuit, data)
+    np.testing.assert_allclose(m_sparse, m_dense, rtol=0, atol=1e-12)
+    assert abs(r_sparse - r_dense) < 1e-12
+
+
+def _leaky(eps, rounds=1):
+    """Data wire 0 untouched; ancilla 1 rotated off |0> by about eps/2 per
+    round."""
+    cb = CircuitBuilder(2, ancillas=[1])
+    for _ in range(rounds):
+        cb.h(1)
+        cb.phase(eps, 1)
+        cb.h(1)
+    return cb.build()
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-15])
+def test_leak_is_reported_by_both_engines(eps):
+    # at 1e-15 the leaked amplitude is below the pruning threshold: the
+    # sparse engine drops it and reports it through the pruning bound
+    circuit = _leaky(eps)
+    for engine in (_sparse_register_action, _dense_register_action):
+        matrix, residual = engine(circuit, [0])
+        assert residual >= eps / 4
+        np.testing.assert_allclose(np.abs(matrix), np.eye(2), atol=1e-12)
+
+
+def test_pruning_bound_covers_an_accumulated_leak():
+    # 1000 rounds of a 5e-16 leak, each pruned on its own, add up coherently
+    rounds, eps = 1000, 1e-15
+    _, residual = _sparse_register_action(_leaky(eps, rounds), [0])
+    assert residual >= 0.9 * math.sin(rounds * eps / 2)
+
+
+def test_narrow_data_register_runs_sparse_past_the_width_cap():
+    cb = CircuitBuilder(40, ancillas=range(2, 40))
+    cb.h(0)
+    cb.cnot(0, 39)
+    cb.toffoli(0, 1, 20)
+    cb.toffoli(0, 1, 20)
+    cb.cnot(0, 39)
+    matrix, residual = data_register_action(cb.build(), [0, 1])
+    want = np.kron(np.eye(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+    np.testing.assert_allclose(matrix, want, atol=1e-15)
+    assert residual < 1e-15
+    with pytest.raises(ValueError, match="cap"):
+        data_register_action(cb.build(), range(40))
+
+
+def test_key_overflow_is_refused():
+    circuit = Circuit(60, (Gate("X", targets=(59,)),))
+    with pytest.raises(ValueError, match="int64"):
+        data_register_action(circuit, [0, 1, 2])
+
+
+def test_unknown_kind_is_refused_by_both_engines():
+    gate = Gate("X", targets=(0,))
+    object.__setattr__(gate, "kind", "Bogus")
+    circuit = Circuit(2, (gate,))
+    for engine in (_sparse_register_action, _dense_register_action):
+        with pytest.raises(ValueError, match="Bogus"):
+            engine(circuit, [0])
