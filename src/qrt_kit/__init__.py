@@ -15,6 +15,7 @@ from .simcore import (
     adjoint,
     apply_gate,
     circuit_unitary,
+    classical_image,
     count_gates,
     data_register_action,
     export_circuit,
@@ -29,6 +30,8 @@ from .gadgets import (
     build_cond_twos_complement,
     build_or_gate,
     build_or_tree,
+    classical_map_error,
+    or_tree_error,
 )
 from .qft import QftOptions, build_qft, build_qft_inverse
 from .oracle import (
@@ -41,7 +44,6 @@ from .oracle import (
 )
 from .hartley import (
     AmplificationReport,
-    LcuParams,
     build_cx_zero_detect,
     build_qht_lcu,
     build_qht_recursive,
@@ -50,7 +52,6 @@ from .hartley import (
     check_oblivious_amplification,
 )
 from .trig import (
-    AmbiguousEmbeddingError,
     BlockIdentityReport,
     build_d1,
     build_d2,

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import gadgets, hartley, oracle, qft, trig
-from .simcore import STATEVECTOR_WIDTH_CAP, count_gates, data_register_action, export_circuit
+from .simcore import count_gates, data_register_action, export_circuit
 
 SCHEMA_VERSION = 1
 MAX_N = 512
@@ -34,6 +34,9 @@ _BLOCK_SPECS = {
     "qct3": ("DCT3", "DST3"), "qst3": ("DCT3", "DST3"),
     "qct4": ("DCT4", "DST4"), "qst4": ("DCT4", "DST4"),
 }
+
+# transforms whose data register carries the oracle matrix itself
+_ORACLE_KINDS = {"qht-lcu": "DHT", "qht-rec": "DHT", "qft": "DFT"}
 
 
 def build_transform(name: str, n: int, incorrect_d2: bool = False):
@@ -62,22 +65,6 @@ def build_transform(name: str, n: int, incorrect_d2: bool = False):
     raise ValueError(f"unknown transform {name!r}")
 
 
-def _classical_map_error(circuit, n, fn):
-    """Worst deviation of a permutation gadget from its classical map over
-    every (control, value) basis input."""
-    matrix, residual = data_register_action(circuit, list(range(n + 1)))
-    worst = residual
-    dim = 1 << n
-    for c in (0, 1):
-        for x in range(dim):
-            col = matrix[:, c * dim + x].copy()
-            want = c * dim + fn(c, x)
-            worst = max(worst, abs(col[want] - 1.0))
-            col[want] = 0.0
-            worst = max(worst, float(np.max(np.abs(col))))
-    return worst, residual
-
-
 def verify_transform(name: str, n: int, tolerance: float, incorrect_d2: bool = False) -> dict:
     """Run the oracle check for one transform; returns the report dict."""
     circuit = build_transform(name, n, incorrect_d2)
@@ -88,13 +75,9 @@ def verify_transform(name: str, n: int, tolerance: float, incorrect_d2: bool = F
         "tolerance": tolerance,
     }
     N = 1 << n
-    if name in ("qht-lcu", "qht-rec"):
+    if name in _ORACLE_KINDS:
         matrix, residual = data_register_action(circuit, list(range(n)))
-        target = oracle.reference_matrix(oracle.TransformSpec("DHT", N))
-        max_error = float(np.max(np.abs(matrix - target)))
-    elif name == "qft":
-        matrix, residual = data_register_action(circuit, list(range(n)))
-        target = oracle.reference_matrix(oracle.TransformSpec("DFT", N))
+        target = oracle.reference_matrix(oracle.TransformSpec(_ORACLE_KINDS[name], N))
         max_error = float(np.max(np.abs(matrix - target)))
     elif name == "qst1-opt":
         matrix, residual = data_register_action(circuit, list(range(n + 1)))
@@ -110,7 +93,6 @@ def verify_transform(name: str, n: int, tolerance: float, incorrect_d2: bool = F
             oracle.TransformSpec(cos_kind, N),
             oracle.TransformSpec(sin_kind, N),
             phase=1,
-            tolerance=tolerance,
         )
         max_error = block_report.max_error()
         residual = block_report.ancilla_residual
@@ -118,26 +100,9 @@ def verify_transform(name: str, n: int, tolerance: float, incorrect_d2: bool = F
     elif name in ("inc", "twos-comp"):
         wrap = (lambda c, x: (x + c) % N) if name == "inc" else \
             (lambda c, x: (N - x) % N if c else x)
-        max_error, residual = _classical_map_error(circuit, n, wrap)
+        max_error, residual = gadgets.classical_map_error(circuit, n, wrap)
     elif name == "or-tree":
-        from .simcore import _run_flat
-        if circuit.width > STATEVECTOR_WIDTH_CAP:
-            raise ValueError(f"statevector runs are capped at {STATEVECTOR_WIDTH_CAP} qubits")
-        dim = 1 << circuit.width
-        root = circuit.width - 1
-        max_error = residual = 0.0
-        for start in range(0, N, 64):
-            cols = np.arange(start, min(start + 64, N))
-            block = np.zeros((dim, len(cols)), dtype=complex)
-            block[cols, np.arange(len(cols))] = 1.0
-            out = _run_flat(block, circuit)
-            for i, x in enumerate(cols):
-                lab = int(np.argmax(np.abs(out[:, i])))
-                max_error = max(max_error, float(abs(out[lab, i] - 1.0)))
-                root_ok = ((lab >> root) & 1) == (1 if x else 0)
-                data_ok = (lab & (N - 1)) == x
-                if not (root_ok and data_ok):
-                    max_error = 1.0
+        max_error, residual = gadgets.or_tree_error(circuit, n), 0.0
     else:
         raise ValueError(f"unknown transform {name!r}")
     report["max_error"] = max_error

@@ -1,14 +1,17 @@
 """Reversible arithmetic and logic subcircuits.
 
 Conditional increment / decrement / one's and two's complement, the or-gate
-and the or-gate tree.  Standard layout of the public builders: data wires
-0..n-1, control wire n, scratch ancillas above the control.
+and the or-gate tree, and the exhaustive checks of their classical maps.
+Standard layout of the public builders: data wires 0..n-1, control wire n,
+scratch ancillas above the control.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .simcore import Circuit, CircuitBuilder
+import numpy as np
+
+from .simcore import Circuit, CircuitBuilder, classical_image
 
 
 @dataclass(frozen=True)
@@ -221,3 +224,46 @@ def build_or_tree(n: int, uncompute_internal: bool = False,
         # only the bare compute leaves the internals dirty
         cb.ancillas = set()
     return cb.build()
+
+
+# ---------------------------------------------------------------------------
+# exhaustive checks: every gadget is a fixed permutation of basis labels
+# ---------------------------------------------------------------------------
+
+
+def _exhaustive_image(circuit: Circuit, bits: int) -> np.ndarray:
+    """Image of every label of wires 0..bits-1 (wires above start at 0).
+
+    The circuit is first run on no labels, so that one ``classical_image``
+    refuses would allocate nothing: a refused width means 2^31 labels or
+    more.
+    """
+    classical_image(circuit, ())
+    return classical_image(circuit, np.arange(1 << bits, dtype=np.int64))
+
+
+def classical_map_error(circuit: Circuit, n: int, fn):
+    """Check (c, x) -> (c, fn(c, x)) with all ancillas clean, on every basis
+    input of data wires 0..n-1 and control wire n.
+
+    ``fn`` is called once per control value, with an int ``c`` and the array
+    of all x.  Returns ``(max_error, ancilla_residual)``: the error is 1.0 if
+    any output label differs from the expected one, the residual is 1.0 if
+    any input leaves a wire above the control set, and each is 0.0 otherwise.
+    """
+    out = _exhaustive_image(circuit, n + 1)
+    x = np.arange(1 << n, dtype=np.int64)
+    want = np.concatenate([np.asarray(fn(c, x), dtype=np.int64) | (c << n)
+                           for c in (0, 1)])
+    return float(np.any(out != want)), float(np.any(out >> (n + 1)))
+
+
+def or_tree_error(circuit: Circuit, n: int) -> float:
+    """Check the bare or-tree on every data input x with its ancillas
+    starting at 0: the data bits are kept and the root holds [x != 0].
+    Internal tree ancillas may end dirty.  Returns 1.0 on any mismatch,
+    else 0.0."""
+    out = _exhaustive_image(circuit, n)
+    x = np.arange(1 << n, dtype=np.int64)
+    root = (out >> or_tree_layout(n).root_index) & 1
+    return float(np.any((out & ((1 << n) - 1)) != x) or np.any(root != (x != 0)))

@@ -16,48 +16,7 @@ import numpy as np
 from . import oracle
 from .gadgets import emit_cond_twos_complement, or_tree_gates
 from .qft import emit_qft_with_swaps
-from .simcore import Circuit, CircuitBuilder, Gate, _run_flat
-
-
-@dataclass(frozen=True)
-class LcuParams:
-    """Angles and coefficients of the Hartley LCU: sin(theta) = 1/a with
-    a = sqrt(2), widened to theta_prime so one round lands exactly on pi/2."""
-
-    theta: float = math.pi / 4
-    theta_prime: float = math.pi / 6
-    rounds: int = 1
-    coefficients: tuple[float, float] = (1 / math.sqrt(2), 1 / math.sqrt(2))
-
-    def __post_init__(self):
-        if abs((2 * self.rounds + 1) * self.theta_prime - math.pi / 2) > 1e-12:
-            raise ValueError("(2k+1) * theta_prime must equal pi/2")
-        ratio = math.sin(self.theta_prime) / math.sin(self.theta)
-        if abs(ratio - 1 / math.sqrt(2)) > 1e-12:
-            raise ValueError("sin(theta')/sin(theta) must be 1/sqrt(2), forcing P = H")
-
-
-@dataclass(frozen=True)
-class RotationR:
-    """The real rotation applied to the recursion ancilla: angle 2*pi*b*y/N
-    for register value y and low-bit b, so b=0 collapses to the identity."""
-
-    y: int
-    b: int
-    N: int
-
-    @property
-    def angle(self) -> float:
-        return 2.0 * math.pi * self.b * self.y / self.N
-
-    def matrix(self) -> np.ndarray:
-        th = self.angle
-        return np.array([[math.cos(th), math.sin(th)],
-                         [-math.sin(th), math.cos(th)]])
-
-
-def rotation_r(y: int, b: int, N: int) -> np.ndarray:
-    return RotationR(y, b, N).matrix()
+from .simcore import Circuit, CircuitBuilder, Gate, StateVector, run_circuit
 
 
 def lcu_target_v(N: int) -> np.ndarray:
@@ -177,6 +136,26 @@ def build_unitary_w(n: int) -> Circuit:
     return cb.build()
 
 
+def _amplified(n: int, rounds: int) -> list[Gate]:
+    """W' (H on the widening ancilla, then W), followed by ``rounds`` rounds
+    of -R W'^dag R W', where R reflects the two select wires about |00>.
+
+    Wires: data 0..n-1, select n, widening ancilla n+1, carries above.
+    """
+    sel, p = n, n + 1
+    w_prime = [Gate("H", targets=(p,))] + _w_gates(n, sel, range(n + 2, 2 * n))
+    reflect = [Gate("Z", targets=(p,)), Gate("Z", targets=(sel,)),
+               Gate("CPhase", (p,), (sel,), math.pi)]
+    gates = list(w_prime)
+    for _ in range(rounds):
+        gates += reflect
+        gates += [g.inverse() for g in reversed(w_prime)]
+        gates += reflect
+        gates.append(Gate("GlobalPhase", angle=math.pi))
+        gates += w_prime
+    return gates
+
+
 def build_qht_lcu(n: int) -> Circuit:
     """Hartley transform via LCU: S' W' on |00>|psi> followed by QFT_N.
 
@@ -186,19 +165,8 @@ def build_qht_lcu(n: int) -> Circuit:
     """
     if n < 2:
         raise ValueError("LCU Hartley transform needs at least two data qubits")
-    sel, p = n, n + 1
-    carries = tuple(range(n + 2, 2 * n))
-    cb = CircuitBuilder(2 * n, label=f"qht_lcu_{n}",
-                        ancillas=(sel, p) + carries)
-    w_prime = [Gate("H", targets=(p,))] + _w_gates(n, sel, carries)
-    reflect = [Gate("Z", targets=(p,)), Gate("Z", targets=(sel,)),
-               Gate("CPhase", (p,), (sel,), math.pi)]
-    cb.extend(w_prime)
-    cb.extend(reflect)
-    cb.extend(g.inverse() for g in reversed(w_prime))
-    cb.extend(reflect)
-    cb.global_phase(math.pi)
-    cb.extend(w_prime)
+    cb = CircuitBuilder(2 * n, label=f"qht_lcu_{n}", ancillas=range(n, 2 * n))
+    cb.extend(_amplified(n, 1))
     emit_qft_with_swaps(cb, range(n))
     return cb.build()
 
@@ -278,28 +246,14 @@ def check_oblivious_amplification(n: int, rounds: int, seed: int = 20240901) -> 
         raise ValueError("amplification check needs at least two data qubits")
     if rounds < 0:
         raise ValueError("negative round count")
-    sel, p = n, n + 1
-    carries = tuple(range(n + 2, 2 * n))
-    cb = CircuitBuilder(2 * n)
-    w_prime = [Gate("H", targets=(p,))] + _w_gates(n, sel, carries)
-    reflect = [Gate("Z", targets=(p,)), Gate("Z", targets=(sel,)),
-               Gate("CPhase", (p,), (sel,), math.pi)]
-    cb.extend(w_prime)
-    for _ in range(rounds):
-        cb.extend(reflect)
-        cb.extend(g.inverse() for g in reversed(w_prime))
-        cb.extend(reflect)
-        cb.global_phase(math.pi)
-        cb.extend(w_prime)
-    circuit = cb.build()
-
+    circuit = Circuit(2 * n, _amplified(n, rounds))
     N = 1 << n
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=N) + 1j * rng.normal(size=N)
     psi /= np.linalg.norm(psi)
     state = np.zeros(1 << circuit.width, dtype=complex)
     state[:N] = psi  # ancillas above the data register start (and stay) at 0
-    out = _run_flat(state, circuit)
+    out = run_circuit(StateVector(state), circuit).amplitudes
     target = np.zeros_like(state)
     target[:N] = lcu_target_v(N) @ psi
     overlap = complex(np.vdot(target, out))

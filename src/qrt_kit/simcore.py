@@ -248,6 +248,7 @@ def _target_matrix(gate: Gate) -> np.ndarray:
 
 _DIAGONAL_KINDS = {"Z", "S", "Sdg", "Phase", "Rz", "CPhase", "CS", "CSdg"}
 _FLIP_KINDS = {"X", "CNOT", "Toffoli", "MCX"}
+_CLASSICAL_KINDS = _FLIP_KINDS | {"SWAP"}
 
 
 def _slice(tensor, assignments):
@@ -311,12 +312,9 @@ def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, width: int) -> np.ndarray
 
 
 def _relabel_rows(flat: np.ndarray, relabeling, width: int) -> np.ndarray:
-    idx = np.arange(1 << width)
-    out_idx = np.zeros_like(idx)
-    for w, dest in enumerate(relabeling):
-        out_idx |= ((idx >> w) & 1) << dest
+    idx = np.arange(1 << width, dtype=np.int64)
     out = np.empty_like(flat)
-    out[out_idx] = flat[idx]
+    out[_relabel_keys(idx, relabeling, 0)] = flat[idx]
     return out
 
 
@@ -369,7 +367,11 @@ def circuit_unitary(circuit: Circuit, cap: int = 12) -> DenseUnitary:
     return DenseUnitary(_run_flat(np.eye(dim, dtype=complex), circuit))
 
 
-def data_register_action(circuit: Circuit, data_wires=None, batch: int = 128):
+_DENSE_BATCH = 128
+"""Columns the dense engine pushes through the statevector at a time."""
+
+
+def data_register_action(circuit: Circuit, data_wires=None):
     """Action of the circuit on a data sub-register with all other wires |0>.
 
     Returns ``(matrix, residual)`` where ``matrix[r, c]`` is the amplitude of
@@ -388,17 +390,18 @@ def data_register_action(circuit: Circuit, data_wires=None, batch: int = 128):
     than returned as a field of its own because every caller already fails
     a run whose residual reaches its tolerance: pruning can never hide a
     leak, and no caller has to learn a new field.  A full-width data
-    register runs the dense statevector engine, ``batch`` columns at a time.
+    register runs the dense statevector engine, ``_DENSE_BATCH`` columns at
+    a time.
     """
     if data_wires is None:
         data_wires = circuit.data_wires
     data_wires = list(data_wires)
     if len(data_wires) < circuit.width:
         return _sparse_register_action(circuit, data_wires)
-    return _dense_register_action(circuit, data_wires, batch)
+    return _dense_register_action(circuit, data_wires)
 
 
-def _dense_register_action(circuit: Circuit, data_wires: list, batch: int = 128):
+def _dense_register_action(circuit: Circuit, data_wires: list):
     """Statevector engine of ``data_register_action``: every column runs
     through the full 2^width state; the residual is the largest amplitude
     found outside the clean-ancilla subspace."""
@@ -418,8 +421,8 @@ def _dense_register_action(circuit: Circuit, data_wires: list, batch: int = 128)
             on_subspace &= ((np.arange(dim) >> w) & 1) == 0
     matrix = np.zeros((1 << d, 1 << d), dtype=complex)
     residual = 0.0
-    for start in range(0, 1 << d, batch):
-        cols = in_labels[start:start + batch]
+    for start in range(0, 1 << d, _DENSE_BATCH):
+        cols = in_labels[start:start + _DENSE_BATCH]
         block = np.zeros((dim, len(cols)), dtype=complex)
         block[cols, np.arange(len(cols))] = 1.0
         out = _run_flat(block, circuit)
@@ -458,13 +461,9 @@ def _sparse_register_action(circuit: Circuit, data_wires: list):
     pruned = np.zeros(1 << d)
     for gate in circuit.gates:
         keys, amps = _apply_gate_sparse(keys, amps, gate, d, pruned)
-    col_mask = (1 << d) - 1
     if circuit.relabeling is not None:
-        moved = keys & col_mask
-        for w, dest in enumerate(circuit.relabeling):
-            moved |= ((keys >> (w + d)) & 1) << (dest + d)
-        keys = moved
-    labels, cols = keys >> d, keys & col_mask
+        keys = _relabel_keys(keys, circuit.relabeling, d)
+    labels, cols = keys >> d, keys & ((1 << d) - 1)
     ancilla_mask = sum(1 << w for w in range(width) if w not in data_wires)
     on = (labels & ancilla_mask) == 0
     rows = np.zeros(int(np.count_nonzero(on)), dtype=np.int64)
@@ -483,19 +482,16 @@ def _apply_gate_sparse(keys, amps, gate: Gate, d: int, pruned):
     if kind == "GlobalPhase":
         amps *= np.exp(1j * gate.angle)
         return keys, amps
+    if kind in _CLASSICAL_KINDS:
+        return _permute_keys(keys, gate, d), amps
     ctrl = 0
     for w in gate.controls:
         ctrl |= 1 << (w + d)
     bit = 1 << (gate.targets[0] + d)
-    if kind in _FLIP_KINDS or kind == "Y":
-        if kind == "Y":  # |0> -> m[1,0] |1> and |1> -> m[0,1] |0>
-            m = _target_matrix(gate)
-            amps *= np.where(keys & bit, m[0, 1], m[1, 0])
-        keys ^= ((keys & ctrl) == ctrl) * bit if ctrl else bit
-        return keys, amps
-    if kind == "SWAP":
-        a, b = gate.targets[0] + d, gate.targets[1] + d
-        keys ^= (((keys >> a) ^ (keys >> b)) & 1) * ((1 << a) | (1 << b))
+    if kind == "Y":  # |0> -> m[1,0] |1> and |1> -> m[0,1] |0>
+        m = _target_matrix(gate)
+        amps *= np.where(keys & bit, m[0, 1], m[1, 0])
+        keys ^= bit
         return keys, amps
     if kind in _DIAGONAL_KINDS:
         diag = np.diagonal(_target_matrix(gate))
@@ -521,6 +517,53 @@ def _apply_gate_sparse(keys, amps, gate: Gate, d: int, pruned):
             a = np.concatenate((amps[~sel], a))
         return k, a
     raise ValueError(f"no simulation rule for gate kind {kind!r}")
+
+
+def _permute_keys(keys, gate: Gate, shift: int):
+    """Apply a gate of ``_CLASSICAL_KINDS`` in place to int64 keys that hold
+    wire ``w`` in bit ``w + shift``: the bit semantics shared by the sparse
+    engine and ``classical_image``."""
+    if gate.kind == "SWAP":
+        a, b = gate.targets[0] + shift, gate.targets[1] + shift
+        keys ^= (((keys >> a) ^ (keys >> b)) & 1) * ((1 << a) | (1 << b))
+        return keys
+    ctrl = 0
+    for w in gate.controls:
+        ctrl |= 1 << (w + shift)
+    bit = 1 << (gate.targets[0] + shift)
+    keys ^= ((keys & ctrl) == ctrl) * bit if ctrl else bit
+    return keys
+
+
+def _relabel_keys(keys, relabeling, shift: int):
+    """Keys with wire ``w``'s bit moved to wire ``relabeling[w]``; the low
+    ``shift`` bits are kept."""
+    moved = keys & ((1 << shift) - 1)
+    for w, dest in enumerate(relabeling):
+        moved |= ((keys >> (w + shift)) & 1) << (dest + shift)
+    return moved
+
+
+def classical_image(circuit: Circuit, labels) -> np.ndarray:
+    """Output basis label of each input basis label.
+
+    The circuit may hold only X, CNOT, Toffoli, MCX and SWAP gates (plus a
+    final relabeling), so it permutes basis labels; each gate is evaluated
+    as a bit operation on an int64 array, with no statevector.
+    """
+    if circuit.width > _KEY_BITS:
+        raise ValueError(
+            f"classical evaluation packs {circuit.width} wires into one int64 "
+            f"label, above the {_KEY_BITS}-bit cap")
+    other = sorted({g.kind for g in circuit.gates} - _CLASSICAL_KINDS)
+    if other:
+        raise ValueError(f"not a classical circuit: it holds {', '.join(other)} gates")
+    labels = np.array(labels, dtype=np.int64)
+    for gate in circuit.gates:
+        _permute_keys(labels, gate, 0)
+    if circuit.relabeling is not None:
+        labels = _relabel_keys(labels, circuit.relabeling, 0)
+    return labels
 
 
 def _sum_by(index, values, size: int):
@@ -669,7 +712,8 @@ def parse_circuit(text: str, width: int | None = None, label: str = "") -> Circu
     """Parse the export format back into a Circuit.
 
     Width defaults to one past the highest wire mentioned; pass it explicitly
-    for circuits whose top wires are untouched.
+    for circuits whose top wires are untouched.  At most one ``# relabel:``
+    line is allowed, and its moved wires must map onto themselves.
     """
     gates = []
     relabeling = None
@@ -681,12 +725,18 @@ def parse_circuit(text: str, width: int | None = None, label: str = "") -> Circu
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("relabel:"):
-                moves = {}
+                if relabeling is not None:
+                    raise ValueError("more than one relabel line")
+                relabeling = {}
                 for item in body[len("relabel:"):].split(","):
-                    src, dest = item.strip().split("->")
-                    moves[int(src)] = int(dest)
-                relabeling = moves
-                max_wire = max([max_wire, *moves, *moves.values()])
+                    src, dest = (int(w) for w in item.strip().split("->"))
+                    if src in relabeling or src < 0:
+                        raise ValueError(f"bad relabel source {src}")
+                    relabeling[src] = dest
+                # checked on the moves alone, before anything width-sized
+                if sorted(relabeling) != sorted(relabeling.values()):
+                    raise ValueError("relabel moves must permute the wires they name")
+                max_wire = max(max_wire, *relabeling)
             continue
         head, _, ops = line.partition(" ")
         if "(" in head:
@@ -714,5 +764,7 @@ def parse_circuit(text: str, width: int | None = None, label: str = "") -> Circu
         width = max_wire + 1
     relab_tuple = None
     if relabeling is not None:
+        if max(relabeling) >= width:
+            raise ValueError(f"relabel names a wire outside width {width}")
         relab_tuple = tuple(relabeling.get(w, w) for w in range(width))
     return Circuit(width, tuple(gates), frozenset(), relab_tuple, label)

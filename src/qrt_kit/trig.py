@@ -23,11 +23,6 @@ from .qft import emit_qft_with_swaps
 from .simcore import Circuit, CircuitBuilder, Gate, data_register_action
 
 
-class AmbiguousEmbeddingError(ValueError):
-    """Two reference columns coincide within tolerance, so no unique index
-    embedding exists (degenerate transform size)."""
-
-
 def _inverses(gates):
     return [g.inverse() for g in reversed(gates)]
 
@@ -371,7 +366,7 @@ _PHASES = {1: 1 + 0j, 1j: 1j, -1: -1 + 0j, -1j: -1j}
 @dataclass(frozen=True)
 class BlockIdentityReport:
     """Result of matching a doubled-register unitary against a cosine block
-    and a phase-scaled sine block under a discovered index embedding."""
+    and a phase-scaled sine block under the declared index embedding."""
 
     max_error_cos_block: float
     max_error_sin_block: float
@@ -386,58 +381,6 @@ class BlockIdentityReport:
         return self.max_error() < tolerance and self.ancilla_residual < tolerance
 
 
-def _column_profiles(mat: np.ndarray, dim: int) -> np.ndarray:
-    """Sorted absolute column entries, zero-padded to ``dim`` rows."""
-    padded = np.zeros((dim, mat.shape[1]))
-    padded[:mat.shape[0], :] = np.abs(mat)
-    return np.sort(padded, axis=0)
-
-
-def _discover_embedding(U: np.ndarray, cos_mat: np.ndarray, sin_mat: np.ndarray,
-                        phase: complex, tolerance: float):
-    """Choose the block assignment of the register labels.
-
-    Candidate splits are scored by the residual they leave against the
-    reference blocks, which is the only arbiter that survives transforms
-    whose cosine and sine columns have identical magnitude profiles.  The
-    canonical split (cosine block on the low labels) is always a candidate;
-    a profile-matching pass proposes an alternative when the magnitudes are
-    informative.  A wrong circuit therefore still yields an error report,
-    never an exception.
-    """
-    dim = U.shape[0]
-    d_c = cos_mat.shape[0]
-    for mat in (cos_mat, sin_mat):
-        for j in range(mat.shape[1]):
-            diffs = np.max(np.abs(mat[:, j + 1:] - mat[:, j:j + 1]), axis=0)
-            if diffs.size and np.min(diffs) < tolerance:
-                raise AmbiguousEmbeddingError(
-                    "two reference columns coincide within tolerance; "
-                    "the index embedding is not unique at this size")
-    splits = [(list(range(d_c)), list(range(d_c, dim)))]
-    u_prof = np.sort(np.abs(U), axis=0)
-    cos_prof = _column_profiles(cos_mat, dim)
-    sin_prof = _column_profiles(sin_mat, dim)
-    cos_labels, sin_labels = [], []
-    for b in range(dim):
-        d_cos = float(np.min(np.max(np.abs(cos_prof - u_prof[:, b:b + 1]), axis=0)))
-        d_sin = float(np.min(np.max(np.abs(sin_prof - u_prof[:, b:b + 1]), axis=0)))
-        hit_cos, hit_sin = d_cos < tolerance, d_sin < tolerance
-        if hit_cos == hit_sin:  # unmatched or profile-degenerate label
-            cos_labels = None
-            break
-        (cos_labels if hit_cos else sin_labels).append(b)
-    if cos_labels is not None and len(cos_labels) == d_c:
-        splits.append((cos_labels, sin_labels))
-
-    def residual(split):
-        cs, ss = split
-        return max(_block_error(U, cos_mat, cs, 1.0),
-                   _block_error(U, sin_mat, ss, phase))
-
-    return min(splits, key=residual)
-
-
 def _block_error(U: np.ndarray, block: np.ndarray, labels, phase: complex) -> float:
     """Max deviation over the full columns of a block: embedded rows must
     carry phase*block and every other row must vanish."""
@@ -447,10 +390,16 @@ def _block_error(U: np.ndarray, block: np.ndarray, labels, phase: complex) -> fl
 
 
 def verify_block_identity(circuit: Circuit, cos_spec: oracle.TransformSpec,
-                          sin_spec: oracle.TransformSpec, phase: complex = 1,
-                          tolerance: float = 1e-10) -> BlockIdentityReport:
-    """Extract the circuit's action on its transform register, discover the
-    index embedding, and report per-block max errors against the oracles."""
+                          sin_spec: oracle.TransformSpec,
+                          phase: complex = 1) -> BlockIdentityReport:
+    """Extract the circuit's action on its transform register and report
+    per-block max errors against the oracles.
+
+    The embedding is declared, not searched for: the cosine block sits on
+    register labels ``0..cos_spec.dim-1`` and ``phase`` times the sine block
+    on the labels above them.  A circuit that puts a block anywhere else
+    fails with a large error.
+    """
     if phase not in _PHASES:
         raise ValueError("sine-block phase must be a fourth root of unity")
     phase = _PHASES[phase]
@@ -462,7 +411,8 @@ def verify_block_identity(circuit: Circuit, cos_spec: oracle.TransformSpec,
     sin_mat = oracle.reference_matrix(sin_spec)
     if cos_spec.dim + sin_spec.dim != dim:
         raise ValueError("block dimensions do not tile the doubled register")
-    cos_labels, sin_labels = _discover_embedding(U, cos_mat, sin_mat, phase, tolerance)
+    cos_labels = list(range(cos_spec.dim))
+    sin_labels = list(range(cos_spec.dim, dim))
     embedding = {
         "cos_block": tuple((lab >> n, lab & ((1 << n) - 1)) for lab in cos_labels),
         "sin_block": tuple((lab >> n, lab & ((1 << n) - 1)) for lab in sin_labels),
@@ -480,7 +430,7 @@ _PHASE_NAMES = {1 + 0j: "1", 1j: "i", -1 + 0j: "-1", -1j: "-i"}
 
 
 def embedding_as_json_dict(report: BlockIdentityReport, transform: str, n: int) -> dict:
-    """Golden-file form of a discovered embedding."""
+    """Golden-file form of the embedding a report was checked under."""
     return {
         "transform": transform,
         "n": n,

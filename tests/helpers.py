@@ -1,8 +1,10 @@
-"""Shared test utilities: an independent brute-force unitary builder and an
-exhaustive classical-map checker for permutation gadgets."""
+"""Shared test utilities: an independent brute-force unitary builder and
+reference matrices the circuits are compared against."""
+import math
+
 import numpy as np
 
-from qrt_kit.simcore import _target_matrix, data_register_action
+from qrt_kit.simcore import _target_matrix
 
 
 def operand_matrix(gate):
@@ -56,17 +58,10 @@ def brute_unitary(circuit):
     return total
 
 
-def classical_map_error(circuit, n, fn):
-    """Worst deviation of a conditional gadget from the classical map
-    (c, x) -> (c, fn(c, x)) over all basis inputs, ancillas clean."""
-    matrix, residual = data_register_action(circuit, list(range(n + 1)))
-    dim = 1 << n
-    worst = residual
-    for c in (0, 1):
-        for x in range(dim):
-            col = matrix[:, c * dim + x].copy()
-            want = c * dim + fn(c, x)
-            worst = max(worst, abs(col[want] - 1.0))
-            col[want] = 0.0
-            worst = max(worst, float(np.max(np.abs(col))))
-    return worst
+def rotation_r(y, b, N):
+    """The real rotation U_R applies to the recursion ancilla: angle
+    2*pi*b*y/N for register value y and low bit b, so b = 0 is the
+    identity."""
+    th = 2.0 * math.pi * b * y / N
+    return np.array([[math.cos(th), math.sin(th)],
+                     [-math.sin(th), math.cos(th)]])

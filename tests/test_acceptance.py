@@ -14,6 +14,8 @@ from qrt_kit.gadgets import (
     build_cond_ones_complement,
     build_cond_twos_complement,
     build_or_tree,
+    classical_map_error,
+    or_tree_error,
 )
 from qrt_kit.hartley import (
     build_qht_lcu,
@@ -23,7 +25,6 @@ from qrt_kit.hartley import (
 from qrt_kit.qft import build_qft, emit_qft_with_swaps
 from qrt_kit.simcore import (
     CircuitBuilder,
-    _run_flat,
     count_gates,
     data_register_action,
 )
@@ -35,8 +36,6 @@ from qrt_kit.trig import (
     build_type1_core,
     verify_block_identity,
 )
-
-from helpers import classical_map_error
 
 TOL = 1e-10
 
@@ -137,46 +136,33 @@ def test_criterion_6_type4_correction():
 
 def test_criterion_7_gadget_exhaustives():
     """Every arithmetic gadget reproduces its classical map on all basis
-    inputs up to n = 8, at the expected gate counts."""
+    inputs up to n = 16, at the expected gate counts."""
     worst = 0.0
-    for n in range(1, 9):
+    for n in range(1, 17):
         N = 1 << n
-        worst = max(worst, classical_map_error(
-            build_cond_increment(n), n, lambda c, x: (x + c) % N))
-        worst = max(worst, classical_map_error(
-            build_cond_decrement(n), n, lambda c, x: (x - c) % N))
-        worst = max(worst, classical_map_error(
-            build_cond_ones_complement(n), n,
-            lambda c, x: (N - 1 - x) if c else x))
+        checks = [
+            (build_cond_increment(n), lambda c, x: (x + c) % N),
+            (build_cond_decrement(n), lambda c, x: (x - c) % N),
+            (build_cond_ones_complement(n), lambda c, x: (N - 1 - x) if c else x),
+        ]
         if n >= 2:
-            worst = max(worst, classical_map_error(
-                build_cond_twos_complement(n), n,
-                lambda c, x: (N - x) % N if c else x))
-    report("criterion 7: gadget classical-map error (n<=8)", worst)
+            checks.append((build_cond_twos_complement(n),
+                           lambda c, x: (N - x) % N if c else x))
+        for circ, fn in checks:
+            worst = max(worst, *classical_map_error(circ, n, fn))
+    report("criterion 7: gadget classical-map error (n<=16)", worst)
 
-    for n in range(3, 9):
+    for n in range(3, 17):
         assert count_gates(build_cond_twos_complement(n)).total == 4 * n - 4
-    for n in range(2, 9):
+    for n in range(2, 17):
         assert count_gates(build_or_tree(n)).total == 3 * (n - 1)
         assert count_gates(build_or_tree(n, uncompute_internal=True)).total == 6 * (n - 1)
         assert count_gates(build_or_tree(n, reset_root=True)).total == 12 * (n - 1)
     print("PASS  criterion 7: two's complement 4n-4 and or-tree 3/6/12(n-1) counts exact")
 
-    # or-tree root value on every basis input up to n = 8
-    worst_root = 0.0
-    for n in range(2, 9):
-        circ = build_or_tree(n)
-        dim = 1 << circ.width
-        root = circ.width - 1
-        block = np.zeros((dim, 1 << n), dtype=complex)
-        block[np.arange(1 << n), np.arange(1 << n)] = 1.0
-        out = _run_flat(block, circ)
-        for x in range(1 << n):
-            lab = int(np.argmax(np.abs(out[:, x])))
-            worst_root = max(worst_root, abs(out[lab, x] - 1))
-            if ((lab >> root) & 1) != (1 if x else 0) or (lab & ((1 << n) - 1)) != x:
-                worst_root = 1.0
-    report("criterion 7: or-tree root exhaustive error (n<=8)", worst_root)
+    # or-tree root value on every basis input up to n = 16
+    worst_root = max(or_tree_error(build_or_tree(n), n) for n in range(2, 17))
+    report("criterion 7: or-tree root exhaustive error (n<=16)", worst_root)
 
 
 def test_criterion_8_complexity_comparison():

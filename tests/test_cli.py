@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, round trips."""
+import hashlib
 import json
+import pathlib
 import resource
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from qrt_kit import cli
-from qrt_kit.simcore import circuit_unitary, data_register_action, parse_circuit
+from qrt_kit.simcore import circuit_unitary, data_register_action, export_circuit, parse_circuit
 
 
 def run_cli(args, capsys):
@@ -117,12 +119,43 @@ def test_verify_cap_exceeded_is_usage_error(capsys):
 
 @pytest.mark.parametrize("name,n", [
     ("qft", 21),      # no ancillas: dense engine, width above STATEVECTOR_WIDTH_CAP
-    ("or-tree", 11),  # dense or-tree loop, width 21
 ])
 def test_dense_verify_cap_exceeded_is_usage_error(name, n, capsys):
     code, _, err = run_cli(["verify", "--transform", name, "--n", str(n)], capsys)
     assert code == 2
     assert "cap" in err
+
+
+def test_verify_or_tree_beyond_statevector_width(capsys):
+    # width 21: gadgets are checked on integer labels, with no statevector
+    assert cli.build_transform("or-tree", 11).width == 21
+    code, out, _ = run_cli(["verify", "--transform", "or-tree", "--n", "11"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["max_error"] == 0.0 and report["ancilla_residual"] == 0.0
+
+
+def test_classical_verify_cap_exceeded_is_usage_error(capsys):
+    # width 63 does not fit one int64 label
+    assert cli.build_transform("or-tree", 32).width == 63
+    code, _, err = run_cli(["verify", "--transform", "or-tree", "--n", "32"], capsys)
+    assert code == 2
+    assert "cap" in err
+
+
+def test_small_builds_match_recorded_digests():
+    # perfbench/digests.json pins the build output of every transform; the
+    # items with n <= 9 are cheap enough to rebuild here
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "digests.json"
+    recorded = json.loads(path.read_text())["items"]
+    small = {key: item for key, item in recorded.items()
+             if int(key.split("/")[1]) <= 9}
+    assert len(small) == 16
+    for key, item in small.items():
+        name, n = key.split("/")
+        text = export_circuit(cli.build_transform(name, int(n)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == item["sha256"], key
 
 
 def test_unknown_transform_is_usage_error(capsys):
@@ -166,14 +199,14 @@ def test_huge_size_exits_two_without_traceback():
 
 
 def test_size_beyond_memory_exits_two_without_traceback():
-    # inc at n=13 needs a 2^14 x 2^14 complex matrix (4 GiB); under a 3 GiB
+    # inc at n=29 (width 57) checks 2^30 int64 labels (8 GiB); under a 3 GiB
     # address-space limit the allocation fails at once
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
     proc = subprocess.run(
         [sys.executable, "-m", "qrt_kit.cli", "verify", "--transform", "inc",
-         "--n", "13"],
+         "--n", "29"],
         capture_output=True, text=True, preexec_fn=limit_memory)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

@@ -1,6 +1,8 @@
 """The two engines behind ``data_register_action``: the support-sparse one
 (data register narrower than the circuit) against the dense statevector one
-and against the brute-force unitary, on random circuits."""
+and against the brute-force unitary, on random circuits; and
+``classical_image`` against the brute-force unitary on random classical
+circuits."""
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from qrt_kit.simcore import (
     Gate,
     _dense_register_action,
     _sparse_register_action,
+    classical_image,
     data_register_action,
 )
 
@@ -29,9 +32,9 @@ ANGLED = {"Phase", "Rz", "CPhase", "GlobalPhase"}
 
 
 @st.composite
-def gates(draw, width):
+def gates(draw, width, kinds=tuple(ARITY)):
     kind = draw(st.sampled_from(
-        [k for k, (c, t) in ARITY.items() if c + t <= width]))
+        [k for k in kinds if sum(ARITY[k]) <= width]))
     n_ctrl, n_tgt = ARITY[kind]
     if kind == "MCX":
         n_ctrl = draw(st.integers(1, width - 1))
@@ -162,3 +165,44 @@ def test_unknown_kind_is_refused_by_both_engines():
     for engine in (_sparse_register_action, _dense_register_action):
         with pytest.raises(ValueError, match="Bogus"):
             engine(circuit, [0])
+
+
+CLASSICAL = ("X", "CNOT", "Toffoli", "MCX", "SWAP")
+
+
+@st.composite
+def classical_cases(draw, max_width=10, max_gates=12):
+    """A random X/CNOT/Toffoli/MCX/SWAP circuit with an optional relabeling;
+    when ``extra`` is drawn, one gate of another kind is inserted."""
+    width = draw(st.integers(1, max_width))
+    body = draw(st.lists(gates(width, CLASSICAL), max_size=max_gates))
+    extra = draw(st.booleans())
+    if extra:
+        other = [k for k in ARITY if k not in CLASSICAL]
+        body.insert(draw(st.integers(0, len(body))), draw(gates(width, other)))
+    relabeling = None
+    if draw(st.booleans()):
+        relabeling = tuple(draw(st.permutations(range(width))))
+    return Circuit(width, tuple(body), relabeling=relabeling), extra
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(classical_cases())
+def test_classical_image_agrees_with_brute_force(case):
+    circuit, extra = case
+    labels = np.arange(1 << circuit.width)
+    if extra:
+        with pytest.raises(ValueError, match="classical"):
+            classical_image(circuit, labels)
+        return
+    # column j of the unitary is the basis vector at the predicted label
+    image = classical_image(circuit, labels)
+    want = np.zeros((1 << circuit.width,) * 2)
+    want[image, labels] = 1.0
+    np.testing.assert_array_equal(brute_unitary(circuit), want)
+
+
+def test_classical_image_refuses_a_width_above_the_key_cap():
+    circuit = Circuit(63, (Gate("X", targets=(62,)),))
+    with pytest.raises(ValueError, match="cap"):
+        classical_image(circuit, [0])

@@ -11,10 +11,10 @@ from qrt_kit.gadgets import (
     build_cond_twos_complement,
     build_or_gate,
     build_or_tree,
+    classical_map_error,
+    or_tree_error,
 )
-from qrt_kit.simcore import Circuit, circuit_unitary, count_gates, data_register_action
-
-from helpers import classical_map_error
+from qrt_kit.simcore import Circuit, Gate, circuit_unitary, count_gates, data_register_action
 
 
 def test_layout_disjointness():
@@ -33,21 +33,21 @@ def test_layout_disjointness():
 def test_increment_exhaustive(n):
     err = classical_map_error(build_cond_increment(n), n,
                               lambda c, x: (x + c) % (1 << n))
-    assert err < 1e-12
+    assert err == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_decrement_exhaustive(n):
     err = classical_map_error(build_cond_decrement(n), n,
                               lambda c, x: (x - c) % (1 << n))
-    assert err < 1e-12
+    assert err == (0.0, 0.0)
 
 
 def test_increment_wraparound_case():
     # n=3, c=1, x=7 -> 0
     err = classical_map_error(build_cond_increment(3), 3,
                               lambda c, x: (x + c) % 8)
-    assert err < 1e-12
+    assert err == (0.0, 0.0)
 
 
 def test_decrement_then_increment_is_identity():
@@ -56,28 +56,28 @@ def test_decrement_then_increment_is_identity():
         dec = build_cond_decrement(n)
         both = Circuit(inc.width, inc.gates + dec.gates, inc.ancillas)
         err = classical_map_error(both, n, lambda c, x: x)
-        assert err < 1e-12
+        assert err == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_ones_complement_exhaustive(n):
     err = classical_map_error(build_cond_ones_complement(n), n,
                               lambda c, x: ((1 << n) - 1 - x) if c else x)
-    assert err < 1e-12
+    assert err == (0.0, 0.0)
 
 
 def test_ones_complement_involution():
     for n in range(1, 6):
         circ = build_cond_ones_complement(n)
         both = Circuit(circ.width, circ.gates + circ.gates)
-        assert classical_map_error(both, n, lambda c, x: x) < 1e-12
+        assert classical_map_error(both, n, lambda c, x: x) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_twos_complement_exhaustive(n):
     err = classical_map_error(build_cond_twos_complement(n), n,
                               lambda c, x: ((1 << n) - x) % (1 << n) if c else x)
-    assert err < 1e-12
+    assert err == (0.0, 0.0)
 
 
 def test_twos_complement_fixed_point_and_negation():
@@ -158,7 +158,25 @@ def test_or_tree_uncompute_restores_all_ancillas():
     for n in (2, 3, 5):
         circ = build_or_tree(n, uncompute_internal=True)
         err = classical_map_error(circ, n - 1, lambda c, x: x)  # identity map
-        assert err < 1e-12
+        assert err == (0.0, 0.0)
+
+
+def test_classical_map_error_flags_a_wrong_map_and_a_dirty_ancilla():
+    # the increment is not the identity; its carries come back clean
+    assert classical_map_error(build_cond_increment(4), 4,
+                               lambda c, x: x) == (1.0, 0.0)
+    # the bare tree leaves its ancillas dirty whatever the map
+    assert classical_map_error(build_or_tree(4), 3, lambda c, x: x) == (1.0, 1.0)
+    # only the lowest ancilla, right above the control, is dirtied
+    copy_control = Circuit(4, (Gate("CNOT", (2,), (3,)),))
+    assert classical_map_error(copy_control, 2, lambda c, x: x) == (1.0, 1.0)
+
+
+def test_or_tree_error_checks_data_and_root():
+    for n in (2, 3, 5):
+        assert or_tree_error(build_or_tree(n), n) == 0.0
+        # the full uncompute clears the root again
+        assert or_tree_error(build_or_tree(n, uncompute_internal=True), n) == 1.0
 
 
 def test_or_tree_degenerate_two_inputs():

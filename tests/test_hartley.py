@@ -6,7 +6,6 @@ import pytest
 
 from qrt_kit import oracle
 from qrt_kit.hartley import (
-    LcuParams,
     build_cx_zero_detect,
     build_qht_lcu,
     build_qht_recursive,
@@ -14,10 +13,11 @@ from qrt_kit.hartley import (
     build_unitary_w,
     check_oblivious_amplification,
     lcu_target_v,
-    rotation_r,
 )
 from qrt_kit.qft import build_qft
 from qrt_kit.simcore import circuit_unitary, count_gates, data_register_action
+
+from helpers import rotation_r
 
 # the N=4 Hartley matrix, frozen from evaluating cas(2 pi a y / 4) by hand
 H4 = 0.5 * np.array([
@@ -38,21 +38,8 @@ def data_matrix(circ, n):
 
 
 # ---------------------------------------------------------------------------
-# LCU parameters and target
+# LCU target
 # ---------------------------------------------------------------------------
-
-
-def test_lcu_params_defaults_consistent():
-    params = LcuParams()
-    assert params.theta == pytest.approx(math.pi / 4)
-    assert (2 * params.rounds + 1) * params.theta_prime == pytest.approx(math.pi / 2)
-
-
-def test_lcu_params_rejects_bad_angles():
-    with pytest.raises(ValueError):
-        LcuParams(rounds=2)
-    with pytest.raises(ValueError):
-        LcuParams(theta=math.pi / 3)
 
 
 def test_v_is_unitary_and_factors_hartley():

@@ -1,10 +1,14 @@
 """Simulator, circuit IR, adjoint, gate counting and the textual format."""
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qrt_kit.simcore import (
+    _IMPORT_NAMES,
     Circuit,
     CircuitBuilder,
     DenseUnitary,
@@ -426,6 +430,52 @@ def test_parse_rejects_garbage():
         parse_circuit("frobnicate q[0]\n")
     with pytest.raises(ValueError):
         parse_circuit("h qubit0\n")
+
+
+def test_parse_rejects_a_huge_relabel_at_once():
+    # the moves do not map onto themselves: refused before a tuple as long
+    # as the named wire is built
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_circuit("x q[0]\n# relabel: 0->99999999999\n")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_parse_rejects_a_second_relabel_line():
+    with pytest.raises(ValueError, match="relabel"):
+        parse_circuit("x q[0]\n# relabel: 0->1,1->0\n# relabel: 0->0,1->1\n")
+
+
+def test_parse_rejects_a_repeated_relabel_source():
+    with pytest.raises(ValueError, match="relabel"):
+        parse_circuit("x q[1]\n# relabel: 0->1,0->0\n")
+
+
+_NAMES = sorted(_IMPORT_NAMES) + ["bogus"]
+_WIRE = st.integers(-2, 12)
+_LINES = st.one_of(
+    st.text(max_size=24),
+    st.tuples(st.sampled_from(_NAMES),
+              st.one_of(st.none(), st.floats().map(repr), st.text(max_size=6)),
+              st.lists(st.one_of(_WIRE.map("q[{}]".format), st.text(max_size=5)),
+                       max_size=4)).map(
+        lambda t: (t[0] if t[1] is None else f"{t[0]}({t[1]})") + " " + ",".join(t[2])),
+    st.lists(st.one_of(st.tuples(_WIRE, _WIRE).map("{0[0]}->{0[1]}".format),
+                       st.text(max_size=5)), max_size=5).map(
+        lambda moves: "# relabel: " + ",".join(moves)),
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_LINES, max_size=6).map("\n".join),
+       st.one_of(st.none(), st.integers(0, 16)))
+def test_parse_returns_a_circuit_or_raises_value_error(text, width):
+    try:
+        circuit = parse_circuit(text, width=width)
+    except ValueError:
+        return
+    assert isinstance(circuit, Circuit)
 
 
 def test_every_builder_survives_export_round_trip():

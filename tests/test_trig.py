@@ -9,15 +9,14 @@ import pytest
 from qrt_kit import oracle
 from qrt_kit.simcore import (
     Circuit,
+    Gate,
     circuit_unitary,
     count_gates,
     data_register_action,
 )
 from qrt_kit.qft import build_qft
 from qrt_kit.trig import (
-    AmbiguousEmbeddingError,
     DiagonalFamily,
-    _discover_embedding,
     build_d1,
     build_d2,
     build_g_gate,
@@ -407,25 +406,15 @@ def test_verify_rejects_mismatched_blocks():
         verify_block_identity(Circuit(3), spec("DCT1", 4), spec("DST1", 8))
 
 
-def test_discovery_raises_on_degenerate_columns():
-    U = np.eye(4, dtype=complex)
-    dup = np.ones((2, 2)) / math.sqrt(2)  # two identical reference columns
-    with pytest.raises(AmbiguousEmbeddingError):
-        _discover_embedding(U, dup, np.eye(2), 1.0, 1e-10)
-
-
-def test_discovery_prefers_split_with_smaller_residual():
-    # a shifted identity: cosine block lives on the high labels
-    n = 1
-    C = np.eye(2)
-    S = np.full((2, 2), math.sqrt(0.5))
-    S[1, 1] *= -1
-    U = np.zeros((4, 4), dtype=complex)
-    U[2:, 2:] = C
-    U[:2, :2] = S
-    cos_labels, sin_labels = _discover_embedding(U, C, S, 1.0, 1e-10)
-    assert cos_labels == [2, 3]
-    assert sin_labels == [0, 1]
+def test_blocks_off_the_declared_embedding_fail():
+    # a control flip after a correct Type-II circuit moves the cosine block
+    # onto the high labels: the declared embedding does not follow it
+    circ = build_qcst_type2(2)
+    flipped = Circuit(circ.width, circ.gates + (Gate("X", targets=(2,)),),
+                      circ.ancillas)
+    report = verify_block_identity(flipped, spec("DCT2", 4), spec("DST2", 4))
+    assert report.max_error() > 0.5
+    assert report.embedding["cos_block"] == tuple((0, x) for x in range(4))
 
 
 # ---------------------------------------------------------------------------
