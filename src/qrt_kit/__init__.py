@@ -7,7 +7,6 @@ simulator to verify every circuit against its oracle.
 """
 from .simcore import (
     Circuit,
-    CircuitBuilder,
     DenseUnitary,
     Gate,
     GateCountReport,
@@ -33,7 +32,7 @@ from .gadgets import (
     classical_map_error,
     or_tree_error,
 )
-from .qft import QftOptions, build_qft, build_qft_inverse
+from .qft import build_qft, build_qft_inverse
 from .oracle import (
     TransformSpec,
     build_dht_from_dft,

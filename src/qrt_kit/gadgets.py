@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import Circuit, CircuitBuilder, classical_image
+from .simcore import Circuit, Gate, classical_image, inverse
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,19 @@ class GadgetLayout:
 
 
 # ---------------------------------------------------------------------------
-# emitters: append gates for a gadget onto an existing builder
+# fragments: each returns the gate list of one gadget on the given wires
 # ---------------------------------------------------------------------------
 
 
-def emit_cond_increment(cb: CircuitBuilder, control: int, data, carries):
+def _toffoli(c1: int, c2: int, t: int) -> Gate:
+    return Gate("Toffoli", (c1, c2), (t,))
+
+
+def _cnot(c: int, t: int) -> Gate:
+    return Gate("CNOT", (c,), (t,))
+
+
+def cond_increment_gates(control: int, data, carries) -> list[Gate]:
     """x -> (x+1) mod 2^n when control=1.
 
     Carry qubits hold ANDs of the low data bits; the forward pass is
@@ -52,82 +60,77 @@ def emit_cond_increment(cb: CircuitBuilder, control: int, data, carries):
         raise ValueError("empty data register")
     if len(carries) < max(n - 2, 0):
         raise ValueError(f"need {max(n - 2, 0)} carry ancillas, got {len(carries)}")
+    gates = []
     # forward pass: a_1 = b_0 & b_1, then a_i = a_{i-1} & b_i
     if n >= 3:
-        cb.toffoli(data[0], data[1], carries[0])
+        gates.append(_toffoli(data[0], data[1], carries[0]))
         for i in range(1, n - 2):
-            cb.toffoli(carries[i - 1], data[i + 1], carries[i])
+            gates.append(_toffoli(carries[i - 1], data[i + 1], carries[i]))
     # backward pass: flip from the most significant bit down, uncomputing
     # each carry right after the flip it controls
     for i in range(n - 2, 0, -1):
-        cb.toffoli(control, carries[i - 1], data[i + 1])
+        gates.append(_toffoli(control, carries[i - 1], data[i + 1]))
         if i >= 2:
-            cb.toffoli(carries[i - 2], data[i], carries[i - 1])
+            gates.append(_toffoli(carries[i - 2], data[i], carries[i - 1]))
         else:
-            cb.toffoli(data[0], data[1], carries[0])
+            gates.append(_toffoli(data[0], data[1], carries[0]))
     if n >= 2:
-        cb.toffoli(control, data[0], data[1])
-    cb.cnot(control, data[0])
+        gates.append(_toffoli(control, data[0], data[1]))
+    gates.append(_cnot(control, data[0]))
+    return gates
 
 
-def emit_cond_ones_complement(cb: CircuitBuilder, control: int, data):
+def cond_ones_complement_gates(control: int, data) -> list[Gate]:
     """Bitwise NOT of the register when control=1: one CNOT per data qubit."""
-    for q in data:
-        cb.cnot(control, q)
+    return [_cnot(control, q) for q in data]
 
 
-def emit_cond_twos_complement(cb: CircuitBuilder, control: int, data, carries):
+def cond_twos_complement_gates(control: int, data, carries) -> list[Gate]:
     """x -> (2^n - x) mod 2^n when control=1: negate all bits, then add one.
 
-    Width 1 is the identity map and emits nothing.
+    Width 1 is the identity map and has no gates.
     """
     data = list(data)
     if len(data) <= 1:
-        return
-    emit_cond_ones_complement(cb, control, data)
-    emit_cond_increment(cb, control, data, carries)
+        return []
+    return (cond_ones_complement_gates(control, data)
+            + cond_increment_gates(control, data, carries))
 
 
-def emit_or_gate(cb: CircuitBuilder, a: int, b: int, result: int):
+def or_gate_gates(a: int, b: int, result: int) -> list[Gate]:
     """result ^= (a OR b): two CNOTs and a Toffoli."""
-    cb.cnot(a, result)
-    cb.cnot(b, result)
-    cb.toffoli(a, b, result)
+    return [_cnot(a, result), _cnot(b, result), _toffoli(a, b, result)]
 
 
-def emit_or_tree(cb: CircuitBuilder, data, ancillas) -> int:
-    """Binary-tree OR reduction of ``data`` into fresh ancillas.
+def or_tree_gates(data, ancillas):
+    """Binary-tree OR reduction of ``data`` into fresh ancillas, as a
+    (gates, root) pair, so callers can use the same pass forwards and
+    inverted around a payload.
 
     Adjacent pairs are merged left to right, an odd leftover propagates
-    unchanged to the next layer.  Returns the root wire (= OR of all data
-    bits); consumes len(data)-1 ancillas and emits 3(len(data)-1) gates.
+    unchanged to the next layer.  The root wire holds the OR of all data
+    bits; the pass consumes len(data)-1 ancillas in 3(len(data)-1) gates.
+    A single data wire is its own root, with no gates.
     """
     layer = list(data)
-    if len(layer) < 2:
-        raise ValueError("or-tree needs at least two inputs")
+    if not layer:
+        raise ValueError("or-tree needs at least one input")
     pool = list(ancillas)
     if len(pool) < len(layer) - 1:
         raise ValueError(f"need {len(layer) - 1} tree ancillas, got {len(pool)}")
     free = iter(pool)
+    gates = []
     while len(layer) > 1:
         nxt = []
         for i in range(0, len(layer), 2):
             if i + 1 < len(layer):
                 tgt = next(free)
-                emit_or_gate(cb, layer[i], layer[i + 1], tgt)
+                gates += or_gate_gates(layer[i], layer[i + 1], tgt)
                 nxt.append(tgt)
             else:
                 nxt.append(layer[i])
         layer = nxt
-    return layer[0]
-
-
-def or_tree_gates(data, ancillas):
-    """The compute pass of the or-tree as a (gates, root) pair, so callers can
-    emit the same pass forwards and (inverted) backwards around a payload."""
-    cb = CircuitBuilder(max([*data, *ancillas]) + 1)
-    root = emit_or_tree(cb, data, ancillas)
-    return cb.gates(), root
+    return gates, layer[0]
 
 
 # ---------------------------------------------------------------------------
@@ -148,27 +151,24 @@ def build_cond_increment(n: int) -> Circuit:
     if n < 1:
         raise ValueError("increment needs at least one data qubit")
     lay = increment_layout(n)
-    cb = CircuitBuilder(n + 1 + len(lay.carry_ancillas), label=f"inc_{n}",
-                        ancillas=lay.carry_ancillas)
-    emit_cond_increment(cb, lay.control_qubit, lay.data_qubits, lay.carry_ancillas)
-    return cb.build()
+    gates = cond_increment_gates(lay.control_qubit, lay.data_qubits, lay.carry_ancillas)
+    return Circuit(n + 1 + len(lay.carry_ancillas), gates, lay.carry_ancillas,
+                   None, f"inc_{n}")
 
 
 def build_cond_decrement(n: int) -> Circuit:
     """Conditional modular decrement: the adjoint of the increment."""
     if n < 1:
         raise ValueError("decrement needs at least one data qubit")
-    circ = build_cond_increment(n).adjoint()
-    return Circuit(circ.width, circ.gates, circ.ancillas, None, f"dec_{n}")
+    inc = build_cond_increment(n)
+    return Circuit(inc.width, inverse(inc.gates), inc.ancillas, None, f"dec_{n}")
 
 
 def build_cond_ones_complement(n: int) -> Circuit:
     """Conditional bitwise NOT: |c=1>|x> -> |c=1>|2^n - x - 1>."""
     if n < 1:
         raise ValueError("one's complement needs at least one data qubit")
-    cb = CircuitBuilder(n + 1, label=f"p1c_{n}")
-    emit_cond_ones_complement(cb, n, range(n))
-    return cb.build()
+    return Circuit(n + 1, cond_ones_complement_gates(n, range(n)), label=f"p1c_{n}")
 
 
 def build_cond_twos_complement(n: int) -> Circuit:
@@ -180,17 +180,15 @@ def build_cond_twos_complement(n: int) -> Circuit:
     if n < 2:
         raise ValueError("two's complement needs at least two data qubits")
     lay = increment_layout(n)
-    cb = CircuitBuilder(n + 1 + len(lay.carry_ancillas), label=f"p2c_{n}",
-                        ancillas=lay.carry_ancillas)
-    emit_cond_twos_complement(cb, lay.control_qubit, lay.data_qubits, lay.carry_ancillas)
-    return cb.build()
+    gates = cond_twos_complement_gates(lay.control_qubit, lay.data_qubits,
+                                       lay.carry_ancillas)
+    return Circuit(n + 1 + len(lay.carry_ancillas), gates, lay.carry_ancillas,
+                   None, f"p2c_{n}")
 
 
 def build_or_gate() -> Circuit:
     """Single or-gate on wires (0, 1) with the result on wire 2."""
-    cb = CircuitBuilder(3, label="or")
-    emit_or_gate(cb, 0, 1, 2)
-    return cb.build()
+    return Circuit(3, or_gate_gates(0, 1, 2), label="or")
 
 
 def or_tree_layout(n: int) -> GadgetLayout:
@@ -212,18 +210,14 @@ def build_or_tree(n: int, uncompute_internal: bool = False,
     if n < 2:
         raise ValueError("or-tree needs at least two data qubits")
     lay = or_tree_layout(n)
-    cb = CircuitBuilder(2 * n - 1, label=f"or_tree_{n}", ancillas=lay.tree_ancillas)
-    gates, _ = or_tree_gates(lay.data_qubits, lay.tree_ancillas)
-    cb.extend(gates)
-    if uncompute_internal or reset_root:
-        cb.extend(g.inverse() for g in reversed(gates))
-    if reset_root:
-        cb.extend(gates)
-        cb.extend(g.inverse() for g in reversed(gates))
+    tree, _ = or_tree_gates(lay.data_qubits, lay.tree_ancillas)
+    label = f"or_tree_{n}"
     if not (uncompute_internal or reset_root):
         # only the bare compute leaves the internals dirty
-        cb.ancillas = set()
-    return cb.build()
+        return Circuit(2 * n - 1, tree, label=label)
+    rounds = 2 if reset_root else 1
+    return Circuit(2 * n - 1, (tree + inverse(tree)) * rounds, lay.tree_ancillas,
+                   None, label)
 
 
 # ---------------------------------------------------------------------------

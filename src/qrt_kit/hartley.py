@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .gadgets import emit_cond_twos_complement, or_tree_gates
-from .qft import emit_qft_with_swaps
-from .simcore import Circuit, CircuitBuilder, Gate, StateVector, run_circuit
+from .gadgets import cond_twos_complement_gates, or_tree_gates
+from .qft import qft_gates
+from .simcore import Circuit, Gate, StateVector, inverse, run_circuit
 
 
 def lcu_target_v(N: int) -> np.ndarray:
@@ -26,56 +26,56 @@ def lcu_target_v(N: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# emitters
+# fragments
 # ---------------------------------------------------------------------------
 
 
-def emit_ccry(cb: CircuitBuilder, c1: int, c2: int, target: int, beta: float):
+def _h(q: int) -> Gate:
+    return Gate("H", targets=(q,))
+
+
+def _x(q: int) -> Gate:
+    return Gate("X", targets=(q,))
+
+
+def ccry_gates(c1: int, c2: int, target: int, beta: float) -> list[Gate]:
     """Doubly controlled Ry(beta) from the fixed gate set.
 
     Rz is conjugated to Ry by S H ... H Sdg on the target; the conjugation is
     harmless when the controls are off, so it needs no controls itself.
     """
-    cb.sdg(target)
-    cb.h(target)
-    cb.cphase(beta / 2, c2, target)
-    cb.cnot(c1, c2)
-    cb.cphase(-beta / 2, c2, target)
-    cb.cnot(c1, c2)
-    cb.cphase(beta / 2, c1, target)
-    cb.cphase(-beta / 2, c1, c2)
-    cb.h(target)
-    cb.s(target)
+    return [
+        Gate("Sdg", targets=(target,)),
+        _h(target),
+        Gate("CPhase", (c2,), (target,), beta / 2),
+        Gate("CNOT", (c1,), (c2,)),
+        Gate("CPhase", (c2,), (target,), -beta / 2),
+        Gate("CNOT", (c1,), (c2,)),
+        Gate("CPhase", (c1,), (target,), beta / 2),
+        Gate("CPhase", (c1,), (c2,), -beta / 2),
+        _h(target),
+        Gate("S", targets=(target,)),
+    ]
 
 
-def emit_ur(cb: CircuitBuilder, c: int, y_wires, b: int, N: int):
+def ur_gates(c: int, y_wires, b: int, N: int) -> list[Gate]:
     """Rotation of wire c by 2*pi*b*y/N, one doubly controlled Ry per y bit."""
+    gates = []
     for j, yw in enumerate(y_wires):
-        emit_ccry(cb, yw, b, c, -4.0 * math.pi * (1 << j) / N)
+        gates += ccry_gates(yw, b, c, -4.0 * math.pi * (1 << j) / N)
+    return gates
 
 
-def emit_flip_if_zero(cb: CircuitBuilder, control: int, y_wires, target: int,
-                      tree_ancillas=(), naive: bool = False):
+def flip_if_zero_gates(control: int, y_wires, target: int,
+                       tree_ancillas=(), naive: bool = False) -> list[Gate]:
     """Flip ``target`` iff control=1 and the y register is all-zero."""
     y_wires = list(y_wires)
     if naive:
-        for q in y_wires:
-            cb.x(q)
-        cb.mcx([control] + y_wires, target)
-        for q in y_wires:
-            cb.x(q)
-        return
-    if len(y_wires) == 1:
-        cb.x(y_wires[0])
-        cb.toffoli(control, y_wires[0], target)
-        cb.x(y_wires[0])
-        return
-    gates, root = or_tree_gates(y_wires, tree_ancillas)
-    cb.extend(gates)
-    cb.x(root)
-    cb.toffoli(control, root, target)
-    cb.x(root)
-    cb.extend(g.inverse() for g in reversed(gates))
+        flips = [_x(q) for q in y_wires]
+        return flips + [Gate("MCX", (control, *y_wires), (target,))] + flips
+    tree, root = or_tree_gates(y_wires, tree_ancillas)
+    return (tree + [_x(root), Gate("Toffoli", (control, root), (target,)), _x(root)]
+            + inverse(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +87,8 @@ def build_unitary_ur(n: int) -> Circuit:
     """U_R on wires (b=0, y=1..n, c=n+1) with rotation angle 2*pi*b*y/2^(n+1)."""
     if n < 1:
         raise ValueError("U_R needs at least one y qubit")
-    cb = CircuitBuilder(n + 2, label=f"ur_{n}")
-    emit_ur(cb, c=n + 1, y_wires=range(1, n + 1), b=0, N=1 << (n + 1))
-    return cb.build()
+    return Circuit(n + 2, ur_gates(c=n + 1, y_wires=range(1, n + 1), b=0, N=1 << (n + 1)),
+                   label=f"ur_{n}")
 
 
 def build_cx_zero_detect(n: int, naive: bool = False) -> Circuit:
@@ -99,12 +98,11 @@ def build_cx_zero_detect(n: int, naive: bool = False) -> Circuit:
     """
     if n < 1:
         raise ValueError("zero detect needs at least one y qubit")
-    n_anc = 0 if (naive or n == 1) else n - 1
-    cb = CircuitBuilder(n + 2 + n_anc, label=f"cx_zero_{n}",
-                        ancillas=range(n + 2, n + 2 + n_anc))
-    emit_flip_if_zero(cb, control=n + 1, y_wires=range(1, n + 1), target=0,
-                      tree_ancillas=range(n + 2, n + 2 + n_anc), naive=naive)
-    return cb.build()
+    n_anc = 0 if naive else n - 1
+    anc = range(n + 2, n + 2 + n_anc)
+    gates = flip_if_zero_gates(control=n + 1, y_wires=range(1, n + 1), target=0,
+                               tree_ancillas=anc, naive=naive)
+    return Circuit(n + 2 + n_anc, gates, anc, None, f"cx_zero_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +111,8 @@ def build_cx_zero_detect(n: int, naive: bool = False) -> Circuit:
 
 
 def _w_gates(n: int, sel: int, carries) -> list[Gate]:
-    carries = tuple(carries)
-    cb = CircuitBuilder((max(carries) if carries else sel) + 1)
-    cb.h(sel)
-    emit_cond_twos_complement(cb, sel, range(n), carries)
-    cb.rz(math.pi / 2, sel)
-    cb.h(sel)
-    return cb.gates()
+    return ([_h(sel)] + cond_twos_complement_gates(sel, range(n), carries)
+            + [Gate("Rz", targets=(sel,), angle=math.pi / 2), _h(sel)])
 
 
 def build_unitary_w(n: int) -> Circuit:
@@ -131,9 +124,7 @@ def build_unitary_w(n: int) -> Circuit:
     if n < 2:
         raise ValueError("W needs at least two data qubits")
     carries = tuple(range(n + 1, 2 * n - 1))
-    cb = CircuitBuilder(2 * n - 1, label=f"w_{n}", ancillas=carries)
-    cb.extend(_w_gates(n, n, carries))
-    return cb.build()
+    return Circuit(2 * n - 1, _w_gates(n, n, carries), carries, None, f"w_{n}")
 
 
 def _amplified(n: int, rounds: int) -> list[Gate]:
@@ -143,14 +134,12 @@ def _amplified(n: int, rounds: int) -> list[Gate]:
     Wires: data 0..n-1, select n, widening ancilla n+1, carries above.
     """
     sel, p = n, n + 1
-    w_prime = [Gate("H", targets=(p,))] + _w_gates(n, sel, range(n + 2, 2 * n))
+    w_prime = [_h(p)] + _w_gates(n, sel, range(n + 2, 2 * n))
     reflect = [Gate("Z", targets=(p,)), Gate("Z", targets=(sel,)),
                Gate("CPhase", (p,), (sel,), math.pi)]
     gates = list(w_prime)
     for _ in range(rounds):
-        gates += reflect
-        gates += [g.inverse() for g in reversed(w_prime)]
-        gates += reflect
+        gates += reflect + inverse(w_prime) + reflect
         gates.append(Gate("GlobalPhase", angle=math.pi))
         gates += w_prime
     return gates
@@ -165,10 +154,8 @@ def build_qht_lcu(n: int) -> Circuit:
     """
     if n < 2:
         raise ValueError("LCU Hartley transform needs at least two data qubits")
-    cb = CircuitBuilder(2 * n, label=f"qht_lcu_{n}", ancillas=range(n, 2 * n))
-    cb.extend(_amplified(n, 1))
-    emit_qft_with_swaps(cb, range(n))
-    return cb.build()
+    return Circuit(2 * n, _amplified(n, 1) + qft_gates(range(n)), range(n, 2 * n),
+                   None, f"qht_lcu_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,37 +174,28 @@ def build_qht_recursive(n: int, naive_zero_detect: bool = False) -> Circuit:
     if n < 1:
         raise ValueError("Hartley transform needs at least one qubit")
     if n == 1:
-        cb = CircuitBuilder(1, label="qht_rec_1")
-        cb.h(0)
-        return cb.build()
+        return Circuit(1, [_h(0)], label="qht_rec_1")
+    width = 3 * n - 3
     level_anc = list(range(n, 2 * n - 1))
-    pool = list(range(2 * n - 1, 3 * n - 3))
-    cb = CircuitBuilder(3 * n - 3, label=f"qht_rec_{n}",
-                        ancillas=level_anc + pool)
+    pool = list(range(2 * n - 1, width))
     phys = list(range(n))  # phys[j] = wire currently holding data bit j
-    cb.h(phys[n - 1])  # level-1 base case on the innermost register
+    gates = [_h(phys[n - 1])]  # level-1 base case on the innermost register
     for k in range(2, n + 1):
         c = level_anc[k - 2]
         b = phys[n - k]
         y = [phys[j] for j in range(n - k + 1, n)]
-        N_k = 1 << k
-        cb.h(c)
-        emit_cond_twos_complement(cb, c, y, pool)
-        emit_ur(cb, c, y, b, N_k)
-        emit_cond_twos_complement(cb, c, y, pool)
+        negate = cond_twos_complement_gates(c, y, pool)
+        gates += [_h(c)] + negate + ur_gates(c, y, b, 1 << k) + negate
         # zero-phase fix: (-1)^(c & b & [y = 0]), as an H(b)-conjugated flip
-        cb.h(b)
-        emit_flip_if_zero(cb, c, y, b, tree_ancillas=pool, naive=naive_zero_detect)
-        cb.h(b)
-        cb.h(c)
-        cb.cnot(b, c)
-        cb.h(b)
+        gates.append(_h(b))
+        gates += flip_if_zero_gates(c, y, b, tree_ancillas=pool, naive=naive_zero_detect)
+        gates += [_h(b), _h(c), Gate("CNOT", (b,), (c,)), _h(b)]
         # wire renaming |0>|y>|b> -> |0>|b>|y>, folded into the final relabeling
         phys[n - k:n] = [phys[j] for j in range(n - k + 1, n)] + [b]
-    relabeling = list(range(cb.width))
+    relabeling = list(range(width))
     for j, wire in enumerate(phys):
         relabeling[wire] = j
-    return cb.build(relabeling=tuple(relabeling))
+    return Circuit(width, gates, level_anc + pool, relabeling, f"qht_rec_{n}")
 
 
 # ---------------------------------------------------------------------------

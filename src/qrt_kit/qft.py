@@ -6,52 +6,41 @@ omega_N = exp(2 pi i / N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .simcore import Circuit, CircuitBuilder
-
-
-@dataclass(frozen=True)
-class QftOptions:
-    """include_final_swaps=False replaces the swap layer by a gate-free
-    relabeling, so the unitary is unchanged but the swaps cost nothing."""
-
-    include_final_swaps: bool = True
+from .simcore import Circuit, Gate
 
 
-def emit_qft(cb: CircuitBuilder, wires) -> None:
+def qft_gates(wires, swaps: bool = True) -> list[Gate]:
     """Controlled-phase ladder on ``wires`` (wires[0] = least significant),
-    without the final wire reversal."""
+    followed by the wire-reversing swap layer unless ``swaps`` is False."""
     wires = list(wires)
     n = len(wires)
+    gates = []
     for i in range(n - 1, -1, -1):
-        cb.h(wires[i])
+        gates.append(Gate("H", targets=(wires[i],)))
         for j in range(i - 1, -1, -1):
-            cb.cphase(2.0 * math.pi / (1 << (i - j + 1)), wires[j], wires[i])
+            gates.append(Gate("CPhase", (wires[j],), (wires[i],),
+                              2.0 * math.pi / (1 << (i - j + 1))))
+    if swaps:
+        gates += [Gate("SWAP", targets=(wires[i], wires[n - 1 - i])) for i in range(n // 2)]
+    return gates
 
 
-def emit_qft_with_swaps(cb: CircuitBuilder, wires) -> None:
-    wires = list(wires)
-    emit_qft(cb, wires)
-    for i in range(len(wires) // 2):
-        cb.swap(wires[i], wires[len(wires) - 1 - i])
+def build_qft(n: int, swaps: bool = True) -> Circuit:
+    """QFT on n wires: n(n+1)/2 gates plus floor(n/2) swaps.
 
-
-def build_qft(n: int, opts: QftOptions = QftOptions()) -> Circuit:
-    """QFT on n wires: n(n+1)/2 gates plus floor(n/2) swaps."""
+    ``swaps=False`` replaces the swap layer by a gate-free relabeling, so the
+    unitary is unchanged but the swaps cost nothing.
+    """
     if n < 1:
         raise ValueError("QFT needs at least one qubit")
-    cb = CircuitBuilder(n, label=f"qft_{n}")
-    if opts.include_final_swaps:
-        emit_qft_with_swaps(cb, range(n))
-        return cb.build()
-    emit_qft(cb, range(n))
-    return cb.build(relabeling=tuple(range(n - 1, -1, -1)))
+    relabeling = None if swaps else tuple(range(n - 1, -1, -1))
+    return Circuit(n, qft_gates(range(n), swaps), relabeling=relabeling, label=f"qft_{n}")
 
 
-def build_qft_inverse(n: int, opts: QftOptions = QftOptions()) -> Circuit:
+def build_qft_inverse(n: int, swaps: bool = True) -> Circuit:
     if n < 1:
         raise ValueError("QFT needs at least one qubit")
-    circ = build_qft(n, opts).adjoint()
+    circ = build_qft(n, swaps).adjoint()
     return Circuit(circ.width, circ.gates, circ.ancillas, circ.relabeling,
                    f"qft_inv_{n}")

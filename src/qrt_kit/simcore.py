@@ -40,6 +40,12 @@ _GATE_SIGNATURES = {
     "MCX": (-1, 1, False),
 }
 
+MAX_WIDTH = 1 << 16
+"""Widest register a ``Circuit`` may have.  It sits far above the widest
+built circuit (qht-rec at the CLI's largest n, 512, has 1533 wires) and
+keeps every width-sized structure (the relabeling, ``data_wires``, a
+parsed circuit) small, whatever wire index a gate list names."""
+
 _SELF_INVERSE = {"X", "Y", "Z", "H", "CNOT", "CH", "Toffoli", "SWAP", "MCX"}
 _INVERSE_PAIRS = {"S": "Sdg", "Sdg": "S", "CS": "CSdg", "CSdg": "CS"}
 
@@ -112,8 +118,8 @@ class Circuit:
     label: str = ""
 
     def __post_init__(self):
-        if self.width < 0:
-            raise ValueError("negative width")
+        if not 0 <= self.width <= MAX_WIDTH:
+            raise ValueError(f"width {self.width} outside 0..{MAX_WIDTH}")
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "ancillas", frozenset(self.ancillas))
         for g in self.gates:
@@ -204,36 +210,30 @@ class GateCountReport:
 # gate matrices
 # ---------------------------------------------------------------------------
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV
 _FIXED_1Q = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.diag([1, -1]).astype(complex),
-    "H": _H,
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV,
     "S": np.diag([1, 1j]).astype(complex),
     "Sdg": np.diag([1, -1j]).astype(complex),
 }
 
 
+# controlled kind -> the kind it applies to its target
+_BASE_KIND = {"CPhase": "Phase", "CS": "S", "CSdg": "Sdg", "CH": "H",
+              "CNOT": "X", "Toffoli": "X", "MCX": "X"}
+
+
 def _target_matrix(gate: Gate) -> np.ndarray:
     """Unitary acting on the target wires alone (controls handled separately)."""
-    kind = gate.kind
+    kind = _BASE_KIND.get(gate.kind, gate.kind)
     if kind in _FIXED_1Q:
         return _FIXED_1Q[kind]
     if kind == "Phase":
         return np.diag([1, np.exp(1j * gate.angle)])
     if kind == "Rz":
         return np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
-    if kind == "CPhase":
-        return np.diag([1, np.exp(1j * gate.angle)])
-    if kind in ("CNOT", "Toffoli", "MCX"):
-        return _FIXED_1Q["X"]
-    if kind == "CH":
-        return _H
-    if kind == "CS":
-        return np.diag([1, 1j]).astype(complex)
-    if kind == "CSdg":
-        return np.diag([1, -1j]).astype(complex)
     if kind == "SWAP":
         m = np.eye(4, dtype=complex)
         m[[1, 2]] = m[[2, 1]]
@@ -392,45 +392,40 @@ def data_register_action(circuit: Circuit, data_wires=None):
     leak, and no caller has to learn a new field.  A full-width data
     register runs the dense statevector engine, ``_DENSE_BATCH`` columns at
     a time.
+
+    ``data_wires`` must name distinct wires of the circuit.
     """
     if data_wires is None:
         data_wires = circuit.data_wires
     data_wires = list(data_wires)
+    if len(set(data_wires)) != len(data_wires):
+        raise ValueError(f"data wires repeat: {data_wires}")
+    if any(not 0 <= w < circuit.width for w in data_wires):
+        raise ValueError(f"data wires must lie within 0..{circuit.width - 1}")
     if len(data_wires) < circuit.width:
         return _sparse_register_action(circuit, data_wires)
     return _dense_register_action(circuit, data_wires)
 
 
 def _dense_register_action(circuit: Circuit, data_wires: list):
-    """Statevector engine of ``data_register_action``: every column runs
-    through the full 2^width state; the residual is the largest amplitude
-    found outside the clean-ancilla subspace."""
+    """Statevector engine of ``data_register_action``.  The data wires are
+    a permutation of all wires, so every output is on the data register
+    and the residual is 0.0; every column runs through the full 2^width
+    state."""
     if circuit.width > STATEVECTOR_WIDTH_CAP:
         raise ValueError(f"statevector runs are capped at {STATEVECTOR_WIDTH_CAP} qubits")
-    d = len(data_wires)
     dim = 1 << circuit.width
-    in_labels = np.zeros(1 << d, dtype=np.int64)
+    # in_labels[r] is the circuit label of data-register value r
+    in_labels = np.zeros(dim, dtype=np.int64)
     for pos, w in enumerate(data_wires):
-        in_labels |= ((np.arange(1 << d) >> pos) & 1) << w
-    rows = np.zeros(dim, dtype=np.int64)
-    for pos, w in enumerate(data_wires):
-        rows |= ((np.arange(dim) >> w) & 1) << pos
-    on_subspace = np.ones(dim, dtype=bool)
-    for w in range(circuit.width):
-        if w not in data_wires:
-            on_subspace &= ((np.arange(dim) >> w) & 1) == 0
-    matrix = np.zeros((1 << d, 1 << d), dtype=complex)
-    residual = 0.0
-    for start in range(0, 1 << d, _DENSE_BATCH):
+        in_labels |= ((np.arange(dim) >> pos) & 1) << w
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for start in range(0, dim, _DENSE_BATCH):
         cols = in_labels[start:start + _DENSE_BATCH]
         block = np.zeros((dim, len(cols)), dtype=complex)
         block[cols, np.arange(len(cols))] = 1.0
-        out = _run_flat(block, circuit)
-        off = out[~on_subspace, :]
-        if off.size:
-            residual = max(residual, float(np.max(np.abs(off))))
-        matrix[rows[on_subspace], start:start + len(cols)] = out[on_subspace, :]
-    return matrix, residual
+        matrix[:, start:start + len(cols)] = _run_flat(block, circuit)[in_labels]
+    return matrix, 0.0
 
 
 _PRUNE_BELOW = 1e-14
@@ -587,15 +582,20 @@ def _prune(keys, amps, d: int, pruned):
 # ---------------------------------------------------------------------------
 
 
+def inverse(gates) -> list[Gate]:
+    """The inverse of a gate fragment: its gates reversed, each inverted."""
+    return [g.inverse() for g in reversed(gates)]
+
+
 def adjoint(circuit: Circuit) -> Circuit:
     """Inverse circuit: reversed inverted gates; a relabeling is inverted and
     pushed through the gates so it can stay in final position."""
     relab = circuit.relabeling
+    gates = inverse(circuit.gates)
     if relab is None:
-        gates = tuple(g.inverse() for g in reversed(circuit.gates))
         inv_relab = None
     else:
-        gates = tuple(g.inverse().remapped(relab) for g in reversed(circuit.gates))
+        gates = [g.remapped(relab) for g in gates]
         inv_relab = [0] * circuit.width
         for w, dest in enumerate(relab):
             inv_relab[dest] = w
@@ -631,58 +631,6 @@ def count_gates(circuit: Circuit) -> GateCountReport:
         ancilla_count=len(circuit.ancillas),
         notes=notes,
     )
-
-
-# ---------------------------------------------------------------------------
-# builder
-# ---------------------------------------------------------------------------
-
-
-class CircuitBuilder:
-    """Mutable gate-list accumulator; ``build()`` freezes it into a Circuit."""
-
-    def __init__(self, width: int, label: str = "", ancillas=()):
-        self.width = width
-        self.label = label
-        self.ancillas = set(ancillas)
-        self._gates: list[Gate] = []
-
-    def gate(self, g: Gate):
-        self._gates.append(g)
-        return self
-
-    def extend(self, gates):
-        if isinstance(gates, Circuit):
-            if gates.relabeling is not None:
-                raise ValueError("cannot splice a circuit that carries a relabeling")
-            gates = gates.gates
-        self._gates.extend(gates)
-        return self
-
-    def x(self, q): return self.gate(Gate("X", targets=(q,)))
-    def y(self, q): return self.gate(Gate("Y", targets=(q,)))
-    def z(self, q): return self.gate(Gate("Z", targets=(q,)))
-    def h(self, q): return self.gate(Gate("H", targets=(q,)))
-    def s(self, q): return self.gate(Gate("S", targets=(q,)))
-    def sdg(self, q): return self.gate(Gate("Sdg", targets=(q,)))
-    def phase(self, theta, q): return self.gate(Gate("Phase", targets=(q,), angle=theta))
-    def rz(self, theta, q): return self.gate(Gate("Rz", targets=(q,), angle=theta))
-    def cphase(self, theta, c, t): return self.gate(Gate("CPhase", (c,), (t,), theta))
-    def cnot(self, c, t): return self.gate(Gate("CNOT", (c,), (t,)))
-    def ch(self, c, t): return self.gate(Gate("CH", (c,), (t,)))
-    def cs(self, c, t): return self.gate(Gate("CS", (c,), (t,)))
-    def csdg(self, c, t): return self.gate(Gate("CSdg", (c,), (t,)))
-    def toffoli(self, c1, c2, t): return self.gate(Gate("Toffoli", (c1, c2), (t,)))
-    def swap(self, a, b): return self.gate(Gate("SWAP", targets=(a, b)))
-    def mcx(self, controls, t): return self.gate(Gate("MCX", tuple(controls), (t,)))
-    def global_phase(self, theta): return self.gate(Gate("GlobalPhase", angle=theta))
-
-    def gates(self) -> list[Gate]:
-        return list(self._gates)
-
-    def build(self, relabeling=None) -> Circuit:
-        return Circuit(self.width, tuple(self._gates), frozenset(self.ancillas),
-                       relabeling, self.label)
 
 
 # ---------------------------------------------------------------------------
@@ -762,6 +710,8 @@ def parse_circuit(text: str, width: int | None = None, label: str = "") -> Circu
             max_wire = max(max_wire, max(wires))
     if width is None:
         width = max_wire + 1
+    if width > MAX_WIDTH:
+        raise ValueError(f"width {width} above the {MAX_WIDTH}-wire bound")
     relab_tuple = None
     if relabeling is not None:
         if max(relabeling) >= width:

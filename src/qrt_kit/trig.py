@@ -14,17 +14,13 @@ import numpy as np
 
 from . import oracle
 from .gadgets import (
-    emit_cond_increment,
-    emit_cond_ones_complement,
-    emit_cond_twos_complement,
+    cond_increment_gates,
+    cond_ones_complement_gates,
+    cond_twos_complement_gates,
     or_tree_gates,
 )
-from .qft import emit_qft_with_swaps
-from .simcore import Circuit, CircuitBuilder, Gate, data_register_action
-
-
-def _inverses(gates):
-    return [g.inverse() for g in reversed(gates)]
+from .qft import qft_gates
+from .simcore import Circuit, Gate, data_register_action, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -38,12 +34,8 @@ def _conditioned_rotation(data, pool, payload) -> list[Gate]:
     This is the 6(n-1)-gate pattern: the tree is evaluated once and reversed
     once, and the payload acts while the root holds [register != 0].
     """
-    data = list(data)
-    if len(data) == 1:
-        # degenerate tree: the single data wire is its own root
-        return payload(data[0])
     tree, root = or_tree_gates(data, pool)
-    return tree + payload(root) + _inverses(tree)
+    return tree + payload(root) + inverse(tree)
 
 
 def _d_gates(n: int, c: int, pool) -> list[Gate]:
@@ -55,22 +47,7 @@ def _d_gates(n: int, c: int, pool) -> list[Gate]:
 
 def _t_gates(n: int, c: int, pool) -> list[Gate]:
     """T = P_2C . D with the transform control driving the negation."""
-    cb = CircuitBuilder(c + 1 + len(pool))
-    cb.extend(_d_gates(n, c, pool))
-    emit_cond_twos_complement(cb, c, range(n), pool)
-    return cb.gates()
-
-
-def _p2c_gates(n: int, c: int, pool) -> list[Gate]:
-    cb = CircuitBuilder(c + 1 + len(pool))
-    emit_cond_twos_complement(cb, c, range(n), pool)
-    return cb.gates()
-
-
-def _qft_gates(wires) -> list[Gate]:
-    cb = CircuitBuilder(max(wires) + 1)
-    emit_qft_with_swaps(cb, wires)
-    return cb.gates()
+    return _d_gates(n, c, pool) + cond_twos_complement_gates(c, range(n), pool)
 
 
 def _scratch_pool(n: int) -> tuple[int, ...]:
@@ -84,9 +61,7 @@ def build_t_gate(n: int) -> Circuit:
     if n < 2:
         raise ValueError("T needs at least two data qubits")
     pool = _scratch_pool(n)
-    cb = CircuitBuilder(2 * n, label=f"t_gate_{n}", ancillas=pool)
-    cb.extend(_t_gates(n, n, pool))
-    return cb.build()
+    return Circuit(2 * n, _t_gates(n, n, pool), pool, None, f"t_gate_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +76,8 @@ def build_type1_core(n: int) -> Circuit:
         raise ValueError("Type-I transform needs at least two data qubits")
     pool = _scratch_pool(n)
     t = _t_gates(n, n, pool)
-    cb = CircuitBuilder(2 * n, label=f"qcst1_core_{n}", ancillas=pool)
-    cb.extend(t)
-    cb.extend(_qft_gates(range(n + 1)))
-    cb.extend(_inverses(t))
-    return cb.build()
+    return Circuit(2 * n, t + qft_gates(range(n + 1)) + inverse(t), pool, None,
+                   f"qcst1_core_{n}")
 
 
 def build_qcst_type1(n: int) -> Circuit:
@@ -120,18 +92,15 @@ def build_qcst_type1(n: int) -> Circuit:
         raise ValueError("Type-I transform needs at least two data qubits")
     c = n
     pool = _scratch_pool(n)
-    t = _t_gates(n, c, pool)
-    cb = CircuitBuilder(2 * n, label=f"qcst1_{n}", ancillas=pool)
-    cb.extend(t)
-    cb.extend(_qft_gates(range(n + 1)))
-    cb.extend(_inverses(_p2c_gates(n, c, pool)))
 
     def payload(root):  # D^dag followed by the phase-clearing S^dag
         return [Gate("CH", (root,), (c,)), Gate("CSdg", (root,), (c,)),
                 Gate("CSdg", (root,), (c,))]
 
-    cb.extend(_conditioned_rotation(range(n), pool, payload))
-    return cb.build()
+    gates = (_t_gates(n, c, pool) + qft_gates(range(n + 1))
+             + inverse(cond_twos_complement_gates(c, range(n), pool))
+             + _conditioned_rotation(range(n), pool, payload))
+    return Circuit(2 * n, gates, pool, None, f"qcst1_{n}")
 
 
 def build_qst1_optimized(n: int) -> Circuit:
@@ -144,16 +113,11 @@ def build_qst1_optimized(n: int) -> Circuit:
         raise ValueError("optimized sine transform needs at least two data qubits")
     a = n
     carries = tuple(range(n + 1, 2 * n - 1))
-    cb = CircuitBuilder(2 * n - 1, label=f"qst1_opt_{n}", ancillas=carries)
-    cb.x(a)
-    cb.h(a)
-    emit_cond_twos_complement(cb, a, range(n), carries)
-    emit_qft_with_swaps(cb, range(n + 1))
-    emit_cond_twos_complement(cb, a, range(n), carries)
-    cb.h(a)
-    cb.sdg(a)
-    cb.x(a)
-    return cb.build()
+    negate = cond_twos_complement_gates(a, range(n), carries)
+    gates = ([Gate("X", targets=(a,)), Gate("H", targets=(a,))]
+             + negate + qft_gates(range(n + 1)) + negate
+             + [Gate("H", targets=(a,)), Gate("Sdg", targets=(a,)), Gate("X", targets=(a,))])
+    return Circuit(2 * n - 1, gates, carries, None, f"qst1_opt_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +210,7 @@ def build_d1(n: int) -> Circuit:
     """The Type-II diagonal: w_4N^x on control 0 and w_4N^{x-N} on control 1."""
     if n < 1:
         raise ValueError("D1 needs at least one data qubit")
-    cb = CircuitBuilder(n + 1, label=f"d1_{n}")
-    cb.extend(_d1_gates(n, n))
-    return cb.build()
+    return Circuit(n + 1, _d1_gates(n, n), label=f"d1_{n}")
 
 
 def build_d2(n: int, corrected: bool = True) -> Circuit:
@@ -257,9 +219,7 @@ def build_d2(n: int, corrected: bool = True) -> Circuit:
     if n < 1:
         raise ValueError("D2 needs at least one data qubit")
     label = f"d2_{n}" if corrected else f"d2_incorrect_{n}"
-    cb = CircuitBuilder(n + 1, label=label)
-    cb.extend(_d2_gates(n, n, corrected))
-    return cb.build()
+    return Circuit(n + 1, _d2_gates(n, n, corrected), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +245,7 @@ def build_g_gate(n: int) -> Circuit:
     if n < 2:
         raise ValueError("G needs at least two data qubits")
     pool = _scratch_pool(n)
-    cb = CircuitBuilder(2 * n, label=f"g_gate_{n}", ancillas=pool)
-    cb.extend(_g_gates(n, n, pool))
-    return cb.build()
+    return Circuit(2 * n, _g_gates(n, n, pool), pool, None, f"g_gate_{n}")
 
 
 def build_qcst_type2(n: int) -> Circuit:
@@ -300,19 +258,13 @@ def build_qcst_type2(n: int) -> Circuit:
         raise ValueError("Type-II transform needs at least two data qubits")
     c = n
     pool = _scratch_pool(n)
-    cb = CircuitBuilder(2 * n, label=f"qcst2_{n}", ancillas=pool)
-    cb.h(c)
-    emit_cond_ones_complement(cb, c, range(n))
-    emit_qft_with_swaps(cb, range(n + 1))
-    cb.extend(_d1_gates(n, c))
-    emit_cond_twos_complement(cb, c, range(n), pool)
-    cb.extend(_g_gates(n, c, pool))
-    # controlled decrement = adjoint of the controlled increment
-    inc = CircuitBuilder(cb.width)
-    emit_cond_increment(inc, c, range(n), pool)
-    cb.extend(_inverses(inc.gates()))
-    cb.z(c)
-    return cb.build()
+    gates = ([Gate("H", targets=(c,))] + cond_ones_complement_gates(c, range(n))
+             + qft_gates(range(n + 1)) + _d1_gates(n, c)
+             + cond_twos_complement_gates(c, range(n), pool) + _g_gates(n, c, pool)
+             # controlled decrement = adjoint of the controlled increment
+             + inverse(cond_increment_gates(c, range(n), pool))
+             + [Gate("Z", targets=(c,))])
+    return Circuit(2 * n, gates, pool, None, f"qcst2_{n}")
 
 
 def build_qcst_type3(n: int) -> Circuit:
@@ -341,19 +293,13 @@ def build_qcst_type4(n: int, corrected: bool = True) -> Circuit:
     N = 1 << n
     c = n
     label = f"qcst4_{n}" if corrected else f"qcst4_incorrect_{n}"
-    cb = CircuitBuilder(n + 1, label=label)
-    cb.sdg(c)
-    cb.h(c)
-    cb.extend(_d2_gates(n, c, corrected))
-    emit_cond_ones_complement(cb, c, range(n))
-    emit_qft_with_swaps(cb, range(n + 1))
-    emit_cond_ones_complement(cb, c, range(n))
-    cb.extend(_d2_gates(n, c, corrected))
-    cb.h(c)
-    cb.sdg(c)
-    cb.global_phase(math.pi / (4 * N))
-    cb.s(c)
-    return cb.build()
+    d2 = _d2_gates(n, c, corrected)
+    flip = cond_ones_complement_gates(c, range(n))
+    gates = ([Gate("Sdg", targets=(c,)), Gate("H", targets=(c,))]
+             + d2 + flip + qft_gates(range(n + 1)) + flip + d2
+             + [Gate("H", targets=(c,)), Gate("Sdg", targets=(c,)),
+                Gate("GlobalPhase", angle=math.pi / (4 * N)), Gate("S", targets=(c,))])
+    return Circuit(n + 1, gates, label=label)
 
 
 # ---------------------------------------------------------------------------

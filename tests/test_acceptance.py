@@ -22,9 +22,10 @@ from qrt_kit.hartley import (
     build_qht_recursive,
     check_oblivious_amplification,
 )
-from qrt_kit.qft import build_qft, emit_qft_with_swaps
+from qrt_kit.qft import build_qft, qft_gates
 from qrt_kit.simcore import (
-    CircuitBuilder,
+    Circuit,
+    Gate,
     count_gates,
     data_register_action,
 )
@@ -205,12 +206,10 @@ def test_criterion_9_identity_suite():
     for n in range(2, 7):
         N = 1 << n
         base = build_cond_twos_complement(n)
-        cb = CircuitBuilder(base.width, ancillas=base.ancillas)
-        cb.x(n)
-        cb.extend(base.gates)
-        cb.x(n)
-        emit_qft_with_swaps(cb, range(n))
-        matrix, resid = data_register_action(cb.build(), list(range(n)))
+        force = Gate("X", targets=(n,))
+        circ = Circuit(base.width, [force, *base.gates, force, *qft_gates(range(n))],
+                       ancillas=base.ancillas)
+        matrix, resid = data_register_action(circ, list(range(n)))
         want = oracle.reference_matrix(spec("DFT", N)).conj()
         worst_circ = max(worst_circ, resid, float(np.max(np.abs(matrix - want))))
         hart, resid = data_register_action(build_qht_lcu(n), list(range(n)))

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from qrt_kit.simcore import (
     Circuit,
-    CircuitBuilder,
     Gate,
     _dense_register_action,
     _sparse_register_action,
@@ -61,10 +60,11 @@ def cases(draw, max_width=10, max_gates=12):
     return Circuit(width, tuple(body), relabeling=relabeling), data
 
 
-def brute_action(circuit, data_wires):
-    """(matrix, residual) of data_register_action, read off the brute-force
-    unitary."""
-    width, d = circuit.width, len(data_wires)
+def restricted_action(unitary, width, data_wires):
+    """(matrix, residual) of data_register_action, read off a full unitary:
+    the data-register block with every other wire at |0>, and the largest
+    amplitude those columns put outside that subspace."""
+    d = len(data_wires)
     labels = np.arange(1 << width)
     on = np.ones(1 << width, dtype=bool)
     for w in range(width):
@@ -74,11 +74,23 @@ def brute_action(circuit, data_wires):
                  for c in range(1 << d)]
     rows = [sum(((lab >> w) & 1) << pos for pos, w in enumerate(data_wires))
             for lab in labels[on]]
-    cols = brute_unitary(circuit)[:, in_labels]
+    cols = unitary[:, in_labels]
     matrix = np.zeros((1 << d, 1 << d), dtype=complex)
     matrix[rows, :] = cols[on, :]
     off = np.abs(cols[~on, :])
     return matrix, float(off.max()) if off.size else 0.0
+
+
+def brute_action(circuit, data_wires):
+    return restricted_action(brute_unitary(circuit), circuit.width, data_wires)
+
+
+def dense_action(circuit, data_wires):
+    """The same, read off the dense engine's full-register run (the dense
+    engine itself only takes a permutation of all wires)."""
+    unitary, residual = _dense_register_action(circuit, list(range(circuit.width)))
+    assert residual == 0.0
+    return restricted_action(unitary, circuit.width, data_wires)
 
 
 SETTINGS = dict(derandomize=True, database=None, deadline=None,
@@ -90,7 +102,7 @@ SETTINGS = dict(derandomize=True, database=None, deadline=None,
 def test_sparse_dense_and_brute_force_agree(case):
     circuit, data = case
     m_sparse, r_sparse = _sparse_register_action(circuit, data)
-    m_dense, r_dense = _dense_register_action(circuit, data)
+    m_dense, r_dense = dense_action(circuit, data)
     m_brute, r_brute = brute_action(circuit, data)
     np.testing.assert_allclose(m_sparse, m_brute, rtol=0, atol=1e-12)
     np.testing.assert_allclose(m_dense, m_brute, rtol=0, atol=1e-12)
@@ -103,7 +115,7 @@ def test_sparse_dense_and_brute_force_agree(case):
 def test_sparse_and_dense_agree_on_longer_circuits(case):
     circuit, data = case
     m_sparse, r_sparse = _sparse_register_action(circuit, data)
-    m_dense, r_dense = _dense_register_action(circuit, data)
+    m_dense, r_dense = dense_action(circuit, data)
     np.testing.assert_allclose(m_sparse, m_dense, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_dense) < 1e-12
 
@@ -111,12 +123,9 @@ def test_sparse_and_dense_agree_on_longer_circuits(case):
 def _leaky(eps, rounds=1):
     """Data wire 0 untouched; ancilla 1 rotated off |0> by about eps/2 per
     round."""
-    cb = CircuitBuilder(2, ancillas=[1])
-    for _ in range(rounds):
-        cb.h(1)
-        cb.phase(eps, 1)
-        cb.h(1)
-    return cb.build()
+    h = Gate("H", targets=(1,))
+    return Circuit(2, [h, Gate("Phase", targets=(1,), angle=eps), h] * rounds,
+                   ancillas=[1])
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-15])
@@ -124,7 +133,7 @@ def test_leak_is_reported_by_both_engines(eps):
     # at 1e-15 the leaked amplitude is below the pruning threshold: the
     # sparse engine drops it and reports it through the pruning bound
     circuit = _leaky(eps)
-    for engine in (_sparse_register_action, _dense_register_action):
+    for engine in (_sparse_register_action, dense_action):
         matrix, residual = engine(circuit, [0])
         assert residual >= eps / 4
         np.testing.assert_allclose(np.abs(matrix), np.eye(2), atol=1e-12)
@@ -138,18 +147,26 @@ def test_pruning_bound_covers_an_accumulated_leak():
 
 
 def test_narrow_data_register_runs_sparse_past_the_width_cap():
-    cb = CircuitBuilder(40, ancillas=range(2, 40))
-    cb.h(0)
-    cb.cnot(0, 39)
-    cb.toffoli(0, 1, 20)
-    cb.toffoli(0, 1, 20)
-    cb.cnot(0, 39)
-    matrix, residual = data_register_action(cb.build(), [0, 1])
+    fan_out = Gate("CNOT", (0,), (39,))
+    toffoli = Gate("Toffoli", (0, 1), (20,))
+    circuit = Circuit(40, [Gate("H", targets=(0,)), fan_out, toffoli, toffoli, fan_out],
+                      ancillas=range(2, 40))
+    matrix, residual = data_register_action(circuit, [0, 1])
     want = np.kron(np.eye(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
     np.testing.assert_allclose(matrix, want, atol=1e-15)
     assert residual < 1e-15
     with pytest.raises(ValueError, match="cap"):
-        data_register_action(cb.build(), range(40))
+        data_register_action(circuit, range(40))
+
+
+@pytest.mark.parametrize("data_wires", [
+    [0, 1, 1], [0, 2, 3], [2, 1, 0, 1],  # as wide as the circuit: dense
+    [0, 0], [5], [-1],                   # narrower: sparse
+])
+def test_bad_data_wires_are_refused(data_wires):
+    circuit = Circuit(3, (Gate("H", targets=(0,)),))
+    with pytest.raises(ValueError, match="data wires"):
+        data_register_action(circuit, data_wires)
 
 
 def test_key_overflow_is_refused():
@@ -164,7 +181,7 @@ def test_unknown_kind_is_refused_by_both_engines():
     circuit = Circuit(2, (gate,))
     for engine in (_sparse_register_action, _dense_register_action):
         with pytest.raises(ValueError, match="Bogus"):
-            engine(circuit, [0])
+            engine(circuit, [0, 1])
 
 
 CLASSICAL = ("X", "CNOT", "Toffoli", "MCX", "SWAP")

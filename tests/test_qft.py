@@ -4,9 +4,10 @@ import pytest
 
 from qrt_kit import oracle
 from qrt_kit.gadgets import build_cond_twos_complement
-from qrt_kit.qft import QftOptions, build_qft, build_qft_inverse
+from qrt_kit.qft import build_qft, build_qft_inverse, qft_gates
 from qrt_kit.simcore import (
-    CircuitBuilder,
+    Circuit,
+    Gate,
     StateVector,
     circuit_unitary,
     count_gates,
@@ -55,8 +56,7 @@ def test_qft_gate_count(n):
 
 def test_qft_without_swaps_same_unitary_fewer_gates():
     for n in (2, 3, 4):
-        opts = QftOptions(include_final_swaps=False)
-        circ = build_qft(n, opts)
+        circ = build_qft(n, swaps=False)
         assert count_gates(circ).total == n * (n + 1) // 2
         np.testing.assert_allclose(circuit_unitary(circ).entries,
                                    circuit_unitary(build_qft(n)).entries, atol=1e-12)
@@ -74,14 +74,11 @@ def test_fourier_times_negation_is_conjugate(n):
     """F_N T = F_N^* at circuit level: the two's complement gadget with its
     control forced on, then the QFT, equals the conjugated Fourier matrix."""
     N = 1 << n
-    cb = CircuitBuilder(build_cond_twos_complement(n).width,
-                        ancillas=range(n + 1, 2 * n - 1))
-    cb.x(n)  # force the gadget control on
-    cb.extend(build_cond_twos_complement(n).gates)
-    cb.x(n)
-    from qrt_kit.qft import emit_qft_with_swaps
-    emit_qft_with_swaps(cb, range(n))
-    matrix, residual = data_register_action(cb.build(), list(range(n)))
+    base = build_cond_twos_complement(n)
+    force = Gate("X", targets=(n,))  # force the gadget control on
+    circ = Circuit(base.width, [force, *base.gates, force, *qft_gates(range(n))],
+                   ancillas=range(n + 1, 2 * n - 1))
+    matrix, residual = data_register_action(circ, list(range(n)))
     want = oracle.reference_matrix(oracle.TransformSpec("DFT", N)).conj()
     assert residual < 1e-12
     np.testing.assert_allclose(matrix, want, atol=1e-10)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from qrt_kit.simcore import (
     _IMPORT_NAMES,
+    MAX_WIDTH,
     Circuit,
-    CircuitBuilder,
     DenseUnitary,
     Gate,
     StateVector,
@@ -30,14 +30,14 @@ RNG = np.random.default_rng(1234)
 
 
 def random_circuit(width, n_gates, rng, allow_relabel=False):
-    cb = CircuitBuilder(width)
+    gates = []
     for _ in range(n_gates):
         kind = rng.choice(["X", "Y", "Z", "H", "S", "Sdg", "Phase", "Rz", "CPhase",
                            "CNOT", "CH", "CS", "CSdg", "Toffoli", "SWAP",
                            "GlobalPhase", "MCX"])
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         if kind == "GlobalPhase":
-            cb.global_phase(theta)
+            gates.append(Gate("GlobalPhase", angle=theta))
             continue
         need = {"CPhase": 2, "CNOT": 2, "CH": 2, "CS": 2, "CSdg": 2,
                 "Toffoli": 3, "SWAP": 2, "MCX": 3}.get(kind, 1)
@@ -45,23 +45,21 @@ def random_circuit(width, n_gates, rng, allow_relabel=False):
             continue
         wires = rng.choice(width, size=need, replace=False).tolist()
         if kind in ("Phase", "Rz"):
-            cb.gate(Gate(kind, targets=(wires[0],), angle=theta))
+            gates.append(Gate(kind, targets=(wires[0],), angle=theta))
         elif kind == "CPhase":
-            cb.cphase(theta, wires[0], wires[1])
+            gates.append(Gate(kind, (wires[0],), (wires[1],), theta))
         elif kind == "SWAP":
-            cb.swap(wires[0], wires[1])
-        elif kind == "Toffoli":
-            cb.toffoli(wires[0], wires[1], wires[2])
-        elif kind == "MCX":
-            cb.mcx(wires[:-1], wires[-1])
+            gates.append(Gate(kind, targets=(wires[0], wires[1])))
+        elif kind in ("Toffoli", "MCX"):
+            gates.append(Gate(kind, tuple(wires[:-1]), (wires[-1],)))
         elif need == 2:
-            cb.gate(Gate(kind, (wires[0],), (wires[1],)))
+            gates.append(Gate(kind, (wires[0],), (wires[1],)))
         else:
-            cb.gate(Gate(kind, targets=(wires[0],)))
+            gates.append(Gate(kind, targets=(wires[0],)))
     relab = None
     if allow_relabel:
         relab = tuple(rng.permutation(width).tolist())
-    return cb.build(relabeling=relab)
+    return Circuit(width, gates, relabeling=relab)
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +123,13 @@ def test_empty_circuit_is_identity():
 
 
 def test_double_hadamard_is_identity():
-    cb = CircuitBuilder(1)
-    cb.h(0)
-    cb.h(0)
-    out = run_circuit(StateVector.basis(1, 0), cb.build())
+    out = run_circuit(StateVector.basis(1, 0), Circuit(1, [Gate("H", targets=(0,)), Gate("H", targets=(0,))]))
     np.testing.assert_allclose(out.amplitudes, [1, 0], atol=1e-15)
 
 
 def test_parallel_x_gates():
-    cb = CircuitBuilder(2)
-    cb.x(0)
-    cb.x(1)
-    out = run_circuit(StateVector.basis(2, 0), cb.build())
+    circ = Circuit(2, [Gate("X", targets=(0,)), Gate("X", targets=(1,))])
+    out = run_circuit(StateVector.basis(2, 0), circ)
     np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
 
 
@@ -146,9 +139,8 @@ def test_run_circuit_dimension_mismatch():
 
 
 def test_relabeling_moves_wire_content():
-    cb = CircuitBuilder(2)
-    cb.x(0)
-    circ = cb.build(relabeling=(1, 0))  # content of wire 0 ends up on wire 1
+    # content of wire 0 ends up on wire 1
+    circ = Circuit(2, [Gate("X", targets=(0,))], relabeling=(1, 0))
     out = run_circuit(StateVector.basis(2, 0), circ)
     np.testing.assert_allclose(out.amplitudes, [0, 0, 1, 0], atol=1e-15)
 
@@ -169,17 +161,14 @@ def test_relabeling_matches_permutation_matrix():
 
 
 def test_unitary_single_hadamard():
-    cb = CircuitBuilder(1)
-    cb.h(0)
-    np.testing.assert_allclose(circuit_unitary(cb.build()).entries,
+    np.testing.assert_allclose(circuit_unitary(Circuit(1, [Gate("H", targets=(0,))])).entries,
                                np.array([[1, 1], [1, -1]]) / math.sqrt(2), atol=1e-15)
 
 
 def test_unitary_swap():
-    cb = CircuitBuilder(2)
-    cb.swap(0, 1)
+    circ = Circuit(2, [Gate("SWAP", targets=(0, 1))])
     want = np.eye(4)[[0, 2, 1, 3]]
-    np.testing.assert_allclose(circuit_unitary(cb.build()).entries, want, atol=1e-15)
+    np.testing.assert_allclose(circuit_unitary(circ).entries, want, atol=1e-15)
 
 
 def test_unitary_qft2_formula():
@@ -246,15 +235,11 @@ def test_data_register_action_agrees_with_unitary_block():
 
 
 def test_adjoint_s_gate():
-    cb = CircuitBuilder(1)
-    cb.s(0)
-    assert adjoint(cb.build()).gates[0].kind == "Sdg"
+    assert adjoint(Circuit(1, [Gate("S", targets=(0,))])).gates[0].kind == "Sdg"
 
 
 def test_adjoint_h_self_inverse():
-    cb = CircuitBuilder(1)
-    cb.h(0)
-    assert adjoint(cb.build()).gates[0].kind == "H"
+    assert adjoint(Circuit(1, [Gate("H", targets=(0,))])).gates[0].kind == "H"
 
 
 def test_adjoint_involution():
@@ -295,10 +280,10 @@ def test_count_twos_complement_n5():
 
 
 def test_count_mcx_penalty():
-    cb = CircuitBuilder(6)
-    cb.mcx([0, 1, 2, 3, 4], 5)  # 5 controls -> 2*5-3
-    cb.mcx([0, 1], 5)           # Toffoli-sized, counts 1
-    report = count_gates(cb.build())
+    report = count_gates(Circuit(6, [
+        Gate("MCX", (0, 1, 2, 3, 4), (5,)),  # 5 controls -> 2*5-3
+        Gate("MCX", (0, 1), (5,)),           # Toffoli-sized, counts 1
+    ]))
     assert report.total == 7 + 1
     assert report.counts == {"MCX": 8}
     assert report.notes["mcx_instances"] == 2
@@ -364,20 +349,17 @@ def test_dense_unitary_validation():
 
 
 def test_data_register_action_reports_dirty_ancilla():
-    cb = CircuitBuilder(2)
-    cb.x(1)  # ancilla wire left in |1>
-    matrix, residual = data_register_action(cb.build(), [0])
+    # ancilla wire left in |1>
+    matrix, residual = data_register_action(Circuit(2, [Gate("X", targets=(1,))]), [0])
     assert residual == pytest.approx(1.0)
     assert np.all(matrix == 0)
 
 
 def test_data_register_action_identity_on_clean_ancilla():
-    cb = CircuitBuilder(3, ancillas=[2])
-    cb.h(0)
-    cb.cnot(0, 1)
-    matrix, residual = data_register_action(cb.build(), [0, 1])
+    gates = [Gate("H", targets=(0,)), Gate("CNOT", (0,), (1,))]
+    matrix, residual = data_register_action(Circuit(3, gates, ancillas=[2]), [0, 1])
     assert residual < 1e-15
-    want = circuit_unitary(Circuit(2, cb.gates()[:2])).entries
+    want = circuit_unitary(Circuit(2, gates)).entries
     np.testing.assert_allclose(matrix, want, atol=1e-12)
 
 
@@ -387,11 +369,9 @@ def test_data_register_action_identity_on_clean_ancilla():
 
 
 def test_export_format_exact():
-    cb = CircuitBuilder(4)
-    cb.cphase(math.pi / 2, 0, 3)
-    cb.h(1)
-    cb.global_phase(math.pi)
-    text = export_circuit(cb.build())
+    text = export_circuit(Circuit(4, [Gate("CPhase", (0,), (3,), math.pi / 2),
+                                      Gate("H", targets=(1,)),
+                                      Gate("GlobalPhase", angle=math.pi)]))
     assert text == ("cphase(1.5707963267948966) q[0],q[3]\n"
                     "h q[1]\n"
                     "globalphase(3.1415926535897931)\n")
@@ -404,9 +384,8 @@ def test_export_relabel_comment():
 
 
 def test_export_controls_before_targets():
-    cb = CircuitBuilder(3)
-    cb.toffoli(2, 1, 0)
-    assert export_circuit(cb.build()) == "toffoli q[2],q[1],q[0]\n"
+    circ = Circuit(3, [Gate("Toffoli", (2, 1), (0,))])
+    assert export_circuit(circ) == "toffoli q[2],q[1],q[0]\n"
 
 
 def test_round_trip_random_circuits():
@@ -419,9 +398,8 @@ def test_round_trip_random_circuits():
 
 
 def test_parse_angle_17_digits_round_trip():
-    cb = CircuitBuilder(1)
-    cb.rz(1.0 / 3.0, 0)
-    back = parse_circuit(export_circuit(cb.build()))
+    circ = Circuit(1, [Gate("Rz", targets=(0,), angle=1.0 / 3.0)])
+    back = parse_circuit(export_circuit(circ))
     assert back.gates[0].angle == 1.0 / 3.0
 
 
@@ -439,6 +417,28 @@ def test_parse_rejects_a_huge_relabel_at_once():
     with pytest.raises(ValueError):
         parse_circuit("x q[0]\n# relabel: 0->99999999999\n")
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("text", [
+    "x q[99999999999]\n# relabel: 0->1,1->0\n",
+    "x q[99999999999]\n",
+])
+def test_parse_rejects_a_huge_wire_at_once(text):
+    # refused by the width bound, before the relabeling tuple or the
+    # circuit is built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bound"):
+        parse_circuit(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_circuit_width_is_bounded():
+    assert parse_circuit(f"x q[{MAX_WIDTH - 1}]\n").width == MAX_WIDTH
+    for width in (-1, MAX_WIDTH + 1):
+        with pytest.raises(ValueError, match="width"):
+            Circuit(width)
+    with pytest.raises(ValueError, match="bound"):
+        parse_circuit("x q[0]\n", width=MAX_WIDTH + 1)
 
 
 def test_parse_rejects_a_second_relabel_line():
@@ -488,7 +488,7 @@ def test_every_builder_survives_export_round_trip():
         gadgets.build_or_gate(),
         gadgets.build_or_tree(4, uncompute_internal=True),
         qft.build_qft(3),
-        qft.build_qft(3, qft.QftOptions(include_final_swaps=False)),
+        qft.build_qft(3, swaps=False),
         hartley.build_unitary_w(3),
         hartley.build_unitary_ur(2),
         hartley.build_cx_zero_detect(3, naive=True),
