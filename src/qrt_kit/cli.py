@@ -66,7 +66,14 @@ def build_transform(name: str, n: int, incorrect_d2: bool = False):
 
 
 def verify_transform(name: str, n: int, tolerance: float, incorrect_d2: bool = False) -> dict:
-    """Run the oracle check for one transform; returns the report dict."""
+    """Run the oracle check for one transform; returns the report dict.
+
+    ``tolerance`` must lie strictly between 0 and 1: entries of two
+    unitaries differ by at most 2, so a tolerance of 1 or more (or inf)
+    cannot reject anything, and nan rejects everything.
+    """
+    if not 0 < tolerance < 1:
+        raise ValueError(f"tolerance must lie strictly between 0 and 1, got {tolerance}")
     circuit = build_transform(name, n, incorrect_d2)
     report = {
         "schema": SCHEMA_VERSION,
@@ -261,9 +268,9 @@ def main(argv=None) -> int:
             if not 1 <= n <= MAX_N:
                 raise ValueError(f"n must lie within 1..{MAX_N}, got {n}")
         return args.func(args)
-    except (ValueError, MemoryError) as exc:
-        # a size too large for this machine is a usage error, not a failed
-        # verification
+    except (ValueError, MemoryError, OSError) as exc:
+        # a size too large for this machine, or an --out path that cannot be
+        # written, is a usage error, not a failed verification
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -247,8 +247,8 @@ def _target_matrix(gate: Gate) -> np.ndarray:
 
 
 _DIAGONAL_KINDS = {"Z", "S", "Sdg", "Phase", "Rz", "CPhase", "CS", "CSdg"}
-_FLIP_KINDS = {"X", "CNOT", "Toffoli", "MCX"}
-_CLASSICAL_KINDS = _FLIP_KINDS | {"SWAP"}
+_CLASSICAL_KINDS = {"X", "CNOT", "Toffoli", "MCX", "SWAP"}
+_BUTTERFLY_KINDS = {"H", "CH"}
 
 
 def _slice(tensor, assignments):
@@ -260,89 +260,80 @@ def _slice(tensor, assignments):
     return tensor[tuple(idx)]
 
 
-def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, width: int) -> np.ndarray:
-    """Apply one gate in place on a (2,)*width [+ batch] tensor.
-
-    Diagonal gates scale basis slices, X-family gates swap them, and the
-    Hadamard family is a two-slice butterfly; nothing ever transposes or
-    copies the full tensor.
-    """
-    kind = gate.kind
-    if kind == "GlobalPhase":
-        tensor *= np.exp(1j * gate.angle)
-        return tensor
+def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, width: int) -> None:
+    """Apply an H or CH gate in place on a (2,)*width [+ batch] tensor: a
+    butterfly over the two target slices where the controls are on, with
+    one temporary and no copy of the full tensor."""
     ctrl = [(width - 1 - w, 1) for w in gate.controls]
-    taxes = [width - 1 - w for w in gate.targets]
-    if kind in _FLIP_KINDS:
-        a = _slice(tensor, ctrl + [(taxes[0], 0)])
-        b = _slice(tensor, ctrl + [(taxes[0], 1)])
-        tmp = a.copy()
-        a[...] = b
-        b[...] = tmp
-        return tensor
-    if kind == "SWAP":
-        a = _slice(tensor, [(taxes[0], 0), (taxes[1], 1)])
-        b = _slice(tensor, [(taxes[0], 1), (taxes[1], 0)])
-        tmp = a.copy()
-        a[...] = b
-        b[...] = tmp
-        return tensor
-    if kind in _DIAGONAL_KINDS:
-        diag = np.diagonal(_target_matrix(gate))
-        for bit in (0, 1):
-            if diag[bit] != 1:
-                view = _slice(tensor, ctrl + [(taxes[0], bit)])
-                view *= diag[bit]
-        return tensor
-    if kind in ("H", "CH"):
-        a = _slice(tensor, ctrl + [(taxes[0], 0)])
-        b = _slice(tensor, ctrl + [(taxes[0], 1)])
-        tmp = (a + b) * SQRT2_INV
-        b[...] = (a - b) * SQRT2_INV
-        a[...] = tmp
-        return tensor
-    if kind == "Y":
-        a = _slice(tensor, [(taxes[0], 0)])
-        b = _slice(tensor, [(taxes[0], 1)])
-        tmp = -1j * b
-        b[...] = 1j * a
-        a[...] = tmp
-        return tensor
-    raise ValueError(f"no simulation rule for gate kind {kind!r}")
+    axis = width - 1 - gate.targets[0]
+    a = _slice(tensor, ctrl + [(axis, 0)])
+    b = _slice(tensor, ctrl + [(axis, 1)])
+    tmp = a + b
+    tmp *= SQRT2_INV
+    np.subtract(a, b, out=b)
+    b *= SQRT2_INV
+    a[...] = tmp
 
 
-def _relabel_rows(flat: np.ndarray, relabeling, width: int) -> np.ndarray:
-    idx = np.arange(1 << width, dtype=np.int64)
-    out = np.empty_like(flat)
-    out[_relabel_keys(idx, relabeling, 0)] = flat[idx]
-    return out
-
-
-def _run_flat(flat: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Run a circuit on a flat (dim,) or batched (dim, B) amplitude array.
-
-    The input buffer is consumed (gates apply in place); callers pass arrays
-    they own.
-    """
-    width = circuit.width
-    batch = flat.shape[1:] if flat.ndim > 1 else ()
-    tensor = flat.reshape((2,) * width + batch)
+def _layers(circuit: Circuit):
+    """The dense engine's program for a circuit, in order: each H or CH gate
+    is a butterfly layer, and each maximal run of other gates is one
+    monomial layer, with the final relabeling folded into the last run."""
+    run = []
     for gate in circuit.gates:
-        tensor = _apply_gate_tensor(tensor, gate, width)
-    flat = tensor.reshape((1 << width,) + batch)
-    if circuit.relabeling is not None:
-        flat = _relabel_rows(flat, circuit.relabeling, width)
-    return flat
+        if gate.kind in _BUTTERFLY_KINDS:
+            if run:
+                yield _monomial_layer(run, None, circuit.width)
+                run = []
+            yield gate
+        else:
+            run.append(gate)
+    if run or circuit.relabeling is not None:
+        yield _monomial_layer(run, circuit.relabeling, circuit.width)
+
+
+def _monomial_layer(run, relabeling, width: int):
+    """``(inv, phase)`` of a run of gates other than H and CH: output label
+    ``i`` takes the amplitude of input label ``inv[i]`` times ``phase[i]``.
+    ``inv`` is None when the run permutes no label, ``phase`` None when it
+    multiplies by no phase."""
+    labels = np.arange(1 << width, dtype=np.int64)
+    keys, phase = labels.copy(), np.ones(1 << width, dtype=complex)
+    for gate in run:
+        for sel, factor in _monomial(keys, gate, 0):
+            phase[sel] *= factor
+    if relabeling is not None:
+        keys = _relabel_keys(keys, relabeling, 0)
+    phase = None if np.all(phase == 1) else phase
+    if np.array_equal(keys, labels):
+        return None, phase
+    inv = np.empty_like(keys)
+    inv[keys] = labels
+    return inv, None if phase is None else phase[inv]
+
+
+def _run_flat(flat: np.ndarray, layers) -> np.ndarray:
+    """Run compiled ``_layers`` on a flat (dim,) or batched (dim, B)
+    amplitude array, which it consumes: callers pass arrays they own."""
+    shape, dim = flat.shape, flat.shape[0]
+    width = dim.bit_length() - 1
+    flat = flat.reshape(dim, -1)
+    for layer in layers:
+        if isinstance(layer, Gate):  # flat is C-contiguous, so this is a view
+            _apply_gate_tensor(flat.reshape((2,) * width + (-1,)), layer, width)
+            continue
+        inv, phase = layer
+        if inv is not None:
+            flat = flat[inv]
+        if phase is not None:
+            flat *= phase[:, None]
+    return flat.reshape(shape)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate to a state, returning the new state."""
-    width = state.width
-    for q in gate.operands:
-        if q >= width:
-            raise ValueError(f"gate operand {q} outside {width}-qubit state")
-    tensor = state.amplitudes.copy().reshape((2,) * width)
-    return StateVector(_apply_gate_tensor(tensor, gate, width).reshape(-1))
+    circuit = Circuit(state.width, [gate])
+    return StateVector(_run_flat(state.amplitudes.copy(), _layers(circuit)))
 
 
 STATEVECTOR_WIDTH_CAP = 20
@@ -356,7 +347,7 @@ def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         )
     if circuit.width > STATEVECTOR_WIDTH_CAP:
         raise ValueError(f"statevector runs are capped at {STATEVECTOR_WIDTH_CAP} qubits")
-    return StateVector(_run_flat(state.amplitudes.copy(), circuit))
+    return StateVector(_run_flat(state.amplitudes.copy(), _layers(circuit)))
 
 
 def circuit_unitary(circuit: Circuit, cap: int = 12) -> DenseUnitary:
@@ -364,7 +355,7 @@ def circuit_unitary(circuit: Circuit, cap: int = 12) -> DenseUnitary:
     if circuit.width > cap:
         raise ValueError(f"width {circuit.width} above unitary-extraction cap {cap}")
     dim = 1 << circuit.width
-    return DenseUnitary(_run_flat(np.eye(dim, dtype=complex), circuit))
+    return DenseUnitary(_run_flat(np.eye(dim, dtype=complex), _layers(circuit)))
 
 
 _DENSE_BATCH = 128
@@ -419,12 +410,13 @@ def _dense_register_action(circuit: Circuit, data_wires: list):
     in_labels = np.zeros(dim, dtype=np.int64)
     for pos, w in enumerate(data_wires):
         in_labels |= ((np.arange(dim) >> pos) & 1) << w
+    layers = list(_layers(circuit))
     matrix = np.zeros((dim, dim), dtype=complex)
     for start in range(0, dim, _DENSE_BATCH):
         cols = in_labels[start:start + _DENSE_BATCH]
         block = np.zeros((dim, len(cols)), dtype=complex)
         block[cols, np.arange(len(cols))] = 1.0
-        matrix[:, start:start + len(cols)] = _run_flat(block, circuit)[in_labels]
+        matrix[:, start:start + len(cols)] = _run_flat(block, layers)[in_labels]
     return matrix, 0.0
 
 
@@ -473,56 +465,64 @@ def _sparse_register_action(circuit: Circuit, data_wires: list):
 def _apply_gate_sparse(keys, amps, gate: Gate, d: int, pruned):
     """Apply one gate to the (keys, amps) entries; returns the new arrays
     (the inputs may be updated in place)."""
+    if gate.kind not in _BUTTERFLY_KINDS:
+        for sel, factor in _monomial(keys, gate, d):
+            amps[sel] *= factor
+        return keys, amps
+    # each entry splits over its pair (base, base | bit); entries sharing a
+    # base are summed, then small results are pruned
+    ctrl = sum(1 << (w + d) for w in gate.controls)
+    bit = 1 << (gate.targets[0] + d)
+    m = _target_matrix(gate)
+    sel = (keys & ctrl) == ctrl
+    k, a = keys[sel], amps[sel]
+    one = (k & bit) != 0
+    base, pair = np.unique(k & ~bit, return_inverse=True)
+    k = np.concatenate((base, base | bit))
+    a = np.concatenate((_sum_by(pair, np.where(one, m[0, 1], m[0, 0]) * a, len(base)),
+                        _sum_by(pair, np.where(one, m[1, 1], m[1, 0]) * a, len(base))))
+    k, a = _prune(k, a, d, pruned)
+    if ctrl:  # entries whose controls are off pass through unchanged
+        k = np.concatenate((keys[~sel], k))
+        a = np.concatenate((amps[~sel], a))
+    return k, a
+
+
+def _monomial(keys, gate: Gate, shift: int) -> list:
+    """Apply a gate other than H and CH to int64 keys that hold wire ``w``
+    in bit ``w + shift``: permute the keys in place and return the phases
+    as ``(select, factor)`` pairs, where the entries ``select`` picks out
+    (indexed like the keys before the gate) are multiplied by ``factor``.
+    The one label and phase rule of both engines."""
     kind = gate.kind
     if kind == "GlobalPhase":
-        amps *= np.exp(1j * gate.angle)
-        return keys, amps
+        return [(slice(None), np.exp(1j * gate.angle))]
     if kind in _CLASSICAL_KINDS:
-        return _permute_keys(keys, gate, d), amps
-    ctrl = 0
-    for w in gate.controls:
-        ctrl |= 1 << (w + d)
-    bit = 1 << (gate.targets[0] + d)
+        _permute_keys(keys, gate, shift)
+        return []
+    ctrl = sum(1 << (w + shift) for w in gate.controls)
+    bit = 1 << (gate.targets[0] + shift)
+    m = _target_matrix(gate)
     if kind == "Y":  # |0> -> m[1,0] |1> and |1> -> m[0,1] |0>
-        m = _target_matrix(gate)
-        amps *= np.where(keys & bit, m[0, 1], m[1, 0])
+        phase = np.where(keys & bit, m[0, 1], m[1, 0])
         keys ^= bit
-        return keys, amps
+        return [(slice(None), phase)]
     if kind in _DIAGONAL_KINDS:
-        diag = np.diagonal(_target_matrix(gate))
-        for value in (0, 1):
-            if diag[value] != 1:
-                want = ctrl | (bit if value else 0)
-                amps[(keys & (ctrl | bit)) == want] *= diag[value]
-        return keys, amps
-    if kind in ("H", "CH"):
-        # each entry splits over its pair (base, base | bit); entries sharing
-        # a base are summed, then small results are pruned
-        m = _target_matrix(gate)
-        sel = (keys & ctrl) == ctrl
-        k, a = keys[sel], amps[sel]
-        one = (k & bit) != 0
-        base, pair = np.unique(k & ~bit, return_inverse=True)
-        k = np.concatenate((base, base | bit))
-        a = np.concatenate((_sum_by(pair, np.where(one, m[0, 1], m[0, 0]) * a, len(base)),
-                            _sum_by(pair, np.where(one, m[1, 1], m[1, 0]) * a, len(base))))
-        k, a = _prune(k, a, d, pruned)
-        if ctrl:  # entries whose controls are off pass through unchanged
-            k = np.concatenate((keys[~sel], k))
-            a = np.concatenate((amps[~sel], a))
-        return k, a
+        on = keys & (ctrl | bit)
+        return [(on == (ctrl | bit * value), m[value, value])
+                for value in (0, 1) if m[value, value] != 1]
     raise ValueError(f"no simulation rule for gate kind {kind!r}")
 
 
 def _permute_keys(keys, gate: Gate, shift: int):
     """Apply a gate of ``_CLASSICAL_KINDS`` in place to int64 keys that hold
-    wire ``w`` in bit ``w + shift``: the bit semantics shared by the sparse
-    engine and ``classical_image``."""
+    wire ``w`` in bit ``w + shift``: the bit semantics shared by both
+    engines and ``classical_image``."""
     if gate.kind == "SWAP":
         a, b = gate.targets[0] + shift, gate.targets[1] + shift
         keys ^= (((keys >> a) ^ (keys >> b)) & 1) * ((1 << a) | (1 << b))
         return keys
-    ctrl = 0
+    ctrl = 0  # a loop: the hot path of classical evaluation
     for w in gate.controls:
         ctrl |= 1 << (w + shift)
     bit = 1 << (gate.targets[0] + shift)

@@ -327,12 +327,16 @@ class BlockIdentityReport:
         return self.max_error() < tolerance and self.ancilla_residual < tolerance
 
 
-def _block_error(U: np.ndarray, block: np.ndarray, labels, phase: complex) -> float:
-    """Max deviation over the full columns of a block: embedded rows must
-    carry phase*block and every other row must vanish."""
-    target = np.zeros((U.shape[0], len(labels)), dtype=complex)
-    target[labels, :] = phase * block
-    return float(np.max(np.abs(U[:, labels] - target)))
+def _block_error(U: np.ndarray, block: np.ndarray, lo: int, phase: complex) -> float:
+    """Max deviation over the full columns of a block declared on labels
+    ``lo..lo+len(block)-1``: those rows must carry phase*block and every
+    other row must vanish."""
+    hi = lo + block.shape[0]
+    cols = U[:, lo:hi]
+    inside = np.max(np.abs(cols[lo:hi] - phase * block))
+    outside = max(np.max(np.abs(cols[:lo]), initial=0.0),
+                  np.max(np.abs(cols[hi:]), initial=0.0))
+    return float(max(inside, outside))
 
 
 def verify_block_identity(circuit: Circuit, cos_spec: oracle.TransformSpec,
@@ -364,8 +368,8 @@ def verify_block_identity(circuit: Circuit, cos_spec: oracle.TransformSpec,
         "sin_block": tuple((lab >> n, lab & ((1 << n) - 1)) for lab in sin_labels),
     }
     return BlockIdentityReport(
-        max_error_cos_block=_block_error(U, cos_mat, cos_labels, 1.0),
-        max_error_sin_block=_block_error(U, sin_mat, sin_labels, phase),
+        max_error_cos_block=_block_error(U, cos_mat, 0, 1.0),
+        max_error_sin_block=_block_error(U, sin_mat, cos_spec.dim, phase),
         embedding=embedding,
         phase=phase,
         ancilla_residual=residual,

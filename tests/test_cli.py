@@ -188,6 +188,30 @@ def test_size_outside_bounds_is_usage_error(argv, capsys):
     assert err.startswith("error: n must lie within") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1", "1"])
+def test_tolerance_outside_unit_interval_is_usage_error(tolerance, capsys):
+    # inf would pass the defective circuit; nan would print non-standard JSON
+    code, out, err = run_cli(["verify", "--transform", "qct4", "--n", "3",
+                              "--incorrect-d2", "--tolerance", tolerance], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: tolerance") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--transform", "qct4", "--n", "3"],
+    ["verify", "--transform", "qct4", "--n", "3"],
+    ["counts", "--transform", "qct4", "--n", "3"],
+])
+def test_unwritable_output_exits_two_without_traceback(argv, tmp_path):
+    path = tmp_path / "missing" / "x.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrt_kit.cli", *argv, "--out", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
 def test_huge_size_exits_two_without_traceback():
     proc = subprocess.run(
         [sys.executable, "-m", "qrt_kit.cli", "counts", "--transform", "qft",

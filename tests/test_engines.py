@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 from qrt_kit.simcore import (
     Circuit,
     Gate,
+    StateVector,
     _dense_register_action,
     _sparse_register_action,
+    apply_gate,
+    circuit_unitary,
     classical_image,
     data_register_action,
+    run_circuit,
 )
 
 from helpers import brute_unitary
@@ -45,12 +49,13 @@ def gates(draw, width, kinds=tuple(ARITY)):
 
 
 @st.composite
-def cases(draw, max_width=10, max_gates=12):
-    """A random circuit over all gate kinds, optionally followed by its own
-    inverse (so ancillas come back clean through exact cancellations), with
-    an optional relabeling, and a random data register."""
-    width = draw(st.integers(1, max_width))
-    body = draw(st.lists(gates(width), max_size=max_gates))
+def cases(draw, max_width=10, max_gates=12, min_width=1, kinds=tuple(ARITY)):
+    """A random circuit over the given gate kinds, optionally followed by
+    its own inverse (so ancillas come back clean through exact
+    cancellations), with an optional relabeling, and a random data
+    register."""
+    width = draw(st.integers(min_width, max_width))
+    body = draw(st.lists(gates(width, kinds), max_size=max_gates))
     if draw(st.booleans()):
         body += [g.inverse() for g in reversed(body)]
     relabeling = None
@@ -118,6 +123,73 @@ def test_sparse_and_dense_agree_on_longer_circuits(case):
     m_dense, r_dense = dense_action(circuit, data)
     np.testing.assert_allclose(m_sparse, m_dense, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_dense) < 1e-12
+
+
+# The dense engine compiles a circuit into monomial layers (each maximal run
+# of gates other than H and CH, plus the final relabeling, as one gather and
+# one multiply) and H/CH butterflies.  The tests below pin the compiled
+# program against the brute-force unitary.
+
+BUTTERFLY = ("H", "CH")
+MONOMIAL = tuple(k for k in ARITY if k not in BUTTERFLY)
+
+
+@settings(max_examples=10, **SETTINGS)
+@given(cases(min_width=8, max_gates=8), st.randoms(use_true_random=False))
+def test_dense_engine_reuses_its_layers_across_batches(case, rnd):
+    # width 8-10: 2-8 batches of 128 columns run through one compiled
+    # program; the data register is a random order of all wires
+    circuit, _ = case
+    data = list(range(circuit.width))
+    rnd.shuffle(data)
+    matrix, residual = _dense_register_action(circuit, data)
+    want, _ = brute_action(circuit, data)
+    np.testing.assert_allclose(matrix, want, rtol=0, atol=1e-12)
+    assert residual == 0.0
+
+
+@pytest.mark.parametrize("kinds", [MONOMIAL, BUTTERFLY], ids=["monomial", "butterfly"])
+@settings(max_examples=30, **SETTINGS)
+@given(data=st.data())
+def test_one_layer_kind_agrees_with_brute_force(kinds, data):
+    # without H/CH the whole circuit is one monomial layer; with only H/CH
+    # it is butterflies and, at most, a relabeling
+    circuit, wires = data.draw(cases(max_width=7, kinds=kinds))
+    want = brute_unitary(circuit)
+    np.testing.assert_allclose(circuit_unitary(circuit).entries, want, rtol=0, atol=1e-12)
+    for engine in (_sparse_register_action, dense_action):
+        matrix, residual = engine(circuit, wires)
+        m_want, r_want = restricted_action(want, circuit.width, wires)
+        np.testing.assert_allclose(matrix, m_want, rtol=0, atol=1e-12)
+        assert abs(residual - r_want) < 1e-12
+
+
+@settings(max_examples=20, **SETTINGS)
+@given(st.integers(1, 7).flatmap(lambda width: st.permutations(range(width))))
+def test_relabeling_only_circuit_agrees_with_brute_force(perm):
+    circuit = Circuit(len(perm), relabeling=tuple(perm))
+    want = brute_unitary(circuit)
+    np.testing.assert_array_equal(circuit_unitary(circuit).entries, want)
+    matrix, _ = _dense_register_action(circuit, list(range(circuit.width)))
+    np.testing.assert_array_equal(matrix, want)
+
+
+@pytest.mark.parametrize("kind", sorted(ARITY))
+@settings(max_examples=5, **SETTINGS)
+@given(data=st.data())
+def test_every_kind_through_every_entry_point(kind, data):
+    gate = data.draw(gates(3, (kind,)))
+    circuit = Circuit(3, [gate])
+    want = brute_unitary(circuit)
+    np.testing.assert_allclose(circuit_unitary(circuit).entries, want, rtol=0, atol=1e-12)
+    amps = np.array(data.draw(st.lists(st.complex_numbers(max_magnitude=1), min_size=8,
+                                       max_size=8)))
+    if np.linalg.norm(amps) < 1e-3:
+        amps = np.ones(8)
+    state = StateVector(amps / np.linalg.norm(amps))
+    for out in (apply_gate(state, gate), run_circuit(state, circuit)):
+        np.testing.assert_allclose(out.amplitudes, want @ state.amplitudes,
+                                   rtol=0, atol=1e-12)
 
 
 def _leaky(eps, rounds=1):
