@@ -17,6 +17,7 @@ from .simcore import (
     classical_image,
     count_gates,
     data_register_action,
+    data_register_chunks,
     export_circuit,
     parse_circuit,
     run_circuit,
@@ -39,6 +40,7 @@ from .oracle import (
     build_reference_matrix,
     cas,
     compare_unitaries,
+    reference_columns,
     reference_matrix,
 )
 from .hartley import (

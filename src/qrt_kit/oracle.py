@@ -46,70 +46,76 @@ class TransformSpec:
         return self.N
 
 
-def _boundary_weight(j: int, N: int) -> float:
-    return 1.0 / math.sqrt(2.0) if j in (0, N) else 1.0
+def _boundary_weight(j, N: int):
+    return np.where((j == 0) | (j == N), 1.0 / math.sqrt(2.0), 1.0)
 
 
-def _dft(N):
-    a = np.arange(N)
-    return np.exp(2j * np.pi * np.outer(a, a) / N) / np.sqrt(N)
+# Each kernel gives the entries at row indices ``r`` and column indices
+# ``c`` of its matrix, as broadcast against each other; indices count from
+# the first row or column of the matrix.
 
 
-def _dht(N):
-    a = np.arange(N)
-    return cas(2.0 * np.pi * np.outer(a, a) / N) / np.sqrt(N)
+def _dft(N, r, c):
+    return np.exp(2j * np.pi * (r * c) / N) / np.sqrt(N)
 
 
-def _dct1(N):
-    m = np.arange(N + 1)
-    k = np.array([_boundary_weight(j, N) for j in m])
-    return np.sqrt(2.0 / N) * np.outer(k, k) * np.cos(np.pi * np.outer(m, m) / N)
+def _dht(N, r, c):
+    return cas(2.0 * np.pi * (r * c) / N) / np.sqrt(N)
 
 
-def _dst1(N):
-    m = np.arange(1, N)
-    return np.sqrt(2.0 / N) * np.sin(np.pi * np.outer(m, m) / N)
+def _dct1(N, r, c):
+    return (np.sqrt(2.0 / N) * (_boundary_weight(r, N) * _boundary_weight(c, N))
+            * np.cos(np.pi * (r * c) / N))
 
 
-def _dct2(N):
-    m = np.arange(N)
-    k = np.array([_boundary_weight(j, N) for j in m])
-    return np.sqrt(2.0 / N) * k[:, None] * np.cos(np.pi * np.outer(m, m + 0.5) / N)
+def _dst1(N, r, c):
+    return np.sqrt(2.0 / N) * np.sin(np.pi * ((r + 1) * (c + 1)) / N)
 
 
-def _dst2(N):
-    m = np.arange(1, N + 1)
-    n = np.arange(N)
-    k = np.array([_boundary_weight(j, N) for j in m])
-    return np.sqrt(2.0 / N) * k[:, None] * np.sin(np.pi * np.outer(m, n + 0.5) / N)
+def _dct2(N, r, c):
+    return np.sqrt(2.0 / N) * _boundary_weight(r, N) * np.cos(np.pi * (r * (c + 0.5)) / N)
 
 
-def _dct4(N):
-    m = np.arange(N) + 0.5
-    return np.sqrt(2.0 / N) * np.cos(np.pi * np.outer(m, m) / N)
+def _dst2(N, r, c):
+    return (np.sqrt(2.0 / N) * _boundary_weight(r + 1, N)
+            * np.sin(np.pi * ((r + 1) * (c + 0.5)) / N))
 
 
-def _dst4(N):
-    m = np.arange(N) + 0.5
-    return np.sqrt(2.0 / N) * np.sin(np.pi * np.outer(m, m) / N)
+def _dct4(N, r, c):
+    return np.sqrt(2.0 / N) * np.cos(np.pi * ((r + 0.5) * (c + 0.5)) / N)
 
 
-_BUILDERS = {
+def _dst4(N, r, c):
+    return np.sqrt(2.0 / N) * np.sin(np.pi * ((r + 0.5) * (c + 0.5)) / N)
+
+
+_KERNELS = {
     "DFT": _dft,
     "DHT": _dht,
     "DCT1": _dct1,
     "DST1": _dst1,
     "DCT2": _dct2,
     "DST2": _dst2,
-    "DCT3": lambda N: _dct2(N).T,
-    "DST3": lambda N: _dst2(N).T,
+    # Type III is the transpose of Type II: the index roles swap
+    "DCT3": lambda N, r, c: _dct2(N, c, r),
+    "DST3": lambda N, r, c: _dst2(N, c, r),
     "DCT4": _dct4,
     "DST4": _dst4,
 }
 
 
+def reference_columns(spec: TransformSpec, start: int, stop: int) -> np.ndarray:
+    """Columns ``start..stop-1`` of the oracle matrix, all rows, each entry
+    evaluated from the transform's defining formula."""
+    if not 0 <= start <= stop <= spec.dim:
+        raise ValueError(f"columns {start}..{stop} outside 0..{spec.dim}")
+    rows = np.arange(spec.dim)[:, None]
+    cols = np.arange(start, stop)[None, :]
+    return _KERNELS[spec.kind](spec.N, rows, cols)
+
+
 def reference_matrix(spec: TransformSpec) -> np.ndarray:
-    return _BUILDERS[spec.kind](spec.N)
+    return reference_columns(spec, 0, spec.dim)
 
 
 def build_reference_matrix(spec: TransformSpec) -> DenseUnitary:
@@ -120,7 +126,7 @@ def build_reference_matrix(spec: TransformSpec) -> DenseUnitary:
 def build_dht_from_dft(N: int) -> DenseUnitary:
     """The Hartley matrix assembled from the Fourier matrix and its conjugate:
     H = (1-i)/2 F + (1+i)/2 F*."""
-    F = _dft(N)
+    F = reference_matrix(TransformSpec("DFT", N))
     return DenseUnitary((1 - 1j) / 2 * F + (1 + 1j) / 2 * F.conj(), tolerance=1e-12)
 
 

@@ -260,19 +260,22 @@ def _slice(tensor, assignments):
     return tensor[tuple(idx)]
 
 
-def _apply_gate_tensor(tensor: np.ndarray, gate: Gate, width: int) -> None:
-    """Apply an H or CH gate in place on a (2,)*width [+ batch] tensor: a
-    butterfly over the two target slices where the controls are on, with
-    one temporary and no copy of the full tensor."""
+def _butterfly(tensor: np.ndarray, gate: Gate, width: int, scratch: np.ndarray) -> None:
+    """Apply an H or CH gate in place on a (2,)*width [+ batch] tensor as a
+    butterfly over the two target slices where the controls are on, through
+    ``scratch`` (at least half the tensor's size).  A CH is scaled by
+    1/sqrt(2) here; an H is left unnormalised for the caller to scale."""
     ctrl = [(width - 1 - w, 1) for w in gate.controls]
     axis = width - 1 - gate.targets[0]
     a = _slice(tensor, ctrl + [(axis, 0)])
     b = _slice(tensor, ctrl + [(axis, 1)])
-    tmp = a + b
-    tmp *= SQRT2_INV
-    np.subtract(a, b, out=b)
-    b *= SQRT2_INV
-    a[...] = tmp
+    diff = scratch[:a.size].reshape(a.shape)
+    np.subtract(a, b, out=diff)
+    a += b
+    b[...] = diff
+    if gate.controls:
+        a *= SQRT2_INV
+        b *= SQRT2_INV
 
 
 def _layers(circuit: Circuit):
@@ -312,21 +315,44 @@ def _monomial_layer(run, relabeling, width: int):
     return inv, None if phase is None else phase[inv]
 
 
+_MAX_DEFERRED_H = 64
+"""Uncontrolled H layers whose 1/sqrt(2) may wait: 2^32 of growth, far
+from overflow."""
+
+
+def _h_scale(count: int) -> float:
+    """sqrt(1/2)^count, exact in its power-of-two part."""
+    return 0.5 ** (count // 2) * (SQRT2_INV if count % 2 else 1.0)
+
+
 def _run_flat(flat: np.ndarray, layers) -> np.ndarray:
     """Run compiled ``_layers`` on a flat (dim,) or batched (dim, B)
-    amplitude array, which it consumes: callers pass arrays they own."""
+    amplitude array, which it consumes: callers pass arrays they own.
+
+    An uncontrolled H is an add and a subtract; its 1/sqrt(2) is folded
+    into the next phase multiply, or applied once at the end."""
     shape, dim = flat.shape, flat.shape[0]
     width = dim.bit_length() - 1
     flat = flat.reshape(dim, -1)
+    scratch = np.empty(flat.size // 2, dtype=complex)
+    deferred = 0
     for layer in layers:
         if isinstance(layer, Gate):  # flat is C-contiguous, so this is a view
-            _apply_gate_tensor(flat.reshape((2,) * width + (-1,)), layer, width)
+            _butterfly(flat.reshape((2,) * width + (-1,)), layer, width, scratch)
+            deferred += not layer.controls
+            if deferred == _MAX_DEFERRED_H:
+                flat *= _h_scale(deferred)
+                deferred = 0
             continue
         inv, phase = layer
         if inv is not None:
             flat = flat[inv]
         if phase is not None:
+            if deferred:
+                phase, deferred = phase * _h_scale(deferred), 0
             flat *= phase[:, None]
+    if deferred:
+        flat *= _h_scale(deferred)
     return flat.reshape(shape)
 
 
@@ -358,8 +384,12 @@ def circuit_unitary(circuit: Circuit, cap: int = 12) -> DenseUnitary:
     return DenseUnitary(_run_flat(np.eye(dim, dtype=complex), _layers(circuit)))
 
 
-_DENSE_BATCH = 128
-"""Columns the dense engine pushes through the statevector at a time."""
+_DENSE_BATCH = 64
+"""Columns the dense engine pushes through the statevector at a time: a
+1024-row batch is 1 MB, small enough to stay in a core's L2 cache."""
+
+_SPARSE_CHUNK_BITS = 8
+"""log2 of the columns the sparse engine runs at a time."""
 
 
 def data_register_action(circuit: Circuit, data_wires=None):
@@ -369,22 +399,36 @@ def data_register_action(circuit: Circuit, data_wires=None):
     data basis state r given input c, and ``residual`` bounds the output
     amplitude outside the all-ancillas-zero subspace.  A residual at
     rounding level certifies that the ancillas are returned clean and that
-    ``matrix`` is the whole story.
+    ``matrix`` is the whole story.  This is the concatenation of
+    ``data_register_chunks``, which holds one column chunk at a time; see
+    there for the engines and the residual.
+    """
+    return _assemble(data_register_chunks(circuit, data_wires))
+
+
+def data_register_chunks(circuit: Circuit, data_wires=None):
+    """``data_register_action`` as a stream of column chunks.
+
+    Yields ``(start, block, residual)``: ``block`` holds the matrix columns
+    ``start..start+block.shape[1]-1`` (all 2^d rows), and ``residual`` is
+    the bound for every column yielded so far, so it never decreases and
+    the last one covers the whole matrix.
 
     When the data register is narrower than the circuit, some wires start in
     |0> and the support-sparse engine runs: it keeps only the nonzero
     amplitudes, at most 2^d per column for circuits whose ancillas hold
-    classical functions of the data.  It drops entries below 1e-14 and adds
-    the largest per-column L2 norm it dropped to ``residual``, so the
-    residual stays an upper bound on the true leak and on the pruning error
-    of every matrix entry.  The bound is folded into ``residual`` rather
-    than returned as a field of its own because every caller already fails
-    a run whose residual reaches its tolerance: pruning can never hide a
-    leak, and no caller has to learn a new field.  A full-width data
-    register runs the dense statevector engine, ``_DENSE_BATCH`` columns at
-    a time.
+    classical functions of the data, ``2^_SPARSE_CHUNK_BITS`` columns at a
+    time.  It drops entries below 1e-14 and adds the largest per-column L2
+    norm it dropped to ``residual``, so the residual stays an upper bound on
+    the true leak and on the pruning error of every matrix entry.  The
+    bound is folded into ``residual`` rather than returned as a field of its
+    own because every caller already fails a run whose residual reaches its
+    tolerance: pruning can never hide a leak, and no caller has to learn a
+    new field.  A full-width data register runs the dense statevector
+    engine, ``_DENSE_BATCH`` columns at a time.
 
-    ``data_wires`` must name distinct wires of the circuit.
+    ``data_wires`` must name distinct wires of the circuit; they are checked
+    before anything is simulated.
     """
     if data_wires is None:
         data_wires = circuit.data_wires
@@ -394,30 +438,59 @@ def data_register_action(circuit: Circuit, data_wires=None):
     if any(not 0 <= w < circuit.width for w in data_wires):
         raise ValueError(f"data wires must lie within 0..{circuit.width - 1}")
     if len(data_wires) < circuit.width:
-        return _sparse_register_action(circuit, data_wires)
-    return _dense_register_action(circuit, data_wires)
+        return _sparse_chunks(circuit, data_wires)
+    return _dense_chunks(circuit, data_wires)
+
+
+def _assemble(chunks):
+    """``(matrix, residual)`` from a stream of ``(start, block, residual)``."""
+    blocks, residual = [], 0.0
+    for _, block, residual in chunks:
+        blocks.append(block)
+    return np.concatenate(blocks, axis=1), residual
+
+
+def _spread(values, wires) -> np.ndarray:
+    """Labels with bit ``pos`` of each value moved to wire ``wires[pos]``."""
+    labels = np.zeros_like(values)
+    for pos, w in enumerate(wires):
+        labels |= ((values >> pos) & 1) << w
+    return labels
 
 
 def _dense_register_action(circuit: Circuit, data_wires: list):
-    """Statevector engine of ``data_register_action``.  The data wires are
+    """The dense engine's ``data_register_action``."""
+    return _assemble(_dense_chunks(circuit, data_wires))
+
+
+def _dense_chunks(circuit: Circuit, data_wires: list):
+    """Statevector engine of ``data_register_chunks``.  The data wires are
     a permutation of all wires, so every output is on the data register
     and the residual is 0.0; every column runs through the full 2^width
     state."""
     if circuit.width > STATEVECTOR_WIDTH_CAP:
         raise ValueError(f"statevector runs are capped at {STATEVECTOR_WIDTH_CAP} qubits")
     dim = 1 << circuit.width
-    # in_labels[r] is the circuit label of data-register value r
-    in_labels = np.zeros(dim, dtype=np.int64)
-    for pos, w in enumerate(data_wires):
-        in_labels |= ((np.arange(dim) >> pos) & 1) << w
+    # in_labels[r] is the circuit label of data-register value r; None when
+    # the data wires are in wire order, so that the two coincide
+    in_labels = None
+    if data_wires != list(range(circuit.width)):
+        in_labels = _spread(np.arange(dim, dtype=np.int64), data_wires)
     layers = list(_layers(circuit))
-    matrix = np.zeros((dim, dim), dtype=complex)
     for start in range(0, dim, _DENSE_BATCH):
-        cols = in_labels[start:start + _DENSE_BATCH]
-        block = np.zeros((dim, len(cols)), dtype=complex)
-        block[cols, np.arange(len(cols))] = 1.0
-        matrix[:, start:start + len(cols)] = _run_flat(block, layers)[in_labels]
-    return matrix, 0.0
+        cols = np.arange(start, min(start + _DENSE_BATCH, dim))
+        # the basis block is passed as a temporary, so that _run_flat's
+        # first gather frees it
+        block = _run_flat(_basis_columns(dim, cols if in_labels is None else in_labels[cols]),
+                          layers)
+        yield start, block if in_labels is None else block[in_labels], 0.0
+
+
+def _basis_columns(dim: int, labels) -> np.ndarray:
+    """(dim, len(labels)) block whose column j is basis state labels[j]."""
+    block = np.zeros((dim, len(labels)), dtype=complex)
+    block[labels, np.arange(len(labels))] = 1.0
+    return block
 
 
 _PRUNE_BELOW = 1e-14
@@ -425,54 +498,64 @@ _KEY_BITS = 62
 
 
 def _sparse_register_action(circuit: Circuit, data_wires: list):
-    """Support-sparse engine of ``data_register_action``.
+    """The support-sparse engine's ``data_register_action``."""
+    return _assemble(_sparse_chunks(circuit, data_wires))
 
-    Each nonzero amplitude of every column is one entry: an int64 key
-    ``(label << d) | column`` and a complex amplitude, so all 2^d columns
-    run in one pass and wire ``w`` is key bit ``w + d``.  Entries below
-    ``_PRUNE_BELOW`` are dropped after each split; the per-column L2 norm
-    dropped is summed over the run and the largest sum is added to the
-    residual.
+
+def _sparse_chunks(circuit: Circuit, data_wires: list):
+    """Support-sparse engine of ``data_register_chunks``.
+
+    A chunk of 2^c columns runs in one pass, each nonzero amplitude of each
+    of its columns one entry: an int64 key ``(label << c) | column`` (the
+    column counted within the chunk) and a complex amplitude, so wire ``w``
+    is key bit ``w + c``.  Entries below ``_PRUNE_BELOW`` are dropped after
+    each split and the per-column L2 norm dropped is summed over the run.
+    The largest leak and the largest pruned sum are kept apart across
+    chunks and added for the residual, as if all columns ran at once.
     """
     width, d = circuit.width, len(data_wires)
-    if width + d > _KEY_BITS:
+    c = min(d, _SPARSE_CHUNK_BITS)
+    if width + c > _KEY_BITS:
         raise ValueError(
-            f"sparse simulation packs {width} wires and {d} column bits into one "
+            f"sparse simulation packs {width} wires and {c} column bits into one "
             f"int64 key, above the {_KEY_BITS}-bit cap")
-    cols = np.arange(1 << d, dtype=np.int64)
-    labels = np.zeros_like(cols)
-    for pos, w in enumerate(data_wires):
-        labels |= ((cols >> pos) & 1) << w
-    keys = (labels << d) | cols
-    amps = np.ones(1 << d, dtype=complex)
-    pruned = np.zeros(1 << d)
-    for gate in circuit.gates:
-        keys, amps = _apply_gate_sparse(keys, amps, gate, d, pruned)
-    if circuit.relabeling is not None:
-        keys = _relabel_keys(keys, circuit.relabeling, d)
-    labels, cols = keys >> d, keys & ((1 << d) - 1)
     ancilla_mask = sum(1 << w for w in range(width) if w not in data_wires)
-    on = (labels & ancilla_mask) == 0
-    rows = np.zeros(int(np.count_nonzero(on)), dtype=np.int64)
-    for pos, w in enumerate(data_wires):
-        rows |= ((labels[on] >> w) & 1) << pos
-    matrix = np.zeros((1 << d, 1 << d), dtype=complex)
-    matrix[rows, cols[on]] = amps[on]
-    leak = float(np.max(np.abs(amps[~on]), initial=0.0))
-    return matrix, leak + float(np.max(pruned))
+    in_chunk = np.arange(1 << c, dtype=np.int64)
+    leak = pruned_max = 0.0
+    for start in range(0, 1 << d, 1 << c):
+        keys = (_spread(in_chunk + start, data_wires) << c) | in_chunk
+        amps = np.ones(1 << c, dtype=complex)
+        pruned = np.zeros(1 << c)
+        for gate in circuit.gates:
+            keys, amps = _apply_gate_sparse(keys, amps, gate, c, pruned)
+        if circuit.relabeling is not None:
+            keys = _relabel_keys(keys, circuit.relabeling, c)
+        labels, cols = keys >> c, keys & ((1 << c) - 1)
+        on = (labels & ancilla_mask) == 0
+        rows = np.zeros(int(np.count_nonzero(on)), dtype=np.int64)
+        for pos, w in enumerate(data_wires):
+            rows |= ((labels[on] >> w) & 1) << pos
+        block = np.zeros((1 << d, 1 << c), dtype=complex)
+        block[rows, cols[on]] = amps[on]
+        leak = max(leak, float(np.max(np.abs(amps[~on]), initial=0.0)))
+        pruned_max = max(pruned_max, float(np.max(pruned)))
+        yield start, block, leak + pruned_max
 
 
-def _apply_gate_sparse(keys, amps, gate: Gate, d: int, pruned):
+def _apply_gate_sparse(keys, amps, gate: Gate, c: int, pruned):
     """Apply one gate to the (keys, amps) entries; returns the new arrays
     (the inputs may be updated in place)."""
     if gate.kind not in _BUTTERFLY_KINDS:
-        for sel, factor in _monomial(keys, gate, d):
-            amps[sel] *= factor
+        for sel, factor in _monomial(keys, gate, c):
+            # not in place: numpy's in-place multiply of a one-entry array
+            # skips the fused multiply-add of its vector loop, and chunking
+            # decides which selections hold one entry
+            amps[sel] = amps[sel] * factor
         return keys, amps
     # each entry splits over its pair (base, base | bit); entries sharing a
     # base are summed, then small results are pruned
-    ctrl = sum(1 << (w + d) for w in gate.controls)
-    bit = 1 << (gate.targets[0] + d)
+    ctrl = sum(1 << (w + c) for w in gate.controls)
+    bit = 1 << (gate.targets[0] + c)
     m = _target_matrix(gate)
     sel = (keys & ctrl) == ctrl
     k, a = keys[sel], amps[sel]
@@ -481,7 +564,7 @@ def _apply_gate_sparse(keys, amps, gate: Gate, d: int, pruned):
     k = np.concatenate((base, base | bit))
     a = np.concatenate((_sum_by(pair, np.where(one, m[0, 1], m[0, 0]) * a, len(base)),
                         _sum_by(pair, np.where(one, m[1, 1], m[1, 0]) * a, len(base))))
-    k, a = _prune(k, a, d, pruned)
+    k, a = _prune(k, a, c, pruned)
     if ctrl:  # entries whose controls are off pass through unchanged
         k = np.concatenate((keys[~sel], k))
         a = np.concatenate((amps[~sel], a))
@@ -566,12 +649,12 @@ def _sum_by(index, values, size: int):
             + 1j * np.bincount(index, values.imag, size))
 
 
-def _prune(keys, amps, d: int, pruned):
+def _prune(keys, amps, c: int, pruned):
     """Drop entries below ``_PRUNE_BELOW``, adding each column's dropped L2
     norm to ``pruned``."""
     small = np.abs(amps) < _PRUNE_BELOW
     if small.any():
-        cols = keys[small] & ((1 << d) - 1)
+        cols = keys[small] & ((1 << c) - 1)
         pruned += np.sqrt(np.bincount(cols, np.abs(amps[small]) ** 2, len(pruned)))
         keys, amps = keys[~small], amps[~small]
     return keys, amps

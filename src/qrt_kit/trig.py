@@ -20,7 +20,7 @@ from .gadgets import (
     or_tree_gates,
 )
 from .qft import qft_gates
-from .simcore import Circuit, Gate, data_register_action, inverse
+from .simcore import Circuit, Gate, data_register_chunks, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +327,20 @@ class BlockIdentityReport:
         return self.max_error() < tolerance and self.ancilla_residual < tolerance
 
 
-def _block_error(U: np.ndarray, block: np.ndarray, lo: int, phase: complex) -> float:
-    """Max deviation over the full columns of a block declared on labels
-    ``lo..lo+len(block)-1``: those rows must carry phase*block and every
-    other row must vanish."""
-    hi = lo + block.shape[0]
-    cols = U[:, lo:hi]
-    inside = np.max(np.abs(cols[lo:hi] - phase * block))
+def _block_error(start: int, chunk: np.ndarray, spec: oracle.TransformSpec,
+                 lo: int, phase: complex) -> float:
+    """Max deviation over the columns of ``chunk`` (register columns
+    ``start..``) that belong to the block declared on labels
+    ``lo..lo+spec.dim-1``: those rows must carry phase times the oracle's
+    columns and every other row must vanish.  0.0 when the chunk has none
+    of the block's columns."""
+    hi = lo + spec.dim
+    first, stop = max(start, lo), min(start + chunk.shape[1], hi)
+    if first >= stop:
+        return 0.0
+    cols = chunk[:, first - start:stop - start]
+    target = oracle.reference_columns(spec, first - lo, stop - lo)
+    inside = np.max(np.abs(cols[lo:hi] - phase * target))
     outside = max(np.max(np.abs(cols[:lo]), initial=0.0),
                   np.max(np.abs(cols[hi:]), initial=0.0))
     return float(max(inside, outside))
@@ -342,8 +349,8 @@ def _block_error(U: np.ndarray, block: np.ndarray, lo: int, phase: complex) -> f
 def verify_block_identity(circuit: Circuit, cos_spec: oracle.TransformSpec,
                           sin_spec: oracle.TransformSpec,
                           phase: complex = 1) -> BlockIdentityReport:
-    """Extract the circuit's action on its transform register and report
-    per-block max errors against the oracles.
+    """Run the circuit on its transform register, one column chunk at a
+    time, and report per-block max errors against the oracles.
 
     The embedding is declared, not searched for: the cosine block sits on
     register labels ``0..cos_spec.dim-1`` and ``phase`` times the sine block
@@ -355,12 +362,13 @@ def verify_block_identity(circuit: Circuit, cos_spec: oracle.TransformSpec,
     phase = _PHASES[phase]
     register = circuit.data_wires
     n = len(register) - 1
-    U, residual = data_register_action(circuit, register)
     dim = 2 << n
-    cos_mat = oracle.reference_matrix(cos_spec)
-    sin_mat = oracle.reference_matrix(sin_spec)
     if cos_spec.dim + sin_spec.dim != dim:
         raise ValueError("block dimensions do not tile the doubled register")
+    cos_error = sin_error = 0.0
+    for start, chunk, residual in data_register_chunks(circuit, register):
+        cos_error = max(cos_error, _block_error(start, chunk, cos_spec, 0, 1.0))
+        sin_error = max(sin_error, _block_error(start, chunk, sin_spec, cos_spec.dim, phase))
     cos_labels = list(range(cos_spec.dim))
     sin_labels = list(range(cos_spec.dim, dim))
     embedding = {
@@ -368,8 +376,8 @@ def verify_block_identity(circuit: Circuit, cos_spec: oracle.TransformSpec,
         "sin_block": tuple((lab >> n, lab & ((1 << n) - 1)) for lab in sin_labels),
     }
     return BlockIdentityReport(
-        max_error_cos_block=_block_error(U, cos_mat, 0, 1.0),
-        max_error_sin_block=_block_error(U, sin_mat, cos_spec.dim, phase),
+        max_error_cos_block=cos_error,
+        max_error_sin_block=sin_error,
         embedding=embedding,
         phase=phase,
         ancilla_residual=residual,

@@ -111,8 +111,9 @@ def test_verify_beyond_statevector_width(capsys):
 
 
 def test_verify_cap_exceeded_is_usage_error(capsys):
-    # width 48 plus 17 column bits overflow the sparse engine's int64 key
-    code, _, err = run_cli(["verify", "--transform", "qht-rec", "--n", "17"], capsys)
+    # width 57 plus the sparse engine's 8 column bits overflow its int64 key
+    assert cli.build_transform("qht-rec", 20).width == 57
+    code, _, err = run_cli(["verify", "--transform", "qht-rec", "--n", "20"], capsys)
     assert code == 2
     assert "cap" in err
 

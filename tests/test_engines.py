@@ -137,8 +137,8 @@ MONOMIAL = tuple(k for k in ARITY if k not in BUTTERFLY)
 @settings(max_examples=10, **SETTINGS)
 @given(cases(min_width=8, max_gates=8), st.randoms(use_true_random=False))
 def test_dense_engine_reuses_its_layers_across_batches(case, rnd):
-    # width 8-10: 2-8 batches of 128 columns run through one compiled
-    # program; the data register is a random order of all wires
+    # width 8-10: 4-16 batches of _DENSE_BATCH (64) columns run through one
+    # compiled program; the data register is a random order of all wires
     circuit, _ = case
     data = list(range(circuit.width))
     rnd.shuffle(data)
@@ -190,6 +190,39 @@ def test_every_kind_through_every_entry_point(kind, data):
     for out in (apply_gate(state, gate), run_circuit(state, circuit)):
         np.testing.assert_allclose(out.amplitudes, want @ state.amplitudes,
                                    rtol=0, atol=1e-12)
+
+
+H0, H1, S1 = Gate("H", targets=(0,)), Gate("H", targets=(1,)), Gate("S", targets=(1,))
+
+
+@pytest.mark.parametrize("circuit", [
+    # the scale an uncontrolled H leaves for later is applied at the end
+    Circuit(2, [Gate("X", targets=(1,)), H0]),
+    # or after a gather that multiplies no phase
+    Circuit(3, [H0, H1], relabeling=(2, 0, 1)),
+    # CH scales itself, between H on the same wires whose scale waits
+    Circuit(2, [H0, Gate("CH", (0,), (1,)), H1, S1, Gate("CH", (1,), (0,)), H0, H1]),
+    # more H than may wait unscaled (2^1050 would overflow), with and
+    # without a phase between
+    Circuit(1, [H0] * 2101),
+    Circuit(2, [H0] * 70 + [S1] + [H1] * 61),
+], ids=["ends-in-h", "h-then-relabel", "ch-among-h", "long-h-run", "long-h-runs-and-phase"])
+def test_deferred_h_scale_agrees_with_brute_force(circuit):
+    want = brute_unitary(circuit)
+    np.testing.assert_allclose(circuit_unitary(circuit).entries, want, rtol=0, atol=1e-12)
+    matrix, _ = _dense_register_action(circuit, list(range(circuit.width)))
+    np.testing.assert_allclose(matrix, want, rtol=0, atol=1e-12)
+    # both statevector entry points rebuild a StateVector, which checks the norm
+    amps = [1, 1j] @ np.random.default_rng(7).normal(size=(2, 1 << circuit.width))
+    state = StateVector(amps / np.linalg.norm(amps))
+    out = run_circuit(state, circuit)
+    np.testing.assert_allclose(out.amplitudes, want @ state.amplitudes, rtol=0, atol=1e-12)
+    for gate in circuit.gates:
+        step = apply_gate(state, gate)
+        np.testing.assert_allclose(step.amplitudes,
+                                   brute_unitary(Circuit(circuit.width, [gate])) @ state.amplitudes,
+                                   rtol=0, atol=1e-12)
+        state = step
 
 
 def _leaky(eps, rounds=1):

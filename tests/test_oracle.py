@@ -24,6 +24,24 @@ def test_all_matrices_orthogonal(kind, N):
         assert np.abs(mat.imag).max() == 0  # real transforms stay real
 
 
+@pytest.mark.parametrize("N", SIZES)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_columns_are_the_matrix_columns_bit_for_bit(kind, N):
+    spec = TransformSpec(kind, N)
+    whole = oracle.reference_matrix(spec)
+    for width in (1, 3, 7):  # uneven splits: edges fall anywhere in the matrix
+        for start in range(0, spec.dim, width):
+            stop = min(start + width, spec.dim)
+            assert np.array_equal(oracle.reference_columns(spec, start, stop),
+                                  whole[:, start:stop]), (start, stop)
+
+
+@pytest.mark.parametrize("start,stop", [(-1, 2), (3, 2), (0, 9)])
+def test_columns_outside_the_matrix_are_refused(start, stop):
+    with pytest.raises(ValueError, match="outside"):
+        oracle.reference_columns(TransformSpec("DCT2", 8), start, stop)
+
+
 def test_build_reference_matrix_validates():
     unit = oracle.build_reference_matrix(TransformSpec("DCT2", 8))
     assert unit.dim == 8

@@ -39,8 +39,12 @@ def current_reports() -> dict:
 
 
 def test_verify_reports_match_golden():
+    assert_match_golden(current_reports())
+
+
+def assert_match_golden(current: dict):
+    """``current`` holds the golden keys, each report within the rule above."""
     recorded = json.loads(GOLDEN.read_text())
-    current = current_reports()
     assert sorted(current) == sorted(recorded)
     for key, want in recorded.items():
         got = current[key]
