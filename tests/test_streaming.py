@@ -11,13 +11,19 @@ from qrt_kit import cli, simcore
 from qrt_kit.simcore import Circuit, Gate
 
 
+def _chunk_bits(monkeypatch, bits):
+    """Run the sparse engine 2^bits columns at a time (all at once on a
+    narrower data register)."""
+    monkeypatch.setattr(simcore, "_sparse_chunk_bits", lambda d: min(d, bits))
+
+
 @pytest.fixture
 def small_chunks(monkeypatch):
     """Chunks of 3 dense and 4 sparse columns: from n = 3 on, a chunk edge
     falls inside every cosine and sine block, and a dense register of 2^k
     columns ends in a short chunk."""
     monkeypatch.setattr(simcore, "_DENSE_BATCH", 3)
-    monkeypatch.setattr(simcore, "_SPARSE_CHUNK_BITS", 2)
+    _chunk_bits(monkeypatch, 2)
 
 
 def test_small_chunks_give_the_golden_reports(small_chunks):
@@ -30,10 +36,10 @@ def test_sparse_chunks_match_one_chunk_exactly(name, n, monkeypatch):
     circuit = cli.build_transform(name, n)
     data = circuit.data_wires if name in cli._BLOCK_SPECS else list(range(n + (name == "qst1-opt")))
     assert len(data) < circuit.width  # the sparse engine runs
-    monkeypatch.setattr(simcore, "_SPARSE_CHUNK_BITS", len(data))
+    _chunk_bits(monkeypatch, len(data))
     whole, residual = simcore.data_register_action(circuit, data)
     for bits in (1, 2):
-        monkeypatch.setattr(simcore, "_SPARSE_CHUNK_BITS", bits)
+        _chunk_bits(monkeypatch, bits)
         starts = [start for start, _, _ in simcore.data_register_chunks(circuit, data)]
         assert starts == list(range(0, 1 << len(data), 1 << bits))
         chunked, chunked_residual = simcore.data_register_action(circuit, data)
@@ -49,7 +55,7 @@ def test_a_leak_in_the_first_chunk_alone_sets_the_residual(eps, monkeypatch):
     x1, ch = Gate("X", targets=(1,)), Gate("CH", (1,), (2,))
     circuit = Circuit(3, [x1, ch, Gate("CPhase", (1,), (2,), eps), ch, x1], ancillas=[2])
     _, whole = simcore.data_register_action(circuit, [0, 1])
-    monkeypatch.setattr(simcore, "_SPARSE_CHUNK_BITS", 1)
+    _chunk_bits(monkeypatch, 1)
     residuals = [residual for _, _, residual in simcore.data_register_chunks(circuit, [0, 1])]
     assert residuals[-1] == whole >= eps / 4
     assert residuals == sorted(residuals)
@@ -72,12 +78,13 @@ def test_dense_verify_holds_less_than_half_a_matrix(name):
     assert _traced_peak(cli.verify_transform, name, n, 1e-10) < half_matrix
 
 
-def test_sparse_verify_holds_less_than_half_a_matrix(monkeypatch):
-    # qct2 n=8 has a data register of d = 9 wires.  A chunk's working set is
-    # about 2^c columns x 2^d entries x a few temporaries, so 16-column
-    # chunks (32 of them) keep it well below the bound, where the shipped
-    # 256-column chunks stay above it up to d = 12.
-    monkeypatch.setattr(simcore, "_SPARSE_CHUNK_BITS", 4)
-    d = 9
+def test_sparse_verify_holds_less_than_half_a_matrix():
+    # qct2 n=10 has a data register of d = 11 wires, run in 32 chunks of 64
+    # columns.  A chunk's working set is about 2^(6+d) entries times a few
+    # temporaries, so it halves against the bound with each wire less:
+    # d = 11 is the smallest register that stays below it (16.5 MB against
+    # 32 MB; d = 10 traces 8.3 MB against 8 MB).
+    d = 11
+    assert simcore._sparse_chunk_bits(d) < d
     half_matrix = (1 << 2 * d) * 16 // 2
-    assert _traced_peak(cli.verify_transform, "qct2", 8, 1e-10) < half_matrix
+    assert _traced_peak(cli.verify_transform, "qct2", 10, 1e-10) < half_matrix
