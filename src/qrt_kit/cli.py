@@ -84,22 +84,31 @@ def verify_transform(name: str, n: int, tolerance: float, incorrect_d2: bool = F
     N = 1 << n
     if name in _ORACLE_KINDS:
         spec = oracle.TransformSpec(_ORACLE_KINDS[name], N)
-        max_error = 0.0
-        for start, block, residual in data_register_chunks(circuit, list(range(n))):
+
+        def check(start, block):
             target = oracle.reference_columns(spec, start, start + block.shape[1])
-            max_error = max(max_error, float(np.max(np.abs(block - target))))
+            return float(np.max(np.abs(block - target)))
+
+        max_error = 0.0
+        for _, error, residual in data_register_chunks(circuit, list(range(n)), check):
+            max_error = max(max_error, error)
     elif name == "qst1-opt":
         spec = oracle.TransformSpec("DST1", N)
-        max_error = 0.0
-        for start, block, residual in data_register_chunks(circuit, list(range(n + 1))):
+
+        def check(start, block):
             # the sine domain is register values 1..N-1 with the control at 0;
             # its columns must carry the oracle on rows 1..N-1 and vanish above
             first, stop = max(start, 1), min(start + block.shape[1], N)
-            if first < stop:
-                cols = block[:, first - start:stop - start]
-                target = oracle.reference_columns(spec, first - 1, stop - 1)
-                max_error = max(max_error, float(np.max(np.abs(cols[1:N] - target))),
-                                float(np.max(np.abs(cols[N:]))))
+            if first >= stop:
+                return 0.0
+            cols = block[:, first - start:stop - start]
+            target = oracle.reference_columns(spec, first - 1, stop - 1)
+            return max(float(np.max(np.abs(cols[1:N] - target))),
+                       float(np.max(np.abs(cols[N:]))))
+
+        max_error = 0.0
+        for _, error, residual in data_register_chunks(circuit, list(range(n + 1)), check):
+            max_error = max(max_error, error)
     elif name in _BLOCK_SPECS:
         cos_kind, sin_kind = _BLOCK_SPECS[name]
         block_report = trig.verify_block_identity(

@@ -365,10 +365,15 @@ def verify_block_identity(circuit: Circuit, cos_spec: oracle.TransformSpec,
     dim = 2 << n
     if cos_spec.dim + sin_spec.dim != dim:
         raise ValueError("block dimensions do not tile the doubled register")
+
+    def check(start, chunk):
+        return (_block_error(start, chunk, cos_spec, 0, 1.0),
+                _block_error(start, chunk, sin_spec, cos_spec.dim, phase))
+
     cos_error = sin_error = 0.0
-    for start, chunk, residual in data_register_chunks(circuit, register):
-        cos_error = max(cos_error, _block_error(start, chunk, cos_spec, 0, 1.0))
-        sin_error = max(sin_error, _block_error(start, chunk, sin_spec, cos_spec.dim, phase))
+    for _, (cos_chunk, sin_chunk), residual in data_register_chunks(circuit, register, check):
+        cos_error = max(cos_error, cos_chunk)
+        sin_error = max(sin_error, sin_chunk)
     cos_labels = list(range(cos_spec.dim))
     sin_labels = list(range(cos_spec.dim, dim))
     embedding = {

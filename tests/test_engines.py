@@ -137,8 +137,9 @@ MONOMIAL = tuple(k for k in ARITY if k not in BUTTERFLY)
 @settings(max_examples=10, **SETTINGS)
 @given(cases(min_width=8, max_gates=8), st.randoms(use_true_random=False))
 def test_dense_engine_reuses_its_layers_across_batches(case, rnd):
-    # width 8-10: 4-16 batches of _DENSE_BATCH (64) columns run through one
-    # compiled program; the data register is a random order of all wires
+    # width 8-10: 8-32 batches of _DENSE_BATCH (32) columns run through one
+    # compiled program on two threads; the data register is a random order
+    # of all wires
     circuit, _ = case
     data = list(range(circuit.width))
     rnd.shuffle(data)

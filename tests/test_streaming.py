@@ -1,6 +1,11 @@
 """Streamed verification: ``verify`` runs the engines one column chunk at a
 time, compares each chunk with the oracle's matching columns and keeps
-running maxima, so no N x N array is built on its path."""
+running maxima, so no N x N array is built on its path.  A register of
+more than one chunk runs on a pool of two threads, each chunk checked on
+the thread that simulated it."""
+import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -59,6 +64,91 @@ def test_a_leak_in_the_first_chunk_alone_sets_the_residual(eps, monkeypatch):
     residuals = [residual for _, _, residual in simcore.data_register_chunks(circuit, [0, 1])]
     assert residuals[-1] == whole >= eps / 4
     assert residuals == sorted(residuals)
+
+
+def _rising_leak() -> Circuit:
+    """Data wires 0..3 and ancilla 4, which ends off |0> by sin(0.05 k) in
+    the columns whose data value is 2k or 2k + 1: in 2-column chunks the
+    leak rises chunk by chunk."""
+    gates = []
+    for w in (1, 2, 3):
+        ch = Gate("CH", (w,), (4,))
+        gates += [ch, Gate("CPhase", (w,), (4,), 0.1 * 2 ** (w - 1)), ch]
+    return Circuit(5, gates, ancillas=[4])
+
+
+def test_chunks_finishing_out_of_order_are_yielded_in_column_order(monkeypatch):
+    circuit, data = _rising_leak(), [0, 1, 2, 3]
+    whole, _ = simcore.data_register_action(circuit, data)
+    _chunk_bits(monkeypatch, 1)
+    finished = []
+
+    def slow_on_even_chunks(start, block):
+        time.sleep(0.1 if start % 4 == 0 else 0.0)
+        finished.append(start)
+        return block
+
+    stream = list(simcore.data_register_chunks(circuit, data, slow_on_even_chunks))
+    assert finished != sorted(finished)  # the workers did finish out of order
+    assert [start for start, _, _ in stream] == list(range(0, 16, 2))
+    residuals = [residual for _, _, residual in stream]
+    assert residuals == sorted(residuals)
+    assert residuals == pytest.approx([math.sin(0.05 * k) for k in range(8)], abs=1e-12)
+    assert np.array_equal(np.concatenate([block for _, block, _ in stream], axis=1), whole)
+
+
+def test_chunks_run_on_two_threads_and_a_single_chunk_runs_inline():
+    def thread_of(start, block):
+        time.sleep(0.01)
+        return threading.current_thread()
+
+    qft = cli.build_transform("qft", 7)  # 4 dense chunks
+    threads = {t for _, t, _ in simcore.data_register_chunks(qft, None, thread_of)}
+    assert len(threads) == simcore._WORKERS == 2
+    assert threading.main_thread() not in threads
+    qht = cli.build_transform("qht-lcu", 5)  # d = 5: one sparse chunk
+    before = threading.active_count()
+    [(_, thread, _)] = simcore.data_register_chunks(qht, list(range(5)), thread_of)
+    assert thread is threading.main_thread()
+    assert threading.active_count() == before
+
+
+def test_closing_the_stream_cancels_the_queued_chunks():
+    circuit = cli.build_transform("qft", 8)
+    n_chunks = (1 << 8) // simcore._DENSE_BATCH
+    checked = []
+
+    def check(start, block):
+        checked.append(start)
+        time.sleep(0.01)
+        return start
+
+    before = threading.active_count()
+    stream = simcore.data_register_chunks(circuit, None, check)
+    assert next(stream)[1] == 0
+    stream.close()
+    assert threading.active_count() == before
+    # the first chunk, the chunks in flight with it and the one submitted
+    # when it was taken: never the rest
+    assert len(checked) <= simcore._WORKERS + 2 < n_chunks
+
+
+@pytest.mark.parametrize("name,n", [("qft", 8), ("qct4", 7)])
+def test_a_chunk_out_of_memory_exits_2_and_leaves_no_thread(name, n, monkeypatch, capsys):
+    reference_columns = cli.oracle.reference_columns
+
+    def fail_on_the_third_chunk(spec, start, stop):
+        if start == 2 * simcore._DENSE_BATCH:
+            raise MemoryError("Unable to allocate the third chunk")
+        return reference_columns(spec, start, stop)
+
+    monkeypatch.setattr(cli.oracle, "reference_columns", fail_on_the_third_chunk)
+    before = threading.active_count()
+    assert cli.main(["verify", "--transform", name, "--n", str(n)]) == 2
+    assert threading.active_count() == before
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: Unable to allocate the third chunk"]
 
 
 def _traced_peak(fn, *args) -> int:
