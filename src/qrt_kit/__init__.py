@@ -36,10 +36,7 @@ from .gadgets import (
 from .qft import build_qft, build_qft_inverse
 from .oracle import (
     TransformSpec,
-    build_dht_from_dft,
-    build_reference_matrix,
     cas,
-    compare_unitaries,
     reference_columns,
     reference_matrix,
 )

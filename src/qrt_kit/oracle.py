@@ -1,27 +1,53 @@
 """Classical reference transform matrices, built entry by entry.
 
 These are the ground truth for every circuit verification, so they stay
-deliberately naive: O(N^2) direct evaluation of the defining formulas, no
-FFT-style shortcuts shared with the circuits under test.
+deliberately naive: each entry is a direct function of its own row and
+column, with no FFT-style shortcuts shared with the circuits under test.
 
-Boundary weights: k_j = 1/sqrt(2) when j is 0 or N (whichever occurs in the
-transform's index range), else 1.
+Every kind's defining angle is pi * (row factor) * (column factor) / N with
+integer factors, so it is reduced exactly in int64: entry (r, c) is
+``w(r) * w(c) * T[k]`` with ``k = (a*r + b) * (g*c + h) mod M`` for a modulus
+M in {N, 2N, 4N, 8N} above both factors, and ``T[k] = scale * f(2*pi*k / M)``
+for the kind's kernel f (exp(i.), cas, cos or sin) and normalisation.  The
+only float rounding left is one evaluation of f on an angle in [0, 2*pi).
+Type III is Type II with the index roles swapped.
+
+Boundary weights (DCT1, DCT2/DST2 and their transposes): w = 1/sqrt(2) where
+the index factor ``a*j + b`` is 0 or N, else 1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import DenseUnitary
-
-KINDS = ("DFT", "DHT", "DCT1", "DCT2", "DCT3", "DCT4", "DST1", "DST2", "DST3", "DST4")
-
 
 def cas(x):
     """cos(x) + sin(x), the Hartley kernel."""
     return np.cos(x) + np.sin(x)
+
+
+def _expi(x):
+    return np.exp(1j * x)
+
+
+# kind: (row a, b), (column g, h), M / N, kernel f, boundary-weighted
+_RULES = {
+    "DFT": ((1, 0), (1, 0), 1, _expi, False),
+    "DHT": ((1, 0), (1, 0), 1, cas, False),
+    "DCT1": ((1, 0), (1, 0), 2, np.cos, True),
+    "DCT2": ((1, 0), (2, 1), 4, np.cos, True),
+    "DCT3": ((2, 1), (1, 0), 4, np.cos, True),
+    "DCT4": ((2, 1), (2, 1), 8, np.cos, False),
+    "DST1": ((1, 1), (1, 1), 2, np.sin, False),
+    "DST2": ((1, 1), (2, 1), 4, np.sin, True),
+    "DST3": ((2, 1), (1, 1), 4, np.sin, True),
+    "DST4": ((2, 1), (2, 1), 8, np.sin, False),
+}
+
+KINDS = tuple(_RULES)
 
 
 @dataclass(frozen=True)
@@ -36,6 +62,9 @@ class TransformSpec:
             raise ValueError(f"unknown transform kind {self.kind!r}")
         if self.N < 2 or self.N & (self.N - 1):
             raise ValueError(f"N must be a power of two >= 2, got {self.N}")
+        if self._modulus ** 2 > np.iinfo(np.int64).max:
+            raise ValueError(f"N = {self.N} is too large for int64 angle indices "
+                             f"of {self.kind}")
 
     @property
     def dim(self) -> int:
@@ -45,63 +74,18 @@ class TransformSpec:
             return self.N - 1
         return self.N
 
+    @property
+    def _modulus(self) -> int:
+        return _RULES[self.kind][2] * self.N
 
-def _boundary_weight(j, N: int):
-    return np.where((j == 0) | (j == N), 1.0 / math.sqrt(2.0), 1.0)
-
-
-# Each kernel gives the entries at row indices ``r`` and column indices
-# ``c`` of its matrix, as broadcast against each other; indices count from
-# the first row or column of the matrix.
-
-
-def _dft(N, r, c):
-    return np.exp(2j * np.pi * (r * c) / N) / np.sqrt(N)
-
-
-def _dht(N, r, c):
-    return cas(2.0 * np.pi * (r * c) / N) / np.sqrt(N)
-
-
-def _dct1(N, r, c):
-    return (np.sqrt(2.0 / N) * (_boundary_weight(r, N) * _boundary_weight(c, N))
-            * np.cos(np.pi * (r * c) / N))
-
-
-def _dst1(N, r, c):
-    return np.sqrt(2.0 / N) * np.sin(np.pi * ((r + 1) * (c + 1)) / N)
-
-
-def _dct2(N, r, c):
-    return np.sqrt(2.0 / N) * _boundary_weight(r, N) * np.cos(np.pi * (r * (c + 0.5)) / N)
-
-
-def _dst2(N, r, c):
-    return (np.sqrt(2.0 / N) * _boundary_weight(r + 1, N)
-            * np.sin(np.pi * ((r + 1) * (c + 0.5)) / N))
-
-
-def _dct4(N, r, c):
-    return np.sqrt(2.0 / N) * np.cos(np.pi * ((r + 0.5) * (c + 0.5)) / N)
-
-
-def _dst4(N, r, c):
-    return np.sqrt(2.0 / N) * np.sin(np.pi * ((r + 0.5) * (c + 0.5)) / N)
-
-
-_KERNELS = {
-    "DFT": _dft,
-    "DHT": _dht,
-    "DCT1": _dct1,
-    "DST1": _dst1,
-    "DCT2": _dct2,
-    "DST2": _dst2,
-    # Type III is the transpose of Type II: the index roles swap
-    "DCT3": lambda N, r, c: _dct2(N, c, r),
-    "DST3": lambda N, r, c: _dst2(N, c, r),
-    "DCT4": _dct4,
-    "DST4": _dst4,
-}
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        """T[k] = scale * f(2*pi*k / M) for k = 0..M-1."""
+        M = self._modulus
+        # DFT and DHT (M = N) are normalised by 1/sqrt(N), the cosine and
+        # sine transforms by sqrt(2/N)
+        scale = math.sqrt((1 if M == self.N else 2) / self.N)
+        return scale * _RULES[self.kind][3](np.arange(M) * (2 * np.pi / M))
 
 
 def reference_columns(spec: TransformSpec, start: int, stop: int) -> np.ndarray:
@@ -109,25 +93,22 @@ def reference_columns(spec: TransformSpec, start: int, stop: int) -> np.ndarray:
     evaluated from the transform's defining formula."""
     if not 0 <= start <= stop <= spec.dim:
         raise ValueError(f"columns {start}..{stop} outside 0..{spec.dim}")
-    rows = np.arange(spec.dim)[:, None]
-    cols = np.arange(start, stop)[None, :]
-    return _KERNELS[spec.kind](spec.N, rows, cols)
+    (a, b), (g, h), _, _, weighted = _RULES[spec.kind]
+    M = spec._modulus
+    # both index factors already lie below M, and M is a power of two
+    u = a * np.arange(spec.dim, dtype=np.int64) + b
+    v = g * np.arange(start, stop, dtype=np.int64) + h
+    k = np.multiply.outer(u, v)
+    k &= M - 1
+    out = spec._table[k]
+    if weighted:
+        out[(u == 0) | (u == spec.N)] *= math.sqrt(0.5)
+        out[:, (v == 0) | (v == spec.N)] *= math.sqrt(0.5)
+    return out
 
 
 def reference_matrix(spec: TransformSpec) -> np.ndarray:
     return reference_columns(spec, 0, spec.dim)
-
-
-def build_reference_matrix(spec: TransformSpec) -> DenseUnitary:
-    """Oracle matrix for the given transform, validated unitary at 1e-12."""
-    return DenseUnitary(reference_matrix(spec), tolerance=1e-12)
-
-
-def build_dht_from_dft(N: int) -> DenseUnitary:
-    """The Hartley matrix assembled from the Fourier matrix and its conjugate:
-    H = (1-i)/2 F + (1+i)/2 F*."""
-    F = reference_matrix(TransformSpec("DFT", N))
-    return DenseUnitary((1 - 1j) / 2 * F + (1 + 1j) / 2 * F.conj(), tolerance=1e-12)
 
 
 def twos_complement_permutation(N: int) -> np.ndarray:
@@ -135,19 +116,3 @@ def twos_complement_permutation(N: int) -> np.ndarray:
     T = np.zeros((N, N))
     T[(N - np.arange(N)) % N, np.arange(N)] = 1.0
     return T
-
-
-def compare_unitaries(a, b) -> float:
-    """Max-entry absolute difference; no phase forgiveness."""
-    am = a.entries if isinstance(a, DenseUnitary) else np.asarray(a)
-    bm = b.entries if isinstance(b, DenseUnitary) else np.asarray(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return float(np.max(np.abs(am - bm)))
-
-
-def dump_csv(matrix, stream) -> None:
-    """Write a matrix as comma-separated "re,im" pairs, one row per line."""
-    mat = matrix.entries if isinstance(matrix, DenseUnitary) else np.asarray(matrix)
-    for row in np.atleast_2d(mat):
-        stream.write(",".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n")

@@ -340,7 +340,9 @@ def _block_error(start: int, chunk: np.ndarray, spec: oracle.TransformSpec,
         return 0.0
     cols = chunk[:, first - start:stop - start]
     target = oracle.reference_columns(spec, first - lo, stop - lo)
-    inside = np.max(np.abs(cols[lo:hi] - phase * target))
+    if phase != 1:
+        target = phase * target
+    inside = np.max(np.abs(cols[lo:hi] - target))
     outside = max(np.max(np.abs(cols[:lo]), initial=0.0),
                   np.max(np.abs(cols[hi:]), initial=0.0))
     return float(max(inside, outside))

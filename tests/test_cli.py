@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, round trips."""
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import resource
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qrt_kit import cli
 from qrt_kit.simcore import circuit_unitary, data_register_action, export_circuit, parse_circuit
@@ -293,3 +297,67 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "h q[0]\n"
+
+
+# Argument lists for the contract fuzz: each command with its own options,
+# whose values mix valid and invalid entries, and now and then an option
+# that does not belong.  Sizes that pass validation stay at n <= 8 so that a
+# drawn build, count or verify finishes in milliseconds.
+_TRANSFORM = st.sampled_from([*(("--transform", name) for name in
+                                 (*cli.TRANSFORMS, "qct5", "QFT", "")), ()])
+_N = st.sampled_from([*(("--n", size) for size in
+                        (*"123456", "0", "-1", "513", "2.5", "1e3", "x", "")), ()])
+_RANGES = ("2:4", "4:6", "4:8", "1:3", "6:4", "0:3", "-1:2", "3:513", "a:b", "5", "")
+_STRAY = st.sampled_from([(), (), (), (), ("--incorrect-d2",), ("--incorrect-d2",),
+                          ("--bogus",), ("--tolerance", "0.5"), ("--n-range", "2:4")])
+
+
+def _maybe(flag, values):
+    """The option with one of ``values``, or (half the time) no option."""
+    return st.one_of(st.just(()), st.tuples(st.just(flag), st.sampled_from(values)))
+
+
+def _argv(command, *options):
+    return st.builds(lambda *parts: [command, *(token for part in parts for token in part)],
+                     *options)
+
+
+_FORMAT = _maybe("--format", ("text", "json", "xml"))
+_ARGV = st.one_of(
+    _argv("build", _TRANSFORM, _N, _STRAY),
+    _argv("verify", _TRANSFORM, _N, _STRAY,
+          _maybe("--tolerance", ("1e-300", "1e-10", "0.5", "0", "-1", "1", "inf", "nan", "abc"))),
+    _argv("counts", _TRANSFORM, _maybe("--n", ("0", "3", "513", "x")),
+          _maybe("--n-range", _RANGES), _FORMAT, _STRAY),
+    _argv("table1", _maybe("--n-range", _RANGES), _FORMAT, _STRAY),
+    _argv("simulate", _TRANSFORM, _N),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_ARGV)
+def test_cli_contract_fuzz(argv):
+    # exit 0; exit 1 with a JSON report; or exit 2 with one error line and
+    # no traceback (argparse puts its usage text above its error line)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        if argv[0] == "verify":
+            assert json.loads(out)["passed"] is True
+    elif code == 1:
+        assert argv[0] == "verify" and err == ""
+        assert json.loads(out)["passed"] is False
+    else:
+        assert code == 2 and out == "", (code, out)
+        lines = err.splitlines()
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in lines) == 1 and "error:" in lines[-1], err
+        if not err.startswith("usage:"):
+            assert len(lines) == 1 and err.startswith("error:"), err

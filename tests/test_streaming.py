@@ -172,8 +172,9 @@ def test_sparse_verify_holds_less_than_half_a_matrix():
     # qct2 n=10 has a data register of d = 11 wires, run in 32 chunks of 64
     # columns.  A chunk's working set is about 2^(6+d) entries times a few
     # temporaries, so it halves against the bound with each wire less:
-    # d = 11 is the smallest register that stays below it (16.5 MB against
-    # 32 MB; d = 10 traces 8.3 MB against 8 MB).
+    # d = 11 is the smallest register that stays below it (with chunks on
+    # two worker threads, 21.2-22.1 MiB traced against 32 MiB; d = 10
+    # traces 10.9 MiB against 8 MiB).
     d = 11
     assert simcore._sparse_chunk_bits(d) < d
     half_matrix = (1 << 2 * d) * 16 // 2
