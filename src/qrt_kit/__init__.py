@@ -2,28 +2,22 @@
 
 Circuit constructions for the quantum Hartley transform (recursive and LCU)
 and the Type I-IV quantum cosine and sine transforms, the reversible
-arithmetic they need, classical reference matrices, and a statevector
-simulator to verify every circuit against its oracle.
+arithmetic they need, classical reference matrices, and a simulator that
+checks every circuit against its oracle.
 """
 from .simcore import (
     Circuit,
-    DenseUnitary,
     Gate,
     GateCountReport,
-    StateVector,
     adjoint,
-    apply_gate,
-    circuit_unitary,
     classical_image,
     count_gates,
     data_register_action,
     data_register_chunks,
     export_circuit,
     parse_circuit,
-    run_circuit,
 )
 from .gadgets import (
-    GadgetLayout,
     build_cond_decrement,
     build_cond_increment,
     build_cond_ones_complement,

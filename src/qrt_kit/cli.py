@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import gadgets, hartley, oracle, qft, trig
-from .simcore import count_gates, data_register_chunks, export_circuit
+from .simcore import count_gates, export_circuit
 
 SCHEMA_VERSION = 1
 MAX_N = 512
@@ -28,15 +28,18 @@ TRANSFORMS = (
     "qct3", "qst3", "qct4", "qst4", "qft", "inc", "twos-comp", "or-tree",
 )
 
-_BLOCK_SPECS = {
-    "qct1": ("DCT1", "DST1"), "qst1": ("DCT1", "DST1"),
-    "qct2": ("DCT2", "DST2"), "qst2": ("DCT2", "DST2"),
-    "qct3": ("DCT3", "DST3"), "qst3": ("DCT3", "DST3"),
-    "qct4": ("DCT4", "DST4"), "qst4": ("DCT4", "DST4"),
+# transforms checked against oracle blocks on their data register: the label
+# of the first block, then the oracle kind of each block, laid end to end
+# from there.  qst1-opt's sine domain is register values 1..N-1, with the
+# control at 0; a cosine/sine pair is checked by ``trig.verify_block_identity``.
+_ORACLE_BLOCKS = {
+    "qht-lcu": (0, "DHT"), "qht-rec": (0, "DHT"), "qft": (0, "DFT"),
+    "qst1-opt": (1, "DST1"),
+    "qct1": (0, "DCT1", "DST1"), "qst1": (0, "DCT1", "DST1"),
+    "qct2": (0, "DCT2", "DST2"), "qst2": (0, "DCT2", "DST2"),
+    "qct3": (0, "DCT3", "DST3"), "qst3": (0, "DCT3", "DST3"),
+    "qct4": (0, "DCT4", "DST4"), "qst4": (0, "DCT4", "DST4"),
 }
-
-# transforms whose data register carries the oracle matrix itself
-_ORACLE_KINDS = {"qht-lcu": "DHT", "qht-rec": "DHT", "qft": "DFT"}
 
 
 def build_transform(name: str, n: int, incorrect_d2: bool = False):
@@ -82,44 +85,16 @@ def verify_transform(name: str, n: int, tolerance: float, incorrect_d2: bool = F
         "tolerance": tolerance,
     }
     N = 1 << n
-    if name in _ORACLE_KINDS:
-        spec = oracle.TransformSpec(_ORACLE_KINDS[name], N)
-
-        def check(start, block):
-            target = oracle.reference_columns(spec, start, start + block.shape[1])
-            return float(np.max(np.abs(block - target)))
-
-        max_error = 0.0
-        for _, error, residual in data_register_chunks(circuit, list(range(n)), check):
-            max_error = max(max_error, error)
-    elif name == "qst1-opt":
-        spec = oracle.TransformSpec("DST1", N)
-
-        def check(start, block):
-            # the sine domain is register values 1..N-1 with the control at 0;
-            # its columns must carry the oracle on rows 1..N-1 and vanish above
-            first, stop = max(start, 1), min(start + block.shape[1], N)
-            if first >= stop:
-                return 0.0
-            cols = block[:, first - start:stop - start]
-            target = oracle.reference_columns(spec, first - 1, stop - 1)
-            return max(float(np.max(np.abs(cols[1:N] - target))),
-                       float(np.max(np.abs(cols[N:]))))
-
-        max_error = 0.0
-        for _, error, residual in data_register_chunks(circuit, list(range(n + 1)), check):
-            max_error = max(max_error, error)
-    elif name in _BLOCK_SPECS:
-        cos_kind, sin_kind = _BLOCK_SPECS[name]
-        block_report = trig.verify_block_identity(
-            circuit,
-            oracle.TransformSpec(cos_kind, N),
-            oracle.TransformSpec(sin_kind, N),
-            phase=1,
-        )
-        max_error = block_report.max_error()
-        residual = block_report.ancilla_residual
-        report["embedding"] = trig.embedding_as_json_dict(block_report, name, n)
+    if name in _ORACLE_BLOCKS:
+        first, *kinds = _ORACLE_BLOCKS[name]
+        specs = [oracle.TransformSpec(kind, N) for kind in kinds]
+        if len(specs) == 2:
+            block_report = trig.verify_block_identity(circuit, *specs)
+            max_error = block_report.max_error()
+            residual = block_report.ancilla_residual
+            report["embedding"] = trig.embedding_as_json_dict(block_report, name, n)
+        else:
+            (max_error,), residual = trig._check_blocks(circuit, [(specs[0], first, 1)])
     elif name in ("inc", "twos-comp"):
         wrap = (lambda c, x: (x + c) % N) if name == "inc" else \
             (lambda c, x: (N - x) % N if c else x)

@@ -7,30 +7,9 @@ scratch ancillas above the control.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .simcore import Circuit, Gate, classical_image, inverse
-
-
-@dataclass(frozen=True)
-class GadgetLayout:
-    """Wire assignment used by a gadget circuit."""
-
-    data_qubits: tuple[int, ...]
-    control_qubit: int | None = None
-    carry_ancillas: tuple[int, ...] = ()
-    tree_ancillas: tuple[int, ...] = ()
-    root_index: int | None = None
-
-    def __post_init__(self):
-        groups = [list(self.data_qubits), list(self.carry_ancillas), list(self.tree_ancillas)]
-        if self.control_qubit is not None:
-            groups.append([self.control_qubit])
-        flat = [q for grp in groups for q in grp]
-        if len(set(flat)) != len(flat):
-            raise ValueError("gadget wire groups must be disjoint")
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +117,13 @@ def or_tree_gates(data, ancillas):
 # ---------------------------------------------------------------------------
 
 
-def increment_layout(n: int) -> GadgetLayout:
-    return GadgetLayout(
-        data_qubits=tuple(range(n)),
-        control_qubit=n,
-        carry_ancillas=tuple(range(n + 1, n + 1 + max(n - 2, 0))),
-    )
-
-
 def build_cond_increment(n: int) -> Circuit:
     """Conditional modular increment on n data wires, control on wire n."""
     if n < 1:
         raise ValueError("increment needs at least one data qubit")
-    lay = increment_layout(n)
-    gates = cond_increment_gates(lay.control_qubit, lay.data_qubits, lay.carry_ancillas)
-    return Circuit(n + 1 + len(lay.carry_ancillas), gates, lay.carry_ancillas,
-                   None, f"inc_{n}")
+    carries = range(n + 1, 2 * n - 1)  # n-2 carries (none below n = 3)
+    return Circuit(n + 1 + len(carries), cond_increment_gates(n, range(n), carries),
+                   carries, None, f"inc_{n}")
 
 
 def build_cond_decrement(n: int) -> Circuit:
@@ -179,22 +149,14 @@ def build_cond_twos_complement(n: int) -> Circuit:
     """
     if n < 2:
         raise ValueError("two's complement needs at least two data qubits")
-    lay = increment_layout(n)
-    gates = cond_twos_complement_gates(lay.control_qubit, lay.data_qubits,
-                                       lay.carry_ancillas)
-    return Circuit(n + 1 + len(lay.carry_ancillas), gates, lay.carry_ancillas,
-                   None, f"p2c_{n}")
+    carries = range(n + 1, 2 * n - 1)  # n-2 carries (none below n = 3)
+    return Circuit(n + 1 + len(carries), cond_twos_complement_gates(n, range(n), carries),
+                   carries, None, f"p2c_{n}")
 
 
 def build_or_gate() -> Circuit:
     """Single or-gate on wires (0, 1) with the result on wire 2."""
     return Circuit(3, or_gate_gates(0, 1, 2), label="or")
-
-
-def or_tree_layout(n: int) -> GadgetLayout:
-    anc = tuple(range(n, n + n - 1))
-    return GadgetLayout(data_qubits=tuple(range(n)), tree_ancillas=anc,
-                        root_index=anc[-1])
 
 
 def build_or_tree(n: int, uncompute_internal: bool = False,
@@ -209,14 +171,14 @@ def build_or_tree(n: int, uncompute_internal: bool = False,
     """
     if n < 2:
         raise ValueError("or-tree needs at least two data qubits")
-    lay = or_tree_layout(n)
-    tree, _ = or_tree_gates(lay.data_qubits, lay.tree_ancillas)
+    tree_ancillas = range(n, 2 * n - 1)
+    tree, _ = or_tree_gates(range(n), tree_ancillas)
     label = f"or_tree_{n}"
     if not (uncompute_internal or reset_root):
         # only the bare compute leaves the internals dirty
         return Circuit(2 * n - 1, tree, label=label)
     rounds = 2 if reset_root else 1
-    return Circuit(2 * n - 1, (tree + inverse(tree)) * rounds, lay.tree_ancillas,
+    return Circuit(2 * n - 1, (tree + inverse(tree)) * rounds, tree_ancillas,
                    None, label)
 
 
@@ -259,5 +221,5 @@ def or_tree_error(circuit: Circuit, n: int) -> float:
     else 0.0."""
     out = _exhaustive_image(circuit, n)
     x = np.arange(1 << n, dtype=np.int64)
-    root = (out >> or_tree_layout(n).root_index) & 1
+    root = (out >> (2 * n - 2)) & 1  # the last tree ancilla
     return float(np.any((out & ((1 << n) - 1)) != x) or np.any(root != (x != 0)))

@@ -1,4 +1,5 @@
-"""Elementary gate set, circuit IR, statevector simulation and unitary extraction.
+"""Elementary gate set, circuit IR, and the simulation of a circuit's action on
+a data register, streamed in column chunks.
 
 Conventions used throughout the package:
 
@@ -143,56 +144,6 @@ class Circuit:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Normalized complex amplitude vector over 2**width basis labels."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        n = amps.shape[0]
-        if amps.ndim != 1 or n == 0 or n & (n - 1):
-            raise ValueError("amplitude vector length must be a power of two")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
-            raise ValueError("state vector is not normalized")
-
-    @property
-    def width(self) -> int:
-        return self.amplitudes.shape[0].bit_length() - 1
-
-    @classmethod
-    def basis(cls, width: int, value: int) -> "StateVector":
-        if not 0 <= value < (1 << width):
-            raise ValueError(f"basis value {value} outside {width}-qubit register")
-        amps = np.zeros(1 << width, dtype=complex)
-        amps[value] = 1.0
-        return cls(amps)
-
-
-@dataclass(frozen=True)
-class DenseUnitary:
-    """Square complex matrix with a unitarity check on construction."""
-
-    entries: np.ndarray
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("expected a square matrix")
-        dim = mat.shape[0]
-        defect = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-        if defect >= self.tolerance:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class GateCountReport:
     """Per-kind and total elementary gate counts for one circuit."""
 
@@ -327,15 +278,13 @@ def _h_scale(count: int) -> float:
 
 
 def _run_flat(flat: np.ndarray, layers) -> np.ndarray:
-    """Run compiled ``_layers`` on a flat (dim,) or batched (dim, B)
-    amplitude array, which it consumes: callers pass arrays they own.
+    """Run compiled ``_layers`` on a C-contiguous (dim, B) batch of
+    amplitude columns, which it consumes: callers pass arrays they own.
 
     An uncontrolled H is an add and a subtract; its 1/sqrt(2) is folded
     into the next phase multiply, or applied once at the end, which saves
     a pass over the block per H."""
-    shape, dim = flat.shape, flat.shape[0]
-    width = dim.bit_length() - 1
-    flat = flat.reshape(dim, -1)
+    width = flat.shape[0].bit_length() - 1
     scratch = np.empty(flat.size // 2, dtype=complex)
     deferred = 0
     for layer in layers:
@@ -355,36 +304,10 @@ def _run_flat(flat: np.ndarray, layers) -> np.ndarray:
             flat *= phase[:, None]
     if deferred:
         flat *= _h_scale(deferred)
-    return flat.reshape(shape)
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate to a state, returning the new state."""
-    circuit = Circuit(state.width, [gate])
-    return StateVector(_run_flat(state.amplitudes.copy(), _layers(circuit)))
+    return flat
 
 
 STATEVECTOR_WIDTH_CAP = 20
-
-
-def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the circuit's gates in order, then its relabeling."""
-    if state.width != circuit.width:
-        raise ValueError(
-            f"state width {state.width} does not match circuit width {circuit.width}"
-        )
-    if circuit.width > STATEVECTOR_WIDTH_CAP:
-        raise ValueError(f"statevector runs are capped at {STATEVECTOR_WIDTH_CAP} qubits")
-    return StateVector(_run_flat(state.amplitudes.copy(), _layers(circuit)))
-
-
-def circuit_unitary(circuit: Circuit, cap: int = 12) -> DenseUnitary:
-    """Dense unitary of the circuit; column j is the image of basis state |j>."""
-    if circuit.width > cap:
-        raise ValueError(f"width {circuit.width} above unitary-extraction cap {cap}")
-    dim = 1 << circuit.width
-    return DenseUnitary(_run_flat(np.eye(dim, dtype=complex), _layers(circuit)))
-
 
 _DENSE_BATCH = 32
 """Columns the dense engine pushes through the statevector at a time: a

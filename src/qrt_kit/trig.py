@@ -121,42 +121,8 @@ def build_qst1_optimized(n: int) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# diagonal families (Type II / IV)
+# diagonal phase ladders (Type II / IV)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiagonalFamily:
-    """The 2x2 diagonal factors of the Type-II/IV phase ladders for N = 2^n:
-    L_j = diag(1, w_4N^{2^(j-1)}), K_j = diag(w_4N^{-2^(j-1)}, 1) = X L_j* X,
-    C = diag(1, w_4N^{-1}), with j running 1..n."""
-
-    n: int
-
-    @property
-    def omega(self) -> complex:
-        return np.exp(2j * np.pi / (4 << self.n))
-
-    def l_mat(self, j: int) -> np.ndarray:
-        self._check(j)
-        return np.diag([1.0, self.omega ** (1 << (j - 1))])
-
-    def k_mat(self, j: int) -> np.ndarray:
-        self._check(j)
-        return np.diag([self.omega ** -(1 << (j - 1)), 1.0])
-
-    def c_mat(self) -> np.ndarray:
-        return np.diag([1.0, self.omega ** -1])
-
-    def delta1(self) -> np.ndarray:
-        out = np.ones(1, dtype=complex)
-        for j in range(1, self.n + 1):  # L_n (x) ... (x) L_1
-            out = np.kron(np.diagonal(self.l_mat(j)), out)
-        return out
-
-    def _check(self, j: int):
-        if not 1 <= j <= self.n:
-            raise ValueError(f"ladder index {j} outside 1..{self.n}")
 
 
 def _l_ladder(n: int, c: int, control_zero: bool, conjugate: bool) -> list[Gate]:
@@ -306,7 +272,8 @@ def build_qcst_type4(n: int, corrected: bool = True) -> Circuit:
 # block-identity verification
 # ---------------------------------------------------------------------------
 
-_PHASES = {1: 1 + 0j, 1j: 1j, -1: -1 + 0j, -1j: -1j}
+# the sine-block phases a report may carry, with their golden-file names
+_PHASES = {1: "1", 1j: "i", -1: "-1", -1j: "-i"}
 
 
 @dataclass(frozen=True)
@@ -348,11 +315,25 @@ def _block_error(start: int, chunk: np.ndarray, spec: oracle.TransformSpec,
     return float(max(inside, outside))
 
 
+def _check_blocks(circuit: Circuit, blocks):
+    """Run the circuit on its data register, one column chunk at a time,
+    and check each declared block ``(spec, lo, phase)`` of ``blocks`` with
+    ``_block_error``.  Returns the per-block max errors and the residual;
+    columns no block declares are not checked."""
+    def check(start, chunk):
+        return [_block_error(start, chunk, spec, lo, phase) for spec, lo, phase in blocks]
+
+    errors, residual = [0.0] * len(blocks), 0.0
+    for _, chunk_errors, residual in data_register_chunks(circuit, circuit.data_wires, check):
+        errors = [max(a, b) for a, b in zip(errors, chunk_errors)]
+    return errors, residual
+
+
 def verify_block_identity(circuit: Circuit, cos_spec: oracle.TransformSpec,
                           sin_spec: oracle.TransformSpec,
                           phase: complex = 1) -> BlockIdentityReport:
-    """Run the circuit on its transform register, one column chunk at a
-    time, and report per-block max errors against the oracles.
+    """Check the circuit's data register against a cosine and a sine block
+    with ``_check_blocks``, and report per-block max errors.
 
     The embedding is declared, not searched for: the cosine block sits on
     register labels ``0..cos_spec.dim-1`` and ``phase`` times the sine block
@@ -361,21 +342,13 @@ def verify_block_identity(circuit: Circuit, cos_spec: oracle.TransformSpec,
     """
     if phase not in _PHASES:
         raise ValueError("sine-block phase must be a fourth root of unity")
-    phase = _PHASES[phase]
-    register = circuit.data_wires
-    n = len(register) - 1
+    phase = complex(phase)
+    n = len(circuit.data_wires) - 1
     dim = 2 << n
     if cos_spec.dim + sin_spec.dim != dim:
         raise ValueError("block dimensions do not tile the doubled register")
-
-    def check(start, chunk):
-        return (_block_error(start, chunk, cos_spec, 0, 1.0),
-                _block_error(start, chunk, sin_spec, cos_spec.dim, phase))
-
-    cos_error = sin_error = 0.0
-    for _, (cos_chunk, sin_chunk), residual in data_register_chunks(circuit, register, check):
-        cos_error = max(cos_error, cos_chunk)
-        sin_error = max(sin_error, sin_chunk)
+    (cos_error, sin_error), residual = _check_blocks(
+        circuit, [(cos_spec, 0, 1.0), (sin_spec, cos_spec.dim, phase)])
     cos_labels = list(range(cos_spec.dim))
     sin_labels = list(range(cos_spec.dim, dim))
     embedding = {
@@ -391,9 +364,6 @@ def verify_block_identity(circuit: Circuit, cos_spec: oracle.TransformSpec,
     )
 
 
-_PHASE_NAMES = {1 + 0j: "1", 1j: "i", -1 + 0j: "-1", -1j: "-i"}
-
-
 def embedding_as_json_dict(report: BlockIdentityReport, transform: str, n: int) -> dict:
     """Golden-file form of the embedding a report was checked under."""
     return {
@@ -401,5 +371,5 @@ def embedding_as_json_dict(report: BlockIdentityReport, transform: str, n: int) 
         "n": n,
         "cos_block": [list(pair) for pair in report.embedding["cos_block"]],
         "sin_block": [list(pair) for pair in report.embedding["sin_block"]],
-        "phase": _PHASE_NAMES[report.phase],
+        "phase": _PHASES[report.phase],
     }

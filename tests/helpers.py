@@ -1,12 +1,19 @@
-"""Shared test utilities: an independent brute-force unitary builder,
-reference matrices the circuits are compared against, and the float-angle
-oracle the library's angle table is cross-checked with."""
+"""Shared test utilities: the simulator's full unitary of a small circuit,
+an independent brute-force unitary builder, reference matrices the circuits
+are compared against, and the float-angle oracle the library's angle table
+is cross-checked with."""
 import math
 
 import numpy as np
 
 from qrt_kit.oracle import TransformSpec, cas, reference_matrix
-from qrt_kit.simcore import DenseUnitary, _target_matrix
+from qrt_kit.simcore import _target_matrix, data_register_action
+
+
+def unitary(circuit) -> np.ndarray:
+    """The circuit's full matrix from the simulator: its action on a data
+    register of every wire, in wire order (column j is the image of |j>)."""
+    return data_register_action(circuit, range(circuit.width))[0]
 
 
 def operand_matrix(gate):
@@ -69,22 +76,27 @@ def rotation_r(y, b, N):
                      [-math.sin(th), math.cos(th)]])
 
 
-def build_reference_matrix(spec: TransformSpec) -> DenseUnitary:
-    """Oracle matrix for the given transform, validated unitary at 1e-12."""
-    return DenseUnitary(reference_matrix(spec), tolerance=1e-12)
+def _checked_unitary(mat: np.ndarray) -> np.ndarray:
+    defect = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+    assert defect < 1e-12, f"matrix is not unitary (defect {defect:.3e})"
+    return mat
 
 
-def build_dht_from_dft(N: int) -> DenseUnitary:
+def build_reference_matrix(spec: TransformSpec) -> np.ndarray:
+    """Oracle matrix for the given transform, checked unitary at 1e-12."""
+    return _checked_unitary(reference_matrix(spec))
+
+
+def build_dht_from_dft(N: int) -> np.ndarray:
     """The Hartley matrix assembled from the Fourier matrix and its conjugate:
-    H = (1-i)/2 F + (1+i)/2 F*."""
+    H = (1-i)/2 F + (1+i)/2 F*, checked unitary at 1e-12."""
     F = reference_matrix(TransformSpec("DFT", N))
-    return DenseUnitary((1 - 1j) / 2 * F + (1 + 1j) / 2 * F.conj(), tolerance=1e-12)
+    return _checked_unitary((1 - 1j) / 2 * F + (1 + 1j) / 2 * F.conj())
 
 
 def compare_unitaries(a, b) -> float:
     """Max-entry absolute difference; no phase forgiveness."""
-    am = a.entries if isinstance(a, DenseUnitary) else np.asarray(a)
-    bm = b.entries if isinstance(b, DenseUnitary) else np.asarray(b)
+    am, bm = np.asarray(a), np.asarray(b)
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
     return float(np.max(np.abs(am - bm)))
@@ -92,8 +104,7 @@ def compare_unitaries(a, b) -> float:
 
 def dump_csv(matrix, stream) -> None:
     """Write a matrix as comma-separated "re,im" pairs, one row per line."""
-    mat = matrix.entries if isinstance(matrix, DenseUnitary) else np.asarray(matrix)
-    for row in np.atleast_2d(mat):
+    for row in np.atleast_2d(np.asarray(matrix)):
         stream.write(",".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n")
 
 

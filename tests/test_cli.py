@@ -13,8 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qrt_kit import cli
-from qrt_kit.simcore import circuit_unitary, data_register_action, export_circuit, parse_circuit
+from qrt_kit import cli, trig
+from qrt_kit.hartley import ccry_gates
+from qrt_kit.simcore import Circuit, Gate, data_register_action, export_circuit, parse_circuit
+
+from helpers import unitary
 
 
 def run_cli(args, capsys):
@@ -41,8 +44,8 @@ def test_build_round_trip_qht_lcu(capsys):
     assert code == 0
     circ = cli.build_transform("qht-lcu", 3)
     back = parse_circuit(out, width=circ.width)
-    got = circuit_unitary(back).entries
-    want = circuit_unitary(circ).entries
+    got = unitary(back)
+    want = unitary(circ)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -96,6 +99,20 @@ def test_verify_incorrect_d2_fails_with_exit_one(capsys):
     assert report["passed"] is False
     assert report["max_error"] > 0.1
     assert "embedding" in report
+
+
+def test_qst1_opt_amplitude_on_register_value_zero_fails(monkeypatch):
+    # a doubly controlled Ry(1e-5), conditioned on wires 1 and 2 both 0,
+    # moves about 3.5e-6 of each sine-domain column onto register value 0,
+    # the control's row that the sine block must leave empty
+    circuit = trig.build_qst1_optimized(2)
+    flips = [Gate("X", targets=(1,)), Gate("X", targets=(2,))]
+    leaky = Circuit(circuit.width, circuit.gates + tuple(flips + ccry_gates(1, 2, 0, 1e-5) + flips),
+                    circuit.ancillas)
+    monkeypatch.setattr(cli, "build_transform", lambda name, n, incorrect_d2=False: leaky)
+    report = cli.verify_transform("qst1-opt", 2, 1e-10)
+    assert report["max_error"] == pytest.approx(3.5355e-6, rel=1e-4)
+    assert report["passed"] is False
 
 
 def test_verify_deterministic(capsys):

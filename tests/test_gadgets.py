@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qrt_kit.gadgets import (
-    GadgetLayout,
     build_cond_decrement,
     build_cond_increment,
     build_cond_ones_complement,
@@ -14,14 +13,9 @@ from qrt_kit.gadgets import (
     classical_map_error,
     or_tree_error,
 )
-from qrt_kit.simcore import Circuit, Gate, circuit_unitary, count_gates, data_register_action
+from qrt_kit.simcore import Circuit, Gate, count_gates, data_register_action
 
-
-def test_layout_disjointness():
-    with pytest.raises(ValueError):
-        GadgetLayout(data_qubits=(0, 1), control_qubit=1)
-    lay = GadgetLayout(data_qubits=(0, 1), control_qubit=2, carry_ancillas=(3,))
-    assert lay.carry_ancillas == (3,)
+from helpers import unitary
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +101,7 @@ def test_gadget_size_errors():
 def test_gadget_unitaries_are_permutations():
     for circ in (build_cond_increment(3), build_cond_twos_complement(3),
                  build_or_tree(3)):
-        U = circuit_unitary(circ).entries
+        U = unitary(circ)
         mags = np.abs(U)
         assert np.all((mags < 1e-12) | (np.abs(mags - 1) < 1e-12))
         np.testing.assert_allclose(np.abs(U.imag).max(), 0, atol=1e-12)
@@ -119,7 +113,7 @@ def test_gadget_unitaries_are_permutations():
 
 
 def test_or_gate_truth_table():
-    U = circuit_unitary(build_or_gate()).entries
+    U = unitary(build_or_gate())
     for q0 in (0, 1):
         for q1 in (0, 1):
             for r in (0, 1):

@@ -15,9 +15,9 @@ from qrt_kit.hartley import (
     lcu_target_v,
 )
 from qrt_kit.qft import build_qft
-from qrt_kit.simcore import circuit_unitary, count_gates, data_register_action
+from qrt_kit.simcore import count_gates, data_register_action
 
-from helpers import rotation_r
+from helpers import rotation_r, unitary
 
 # the N=4 Hartley matrix, frozen from evaluating cas(2 pi a y / 4) by hand
 H4 = 0.5 * np.array([
@@ -104,7 +104,7 @@ def test_rotation_r_trivial_cases():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ur_blocks_match_rotation(n):
-    U = circuit_unitary(build_unitary_ur(n)).entries
+    U = unitary(build_unitary_ur(n))
     N = 1 << (n + 1)
     for y in range(1 << n):
         for b in (0, 1):

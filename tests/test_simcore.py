@@ -11,20 +11,18 @@ from qrt_kit.simcore import (
     _IMPORT_NAMES,
     MAX_WIDTH,
     Circuit,
-    DenseUnitary,
     Gate,
-    StateVector,
+    _basis_columns,
+    _layers,
+    _run_flat,
     adjoint,
-    apply_gate,
-    circuit_unitary,
     count_gates,
     data_register_action,
     export_circuit,
     parse_circuit,
-    run_circuit,
 )
 
-from helpers import brute_unitary
+from helpers import brute_unitary, unitary
 
 RNG = np.random.default_rng(1234)
 
@@ -71,7 +69,7 @@ def random_circuit(width, n_gates, rng, allow_relabel=False):
 def test_engine_matches_brute_force(width):
     for trial in range(6):
         circ = random_circuit(width, 12, RNG, allow_relabel=(trial % 2 == 0))
-        got = circuit_unitary(circ).entries
+        got = unitary(circ)
         want = brute_unitary(circ)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -82,67 +80,44 @@ def test_engine_matches_brute_force(width):
 
 
 def test_hadamard_on_zero():
-    out = apply_gate(StateVector.basis(1, 0), Gate("H", targets=(0,)))
-    np.testing.assert_allclose(out.amplitudes, np.array([1, 1]) / math.sqrt(2), atol=1e-15)
+    out = unitary(Circuit(1, [Gate("H", targets=(0,))]))[:, 0]
+    np.testing.assert_allclose(out, np.array([1, 1]) / math.sqrt(2), atol=1e-15)
 
 
 def test_cnot_control_one_target_zero():
     # |q1 q0> = |10> -> |11>
-    out = apply_gate(StateVector.basis(2, 0b10), Gate("CNOT", (1,), (0,)))
-    np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
+    out = unitary(Circuit(2, [Gate("CNOT", (1,), (0,))]))[:, 0b10]
+    np.testing.assert_allclose(out, [0, 0, 0, 1], atol=1e-15)
 
 
 def test_global_phase_scales_everything():
-    state = StateVector(np.array([0.6, 0.8j]))
-    out = apply_gate(state, Gate("GlobalPhase", angle=math.pi / 4))
-    np.testing.assert_allclose(out.amplitudes,
-                               np.exp(1j * math.pi / 4) * state.amplitudes, atol=1e-15)
-
-
-def test_apply_gate_does_not_mutate_input():
-    state = StateVector.basis(2, 0)
-    before = state.amplitudes.copy()
-    apply_gate(state, Gate("H", targets=(0,)))
-    np.testing.assert_array_equal(state.amplitudes, before)
-
-
-def test_apply_gate_operand_out_of_range():
-    with pytest.raises(ValueError):
-        apply_gate(StateVector.basis(1, 0), Gate("X", targets=(1,)))
+    np.testing.assert_allclose(unitary(Circuit(1, [Gate("GlobalPhase", angle=math.pi / 4)])),
+                               np.exp(1j * math.pi / 4) * np.eye(2), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# run_circuit
+# whole circuits
 # ---------------------------------------------------------------------------
 
 
 def test_empty_circuit_is_identity():
-    state = StateVector.basis(3, 5)
-    out = run_circuit(state, Circuit(3))
-    np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+    np.testing.assert_array_equal(unitary(Circuit(3)), np.eye(8))
 
 
 def test_double_hadamard_is_identity():
-    out = run_circuit(StateVector.basis(1, 0), Circuit(1, [Gate("H", targets=(0,)), Gate("H", targets=(0,))]))
-    np.testing.assert_allclose(out.amplitudes, [1, 0], atol=1e-15)
+    h = Gate("H", targets=(0,))
+    np.testing.assert_allclose(unitary(Circuit(1, [h, h])), np.eye(2), atol=1e-15)
 
 
 def test_parallel_x_gates():
     circ = Circuit(2, [Gate("X", targets=(0,)), Gate("X", targets=(1,))])
-    out = run_circuit(StateVector.basis(2, 0), circ)
-    np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
-
-
-def test_run_circuit_dimension_mismatch():
-    with pytest.raises(ValueError):
-        run_circuit(StateVector.basis(2, 0), Circuit(3))
+    np.testing.assert_allclose(unitary(circ)[:, 0], [0, 0, 0, 1], atol=1e-15)
 
 
 def test_relabeling_moves_wire_content():
     # content of wire 0 ends up on wire 1
     circ = Circuit(2, [Gate("X", targets=(0,))], relabeling=(1, 0))
-    out = run_circuit(StateVector.basis(2, 0), circ)
-    np.testing.assert_allclose(out.amplitudes, [0, 0, 1, 0], atol=1e-15)
+    np.testing.assert_allclose(unitary(circ)[:, 0], [0, 0, 1, 0], atol=1e-15)
 
 
 def test_relabeling_matches_permutation_matrix():
@@ -151,24 +126,24 @@ def test_relabeling_matches_permutation_matrix():
         base = random_circuit(3, 8, rng)
         perm = tuple(rng.permutation(3).tolist())
         relabeled = Circuit(3, base.gates, relabeling=perm)
-        got = circuit_unitary(relabeled).entries
+        got = unitary(relabeled)
         np.testing.assert_allclose(got, brute_unitary(relabeled), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# circuit_unitary
+# full unitaries
 # ---------------------------------------------------------------------------
 
 
 def test_unitary_single_hadamard():
-    np.testing.assert_allclose(circuit_unitary(Circuit(1, [Gate("H", targets=(0,))])).entries,
+    np.testing.assert_allclose(unitary(Circuit(1, [Gate("H", targets=(0,))])),
                                np.array([[1, 1], [1, -1]]) / math.sqrt(2), atol=1e-15)
 
 
 def test_unitary_swap():
     circ = Circuit(2, [Gate("SWAP", targets=(0, 1))])
     want = np.eye(4)[[0, 2, 1, 3]]
-    np.testing.assert_allclose(circuit_unitary(circ).entries, want, atol=1e-15)
+    np.testing.assert_allclose(unitary(circ), want, atol=1e-15)
 
 
 def test_unitary_qft2_formula():
@@ -177,27 +152,7 @@ def test_unitary_qft2_formula():
     want = np.array([[np.exp(2j * np.pi * a * y / 4) for y in range(4)]
                      for a in range(4)]).T / 2.0
     # the DFT matrix is symmetric, so orientation does not matter here
-    np.testing.assert_allclose(circuit_unitary(build_qft(2)).entries, want, atol=1e-12)
-
-
-def test_unitary_cap():
-    with pytest.raises(ValueError):
-        circuit_unitary(Circuit(13))
-    with pytest.raises(ValueError):
-        circuit_unitary(Circuit(5), cap=4)
-    circuit_unitary(Circuit(5), cap=5)  # explicit cap moves the limit
-
-
-def test_unitary_consistent_with_run(width=5):
-    rng = np.random.default_rng(99)
-    for _ in range(5):
-        circ = random_circuit(width, 15, rng)
-        U = circuit_unitary(circ).entries
-        amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
-        amps /= np.linalg.norm(amps)
-        state = StateVector(amps)
-        np.testing.assert_allclose(U @ amps, run_circuit(state, circ).amplitudes,
-                                   atol=1e-10)
+    np.testing.assert_allclose(unitary(build_qft(2)), want, atol=1e-12)
 
 
 def test_norm_preserved_on_random_circuits():
@@ -207,25 +162,25 @@ def test_norm_preserved_on_random_circuits():
         circ = random_circuit(width, 10, rng)
         amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
         amps /= np.linalg.norm(amps)
-        out = run_circuit(StateVector(amps), circ)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(unitary(circ) @ amps) - 1.0) < 1e-10
 
 
 def test_batched_columns_agree_with_single_runs():
     rng = np.random.default_rng(77)
     for _ in range(4):
         circ = random_circuit(4, 12, rng, allow_relabel=True)
-        U = circuit_unitary(circ).entries  # batched path
+        U = unitary(circ)  # all 16 columns in one batch
+        layers = list(_layers(circ))
         for value in range(16):
-            out = run_circuit(StateVector.basis(4, value), circ)  # single path
-            np.testing.assert_allclose(U[:, value], out.amplitudes, atol=1e-12)
+            out = _run_flat(_basis_columns(16, [value]), layers)  # a batch of one
+            np.testing.assert_allclose(U[:, value], out[:, 0], atol=1e-12)
 
 
 def test_data_register_action_agrees_with_unitary_block():
     rng = np.random.default_rng(78)
     circ = random_circuit(3, 10, rng)  # no ancillas: action = full unitary
     matrix, residual = data_register_action(circ, [0, 1, 2])
-    np.testing.assert_allclose(matrix, circuit_unitary(circ).entries, atol=1e-12)
+    np.testing.assert_allclose(matrix, brute_unitary(circ), atol=1e-12)
     assert residual == 0.0
 
 
@@ -254,8 +209,8 @@ def test_adjoint_inverts_unitary():
     rng = np.random.default_rng(21)
     for _ in range(5):
         circ = random_circuit(4, 12, rng, allow_relabel=True)
-        U = circuit_unitary(circ).entries
-        Ud = circuit_unitary(adjoint(circ)).entries
+        U = unitary(circ)
+        Ud = unitary(adjoint(circ))
         np.testing.assert_allclose(Ud @ U, np.eye(16), atol=1e-10)
 
 
@@ -330,19 +285,6 @@ def test_circuit_validation():
         Circuit(2, (), ancillas={5})
 
 
-def test_statevector_validation():
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 0.0, 0.0]))
-
-
-def test_dense_unitary_validation():
-    with pytest.raises(ValueError):
-        DenseUnitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    DenseUnitary(np.eye(4))
-
-
 # ---------------------------------------------------------------------------
 # data-register extraction
 # ---------------------------------------------------------------------------
@@ -359,7 +301,7 @@ def test_data_register_action_identity_on_clean_ancilla():
     gates = [Gate("H", targets=(0,)), Gate("CNOT", (0,), (1,))]
     matrix, residual = data_register_action(Circuit(3, gates, ancillas=[2]), [0, 1])
     assert residual < 1e-15
-    want = circuit_unitary(Circuit(2, gates)).entries
+    want = unitary(Circuit(2, gates))
     np.testing.assert_allclose(matrix, want, atol=1e-12)
 
 
@@ -393,8 +335,8 @@ def test_round_trip_random_circuits():
     for _ in range(5):
         circ = random_circuit(4, 14, rng, allow_relabel=True)
         back = parse_circuit(export_circuit(circ), width=4)
-        np.testing.assert_allclose(circuit_unitary(back).entries,
-                                   circuit_unitary(circ).entries, atol=1e-12)
+        np.testing.assert_allclose(unitary(back),
+                                   unitary(circ), atol=1e-12)
 
 
 def test_parse_angle_17_digits_round_trip():

@@ -39,7 +39,7 @@ def test_small_chunks_give_the_golden_reports(small_chunks):
 @pytest.mark.parametrize("n", [3, 5])
 def test_sparse_chunks_match_one_chunk_exactly(name, n, monkeypatch):
     circuit = cli.build_transform(name, n)
-    data = circuit.data_wires if name in cli._BLOCK_SPECS else list(range(n + (name == "qst1-opt")))
+    data = circuit.data_wires
     assert len(data) < circuit.width  # the sparse engine runs
     _chunk_bits(monkeypatch, len(data))
     whole, residual = simcore.data_register_action(circuit, data)

@@ -10,13 +10,11 @@ from qrt_kit import oracle
 from qrt_kit.simcore import (
     Circuit,
     Gate,
-    circuit_unitary,
     count_gates,
     data_register_action,
 )
 from qrt_kit.qft import build_qft
 from qrt_kit.trig import (
-    DiagonalFamily,
     build_d1,
     build_d2,
     build_g_gate,
@@ -30,6 +28,8 @@ from qrt_kit.trig import (
     embedding_as_json_dict,
     verify_block_identity,
 )
+
+from helpers import unitary
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -205,32 +205,14 @@ def test_qst1_optimized_intermediate_state():
 
 
 # ---------------------------------------------------------------------------
-# diagonal families
+# diagonal phase ladders
 # ---------------------------------------------------------------------------
-
-
-def test_diagonal_family_relations():
-    fam = DiagonalFamily(3)
-    X = np.array([[0, 1], [1, 0]])
-    for j in (1, 2, 3):
-        np.testing.assert_allclose(fam.k_mat(j), X @ fam.l_mat(j).conj() @ X,
-                                   atol=1e-15)
-    with pytest.raises(ValueError):
-        fam.l_mat(4)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_delta1_tensor_factorization(n):
-    fam = DiagonalFamily(n)
-    N = 1 << n
-    want = np.exp(2j * np.pi * np.arange(N) / (4 * N))
-    np.testing.assert_allclose(fam.delta1(), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_d1_diagonal(n):
     N = 1 << n
-    U = circuit_unitary(build_d1(n)).entries
+    U = unitary(build_d1(n))
     w = np.exp(2j * np.pi / (4 * N))
     want = np.diag([w ** x for x in range(N)] + [w ** (x - N) for x in range(N)])
     np.testing.assert_allclose(U, want, atol=1e-12)
@@ -241,7 +223,7 @@ def test_d1_phase_cases():
     # control=0: w^x; control=1, x=N-1: w^{-1}
     n = 2
     N = 1 << n
-    U = circuit_unitary(build_d1(n)).entries
+    U = unitary(build_d1(n))
     w = np.exp(2j * np.pi / (4 * N))
     assert abs(U[3, 3] - w ** 3) < 1e-12
     assert abs(U[N + N - 1, N + N - 1] - w ** -1) < 1e-12
@@ -251,10 +233,10 @@ def test_d1_phase_cases():
 def test_d2_corrected_and_incorrect_diagonals(n):
     N = 1 << n
     w = np.exp(2j * np.pi / (4 * N))
-    U = circuit_unitary(build_d2(n, corrected=True)).entries
+    U = unitary(build_d2(n, corrected=True))
     want = np.diag([w ** x for x in range(N)] + [w ** (-1 - x) for x in range(N)])
     np.testing.assert_allclose(U, want, atol=1e-12)
-    U_bad = circuit_unitary(build_d2(n, corrected=False)).entries
+    U_bad = unitary(build_d2(n, corrected=False))
     # defective variant: control-1 entry at x=0 is w^{-1} w^{-N+1} = w^{-N}
     assert abs(U_bad[N, N] - w ** -N) < 1e-12
     np.testing.assert_allclose(np.abs(np.diagonal(U_bad)), 1, atol=1e-12)
@@ -312,7 +294,7 @@ def test_type2_sine_row_weight_at_top_frequency():
 
 
 def test_type2_unitarity():
-    U = circuit_unitary(build_qcst_type2(2), cap=12).entries
+    U = unitary(build_qcst_type2(2))
     dim = U.shape[0]
     np.testing.assert_allclose(U.conj().T @ U, np.eye(dim), atol=1e-10)
 
