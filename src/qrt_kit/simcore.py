@@ -255,7 +255,7 @@ def _monomial_layer(run, relabeling, width: int):
     labels = np.arange(1 << width, dtype=np.int64)
     keys, phase = labels.copy(), np.ones(1 << width, dtype=complex)
     for gate in run:
-        for sel, factor in _monomial(keys, gate, 0):
+        for sel, factor in _monomial(gate, 0)(keys):
             phase[sel] *= factor
     if relabeling is not None:
         keys = _relabel_keys(keys, relabeling, 0)
@@ -370,9 +370,14 @@ def data_register_chunks(circuit: Circuit, data_wires=None, check=None):
     |0> and the support-sparse engine runs: it keeps only the nonzero
     amplitudes, at most 2^d per column for circuits whose ancillas hold
     classical functions of the data, ``2^_sparse_chunk_bits(d)`` columns at
-    a time.  It drops entries below 1e-14 and adds the largest per-column L2
-    norm it dropped to ``residual``, so the residual stays an upper bound on
-    the true leak and on the pruning error of every matrix entry.  The
+    a time.  It compiles the circuit once, before any chunk, and the threads
+    share that program read-only.  Each H or CH in it is a split, which
+    doubles the entries with no sort, when GF(2) parity constraints that
+    hold on every key of a chunk show that no entry can meet its partner,
+    and a merge, which sorts and sums the entries that meet, otherwise.  It
+    drops entries below 1e-14 and adds the largest per-column L2 norm it
+    dropped to ``residual``, so the residual stays an upper bound on the
+    true leak and on the pruning error of every matrix entry.  The
     bound is folded into ``residual`` rather than returned as a field of its
     own because every caller already fails a run whose residual reaches its
     tolerance: pruning can never hide a leak, and no caller has to learn a
@@ -490,12 +495,17 @@ def _sparse_chunks(circuit: Circuit, data_wires: list, check=None):
     A chunk of 2^c columns runs in one pass, each nonzero amplitude of each
     of its columns one entry: an int64 key ``(label << c) | column`` (the
     column counted within the chunk) and a complex amplitude, so wire ``w``
-    is key bit ``w + c``.  Entries below ``_PRUNE_BELOW`` are dropped after
-    each split and the per-column L2 norm dropped is summed over the run.
-    Chunks run on the threads of ``data_register_chunks``, at most
-    ``_WORKERS + 1`` in flight; each reports its largest leak and pruned
-    sum, and these are folded in column order, kept apart across chunks and
-    added for the residual, as if all columns ran at once.
+    is key bit ``w + c``.  The circuit is compiled once, before any chunk,
+    by ``_sparse_program``; the chunks share that program read-only.  Each
+    H or CH is compiled as a split, which doubles the entries with no sort,
+    or as a merge, which pairs the entries that differ in the target bit
+    and sums each pair; the rule is in ``_sparse_program``.  Entries below
+    ``_PRUNE_BELOW`` are dropped after each butterfly and the per-column
+    L2 norm dropped is summed over the run.  Chunks run on the threads of
+    ``data_register_chunks``, at most ``_WORKERS + 1`` in flight; each
+    reports its largest leak and pruned sum, and these are folded in column
+    order, kept apart across chunks and added for the residual, as if all
+    columns ran at once.
     """
     width, d = circuit.width, len(data_wires)
     c = _sparse_chunk_bits(d)
@@ -505,13 +515,14 @@ def _sparse_chunks(circuit: Circuit, data_wires: list, check=None):
             f"int64 key, above the {_KEY_BITS}-bit cap")
     ancilla_mask = sum(1 << w for w in range(width) if w not in data_wires)
     in_chunk = np.arange(1 << c, dtype=np.int64)
+    program = _sparse_program(circuit, data_wires, c)
 
     def simulate(start):
         keys = (_spread(in_chunk + start, data_wires) << c) | in_chunk
         amps = np.ones(1 << c, dtype=complex)
         pruned = np.zeros(1 << c)
-        for gate in circuit.gates:
-            keys, amps = _apply_gate_sparse(keys, amps, gate, c, pruned)
+        for step in program:
+            keys, amps = step(keys, amps, pruned)
         if circuit.relabeling is not None:
             keys = _relabel_keys(keys, circuit.relabeling, c)
         labels, cols = keys >> c, keys & ((1 << c) - 1)
@@ -532,78 +543,214 @@ def _sparse_chunks(circuit: Circuit, data_wires: list, check=None):
         yield start, result, leak + pruned_max
 
 
-def _apply_gate_sparse(keys, amps, gate: Gate, c: int, pruned):
-    """Apply one gate to the (keys, amps) entries; returns the new arrays
-    (the inputs may be updated in place)."""
-    if gate.kind not in _BUTTERFLY_KINDS:
-        for sel, factor in _monomial(keys, gate, c):
+def _sparse_program(circuit: Circuit, data_wires: list, c: int) -> list:
+    """The sparse engine's program for ``circuit`` run 2^c columns at a
+    time: one ``step(keys, amps, pruned) -> (keys, amps)`` per gate, with
+    its masks and factors computed here, once, rather than per chunk.
+
+    Each H or CH is tagged a split or a merge from GF(2) parity
+    constraints: key masks ``y`` such that the parity of ``key & y`` is
+    the same for every live key of a chunk.  Each wire starts with one:
+    ``e_{w+c}`` for a wire that is constant in a chunk (an ancilla, or a
+    data wire at register position ``pos >= c``) and ``e_{w+c} ^ e_pos``
+    for the data wire at ``pos < c``, whose bit is the column's.  X, Y,
+    GlobalPhase and the diagonal gates keep the constraints; CNOT(x -> t)
+    maps each ``y`` to ``y ^ (y_t << x)``; SWAP swaps two bits; H, CH,
+    Toffoli and MCX on ``t`` eliminate bit ``t``.  A butterfly on ``t`` is
+    a split when some constraint holds bit ``t``: then no two live keys
+    differ in bit ``t`` alone, no entry meets its partner, and each entry
+    becomes two with no sort.  Any other butterfly is a merge.
+
+    The constraints are held by column: ``cols[b]`` is the set of
+    constraints (one bit each) that hold key bit ``b``."""
+    cols = [0] * (circuit.width + c)
+    for w in range(circuit.width):
+        cols[w + c] = 1 << w
+    for pos, w in enumerate(data_wires[:c]):
+        cols[pos] = 1 << w
+    program = []
+    for gate in circuit.gates:
+        kind, wires = gate.kind, [w + c for w in gate.operands]
+        if kind in _BUTTERFLY_KINDS:
+            program.append(_butterfly_step(gate, c, split=cols[wires[-1]] != 0))
+        else:
+            program.append(_monomial_step(gate, c))
+        if kind == "CNOT":
+            x, t = wires
+            cols[x] ^= cols[t]
+        elif kind == "SWAP":
+            a, b = wires
+            cols[a], cols[b] = cols[b], cols[a]
+        elif kind in ("H", "CH", "Toffoli", "MCX"):
+            _eliminate(cols, wires[-1])
+    return program
+
+
+def _eliminate(cols: list, t: int) -> None:
+    """Drop key bit ``t`` from the constraints held by column in ``cols``:
+    the first constraint that holds it is XORed into the others that do,
+    then dropped."""
+    if not cols[t]:
+        return
+    pivot = cols[t] & -cols[t]
+    others = cols[t] ^ pivot
+    for b, col in enumerate(cols):
+        if col & pivot:
+            cols[b] = (col ^ others) & ~pivot
+
+
+def _monomial_step(gate: Gate, c: int):
+    """Sparse step of a gate other than H and CH, from ``_monomial``."""
+    rule = _monomial(gate, c)
+
+    def step(keys, amps, pruned):
+        for sel, factor in rule(keys):
             # not in place: numpy's in-place multiply of a one-entry array
             # skips the fused multiply-add of its vector loop, and chunking
             # decides which selections hold one entry
             amps[sel] = amps[sel] * factor
         return keys, amps
-    # each entry splits over its pair (base, base | bit); entries sharing a
-    # base are summed, then small results are pruned
-    ctrl = sum(1 << (w + c) for w in gate.controls)
-    bit = 1 << (gate.targets[0] + c)
-    m = _target_matrix(gate)
-    if ctrl:
-        sel = (keys & ctrl) == ctrl
-        k, a = keys[sel], amps[sel]
+    return step
+
+
+def _butterfly_step(gate: Gate, c: int, split: bool):
+    """Sparse step of an H or CH: each entry goes to both keys of its pair
+    ``(base, base | bit)``, times 1/sqrt(2), and times -1 more on
+    ``base | bit`` when the entry has the bit.  A split writes the two out
+    as they are; a merge (``_merge``) also sums the entries that meet.
+    Small results are then pruned, and entries whose controls are off pass
+    through unchanged."""
+    ctrl, bit = _masks(gate, c)
+    t = gate.targets[0] + c
+
+    def step(keys, amps, pruned):
+        if ctrl:
+            sel = (keys & ctrl) == ctrl
+            k, a = keys[sel], amps[sel]
+        else:
+            k, a = keys, amps
+        if split:
+            n = len(k)
+            out_k = np.empty(2 * n, dtype=np.int64)
+            np.bitwise_and(k, ~bit, out=out_k[:n])
+            np.bitwise_or(k, bit, out=out_k[n:])
+            out_a = np.empty(2 * n, dtype=complex)
+            np.multiply(a, SQRT2_INV, out=out_a[:n])
+            # -1/sqrt(2) where the key has the bit, else 1/sqrt(2): a
+            # product, which is faster than a select on a mask
+            factor = ((k >> t) & 1) * (-2 * SQRT2_INV)
+            factor += SQRT2_INV
+            np.multiply(a, factor, out=out_a[n:])
+            k, a = out_k, out_a
+        else:
+            k, a = _merge(k, a, bit)
+        k, a = _prune(k, a, c, pruned)
+        if ctrl:
+            k = np.concatenate((keys[~sel], k))
+            a = np.concatenate((amps[~sel], a))
+        return k, a
+    return step
+
+
+def _merge(k, a, bit: int):
+    """The H butterfly on ``bit`` of distinct keys, summing the entries that
+    meet: keys ``b`` and then ``b | bit`` for each base ``b`` present, in
+    increasing ``b``.  The entries are sorted by ``(base, bit)``, which puts
+    each pair's entry without the bit just before its partner, and laid out
+    as one ``(without, with)`` row per base, with 0 for a missing partner."""
+    ranked = (k & ~bit) << 1
+    ranked |= (k & bit) != 0
+    order = np.argsort(ranked, kind="stable")
+    ranked = ranked[order]
+    a = a[order]
+    del order
+    a *= SQRT2_INV
+    base = ranked >> 1
+    head = np.empty(len(base), dtype=bool)  # first entry of its base
+    head[:1] = True
+    np.not_equal(base[1:], base[:-1], out=head[1:])
+    m = int(np.count_nonzero(head))
+    if 2 * m == len(base):  # every entry met its partner
+        rows, head = a.reshape(m, 2), slice(None, None, 2)
     else:
-        k, a = keys, amps
-    one = (k & bit) != 0
-    base, pair = np.unique(k & ~bit, return_inverse=True)
-    k = np.concatenate((base, base | bit))
-    a = np.concatenate((_sum_by(pair, np.where(one, m[0, 1], m[0, 0]) * a, len(base)),
-                        _sum_by(pair, np.where(one, m[1, 1], m[1, 0]) * a, len(base))))
-    k, a = _prune(k, a, c, pruned)
-    if ctrl:  # entries whose controls are off pass through unchanged
-        k = np.concatenate((keys[~sel], k))
-        a = np.concatenate((amps[~sel], a))
-    return k, a
+        slot = np.cumsum(head) - 1
+        slot <<= 1
+        slot |= ranked & 1
+        rows = np.zeros((m, 2), dtype=complex)
+        rows.reshape(-1)[slot] = a
+    del a, ranked
+    out_k = np.empty(2 * m, dtype=np.int64)
+    out_k[:m] = base[head]
+    np.bitwise_or(out_k[:m], bit, out=out_k[m:])
+    out_a = np.empty(2 * m, dtype=complex)
+    np.add(rows[:, 0], rows[:, 1], out=out_a[:m])
+    np.subtract(rows[:, 0], rows[:, 1], out=out_a[m:])
+    return out_k, out_a
 
 
-def _monomial(keys, gate: Gate, shift: int) -> list:
-    """Apply a gate other than H and CH to int64 keys that hold wire ``w``
-    in bit ``w + shift``: permute the keys in place and return the phases
-    as ``(select, factor)`` pairs, where the entries ``select`` picks out
-    (indexed like the keys before the gate) are multiplied by ``factor``.
-    The one label and phase rule of both engines."""
+def _monomial(gate: Gate, shift: int):
+    """The one label and phase rule of both engines, compiled for a gate
+    other than H and CH on int64 keys that hold wire ``w`` in bit
+    ``w + shift``: returns ``rule(keys)``, which permutes the keys in place
+    and returns the phases as ``(select, factor)`` pairs, where the entries
+    ``select`` picks out (indexed like the keys before the gate) are
+    multiplied by ``factor``."""
     kind = gate.kind
     if kind == "GlobalPhase":
-        return [(slice(None), np.exp(1j * gate.angle))]
+        phases = [(slice(None), complex(np.exp(1j * gate.angle)))]
+        return lambda keys: phases
     if kind in _CLASSICAL_KINDS:
-        _permute_keys(keys, gate, shift)
-        return []
-    ctrl = sum(1 << (w + shift) for w in gate.controls)
-    bit = 1 << (gate.targets[0] + shift)
-    m = _target_matrix(gate)
+        permute = _key_permutation(gate, shift)
+
+        def rule(keys):
+            permute(keys)
+            return []
+        return rule
+    ctrl, bit = _masks(gate, shift)
+    m = _target_matrix(gate).tolist()
     if kind == "Y":  # |0> -> m[1,0] |1> and |1> -> m[0,1] |0>
-        phase = np.where(keys & bit, m[0, 1], m[1, 0])
-        keys ^= bit
-        return [(slice(None), phase)]
+        def rule(keys):
+            phase = np.where(keys & bit, m[0][1], m[1][0])
+            keys ^= bit
+            return [(slice(None), phase)]
+        return rule
     if kind in _DIAGONAL_KINDS:
-        on = keys & (ctrl | bit)
-        return [(on == (ctrl | bit * value), m[value, value])
-                for value in (0, 1) if m[value, value] != 1]
+        factors = [(ctrl | bit * value, m[value][value])
+                   for value in (0, 1) if m[value][value] != 1]
+
+        def rule(keys):
+            on = keys & (ctrl | bit)
+            return [(on == value, factor) for value, factor in factors]
+        return rule
     raise ValueError(f"no simulation rule for gate kind {kind!r}")
 
 
-def _permute_keys(keys, gate: Gate, shift: int):
-    """Apply a gate of ``_CLASSICAL_KINDS`` in place to int64 keys that hold
-    wire ``w`` in bit ``w + shift``: the bit semantics shared by both
-    engines and ``classical_image``."""
+def _key_permutation(gate: Gate, shift: int):
+    """A gate of ``_CLASSICAL_KINDS`` compiled for int64 keys that hold wire
+    ``w`` in bit ``w + shift``: returns ``permute(keys)``, which applies it
+    in place.  The bit semantics shared by both engines and
+    ``classical_image``."""
     if gate.kind == "SWAP":
         a, b = gate.targets[0] + shift, gate.targets[1] + shift
-        keys ^= (((keys >> a) ^ (keys >> b)) & 1) * ((1 << a) | (1 << b))
-        return keys
+        both = (1 << a) | (1 << b)
+
+        def permute(keys):
+            keys ^= (((keys >> a) ^ (keys >> b)) & 1) * both
+        return permute
+    ctrl, bit = _masks(gate, shift)
+
+    def permute(keys):
+        keys ^= ((keys & ctrl) == ctrl) * bit if ctrl else bit
+    return permute
+
+
+def _masks(gate: Gate, shift: int) -> tuple[int, int]:
+    """``(controls, target)`` key masks of a one-target gate whose keys hold
+    wire ``w`` in bit ``w + shift``."""
     ctrl = 0  # a loop: the hot path of classical evaluation
     for w in gate.controls:
         ctrl |= 1 << (w + shift)
-    bit = 1 << (gate.targets[0] + shift)
-    keys ^= ((keys & ctrl) == ctrl) * bit if ctrl else bit
-    return keys
+    return ctrl, 1 << (gate.targets[0] + shift)
 
 
 def _relabel_keys(keys, relabeling, shift: int):
@@ -631,15 +778,10 @@ def classical_image(circuit: Circuit, labels) -> np.ndarray:
         raise ValueError(f"not a classical circuit: it holds {', '.join(other)} gates")
     labels = np.array(labels, dtype=np.int64)
     for gate in circuit.gates:
-        _permute_keys(labels, gate, 0)
+        _key_permutation(gate, 0)(labels)
     if circuit.relabeling is not None:
         labels = _relabel_keys(labels, circuit.relabeling, 0)
     return labels
-
-
-def _sum_by(index, values, size: int):
-    return (np.bincount(index, values.real, size)
-            + 1j * np.bincount(index, values.imag, size))
 
 
 def _prune(keys, amps, c: int, pruned):

@@ -1,8 +1,10 @@
 """The two engines behind ``data_register_action``: the support-sparse one
 (data register narrower than the circuit) against the dense statevector one
-and against the brute-force unitary, on random circuits; and
+and against the brute-force unitary, on random circuits; the sparse
+engine's split/merge tags, checked on the live keys; and
 ``classical_image`` against the brute-force unitary on random classical
 circuits."""
+import contextlib
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qrt_kit import cli, simcore
 from qrt_kit.simcore import (
     Circuit,
     Gate,
@@ -94,6 +97,40 @@ def dense_action(circuit, data_wires):
     return restricted_action(unitary, circuit.width, data_wires)
 
 
+@contextlib.contextmanager
+def checked_splits(chunk_bits=None):
+    """Run the sparse engine with every butterfly it tags a split checked:
+    on the live keys its controls select, no two may differ in the target
+    bit alone, since the split sums nothing.  Yields a list that gets one
+    ``[split, met]`` per butterfly, in compile order, where ``met`` says
+    whether an entry met its partner in some chunk.  With ``chunk_bits``,
+    chunks hold at most 2^chunk_bits columns."""
+    tags = []
+    butterfly_step = simcore._butterfly_step
+
+    def checked_step(gate, c, split):
+        step = butterfly_step(gate, c, split)
+        ctrl = sum(1 << (w + c) for w in gate.controls)
+        bit = 1 << (gate.targets[0] + c)
+        tag = [split, False]
+        tags.append(tag)
+
+        def run(keys, amps, pruned):
+            live = keys[(keys & ctrl) == ctrl]
+            met = len(np.unique(live & ~bit)) < len(live)
+            assert not (split and met), f"{gate} is tagged a split, but entries meet"
+            if met:  # only ever set, so chunks on two threads lose no update
+                tag[1] = True
+            return step(keys, amps, pruned)
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simcore, "_butterfly_step", checked_step)
+        if chunk_bits is not None:
+            patch.setattr(simcore, "_sparse_chunk_bits", lambda d: min(d, chunk_bits))
+        yield tags
+
+
 SETTINGS = dict(derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -102,7 +139,8 @@ SETTINGS = dict(derandomize=True, database=None, deadline=None,
 @given(cases())
 def test_sparse_dense_and_brute_force_agree(case):
     circuit, data = case
-    m_sparse, r_sparse = _sparse_register_action(circuit, data)
+    with checked_splits():
+        m_sparse, r_sparse = _sparse_register_action(circuit, data)
     m_dense, r_dense = dense_action(circuit, data)
     m_brute, r_brute = brute_action(circuit, data)
     np.testing.assert_allclose(m_sparse, m_brute, rtol=0, atol=1e-12)
@@ -115,10 +153,84 @@ def test_sparse_dense_and_brute_force_agree(case):
 @given(cases(max_gates=40))
 def test_sparse_and_dense_agree_on_longer_circuits(case):
     circuit, data = case
-    m_sparse, r_sparse = _sparse_register_action(circuit, data)
+    with checked_splits():
+        m_sparse, r_sparse = _sparse_register_action(circuit, data)
     m_dense, r_dense = dense_action(circuit, data)
     np.testing.assert_allclose(m_sparse, m_dense, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_dense) < 1e-12
+
+
+# The sparse engine tags each H and CH, once per circuit, a split (no entry
+# can meet its partner, so the step needs no sort) or a merge.  Each
+# pattern below puts an H or CH on ancilla ``a`` at the boundary of that
+# rule; wire ``x`` is a data wire, ``y`` any other wire, and the random
+# gates before the pattern leave all three alone.
+
+BOUNDARY = {
+    "h-on-fresh": lambda a, x, y: [Gate("H", targets=(a,))],
+    "x-then-h": lambda a, x, y: [Gate("X", targets=(a,)), Gate("H", targets=(a,))],
+    "cnot-then-h": lambda a, x, y: [Gate("CNOT", (x,), (a,)), Gate("H", targets=(a,))],
+    "toffoli-then-h": lambda a, x, y: [Gate("Toffoli", (x, y), (a,)), Gate("H", targets=(a,))],
+    "swap-then-h": lambda a, x, y: [Gate("SWAP", targets=(a, x)), Gate("H", targets=(a,))],
+    "ch-on-fresh": lambda a, x, y: [Gate("CH", (x,), (a,))],
+}
+
+
+@st.composite
+def boundary_cases(draw, pattern):
+    """A circuit of width 3-7: random gates on the wires other than a, x
+    and y, the pattern, random gates on any wires, and optionally all of
+    it undone; a data register that holds x and not a.  Also returns the
+    index of the pattern's butterfly among the circuit's H and CH."""
+    width = draw(st.integers(3, 7))
+    a, x, y, *rest = draw(st.permutations(range(width)))
+    before = [g.remapped(rest) for g in draw(st.lists(gates(len(rest)), max_size=6))] \
+        if rest else []
+    body = before + BOUNDARY[pattern](a, x, y)
+    index = sum(g.kind in ("H", "CH") for g in body) - 1
+    body += draw(st.lists(gates(width), max_size=6))
+    if draw(st.booleans()):
+        body += [g.inverse() for g in reversed(body)]
+    data = [x] + draw(st.lists(st.sampled_from([y] + rest), unique=True))
+    data = draw(st.permutations(data))
+    return Circuit(width, tuple(body)), data, index
+
+
+@pytest.mark.parametrize("chunk_bits", [None, 1, 2], ids=["one-chunk", "chunks-of-2", "chunks-of-4"])
+@pytest.mark.parametrize("pattern", sorted(BOUNDARY))
+@settings(max_examples=12, **SETTINGS)
+@given(data=st.data())
+def test_split_boundary_agrees_with_dense_and_brute_force(pattern, chunk_bits, data):
+    circuit, wires, index = data.draw(boundary_cases(pattern))
+    with checked_splits(chunk_bits) as tags:
+        m_sparse, r_sparse = _sparse_register_action(circuit, wires)
+    assert tags[index][0] == (pattern != "toffoli-then-h")
+    m_dense, r_dense = dense_action(circuit, wires)
+    m_brute, r_brute = brute_action(circuit, wires)
+    np.testing.assert_allclose(m_sparse, m_brute, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m_dense, m_brute, rtol=0, atol=1e-12)
+    assert abs(r_sparse - r_brute) < 1e-12
+    assert abs(r_dense - r_brute) < 1e-12
+
+
+SPARSE_CIRCUITS = {f"{name}-{n}": circuit for name in cli.TRANSFORMS for n in range(2, 8)
+                   if len((circuit := cli.build_transform(name, n)).data_wires) < circuit.width}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_CIRCUITS))
+def test_split_tags_hold_on_every_sparse_transform(name):
+    with checked_splits():
+        data_register_action(SPARSE_CIRCUITS[name])
+
+
+def test_qct2_tags_exactly_its_splits():
+    # the QFT's eight H on the data register are its splits; in each of
+    # the other three butterflies some entries meet
+    with checked_splits() as tags:
+        data_register_action(cli.build_transform("qct2", 7))
+    assert len(tags) == 11
+    assert sum(split for split, _ in tags) == 8
+    assert all(split != met for split, met in tags)
 
 
 # The dense engine compiles a circuit into monomial layers (each maximal run

@@ -173,8 +173,8 @@ def test_sparse_verify_holds_less_than_half_a_matrix():
     # columns.  A chunk's working set is about 2^(6+d) entries times a few
     # temporaries, so it halves against the bound with each wire less:
     # d = 11 is the smallest register that stays below it (with chunks on
-    # two worker threads, 21.2-22.1 MiB traced against 32 MiB; d = 10
-    # traces 10.9 MiB against 8 MiB).
+    # two worker threads, 19.6-20.5 MiB traced against 32 MiB; d = 10
+    # traces 8.3-11.0 MiB against 8 MiB).
     d = 11
     assert simcore._sparse_chunk_bits(d) < d
     half_matrix = (1 << 2 * d) * 16 // 2
