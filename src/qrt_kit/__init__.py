@@ -25,7 +25,6 @@ from .gadgets import (
     build_or_gate,
     build_or_tree,
     classical_map_error,
-    or_tree_error,
 )
 from .qft import build_qft, build_qft_inverse
 from .oracle import (
@@ -44,7 +43,6 @@ from .hartley import (
     check_oblivious_amplification,
 )
 from .trig import (
-    BlockIdentityReport,
     build_d1,
     build_d2,
     build_g_gate,
@@ -55,7 +53,7 @@ from .trig import (
     build_qst1_optimized,
     build_t_gate,
     build_type1_core,
-    verify_block_identity,
+    check_blocks,
 )
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -23,86 +24,101 @@ from .simcore import count_gates, export_circuit
 SCHEMA_VERSION = 1
 MAX_N = 512
 
-TRANSFORMS = (
-    "qht-lcu", "qht-rec", "qct1", "qst1", "qst1-opt", "qct2", "qst2",
-    "qct3", "qst3", "qct4", "qst4", "qft", "inc", "twos-comp", "or-tree",
-)
 
-# transforms checked against oracle blocks on their data register: the label
-# of the first block, then the oracle kind of each block, laid end to end
-# from there.  qst1-opt's sine domain is register values 1..N-1, with the
-# control at 0; a cosine/sine pair is checked by ``trig.verify_block_identity``.
-_ORACLE_BLOCKS = {
-    "qht-lcu": (0, "DHT"), "qht-rec": (0, "DHT"), "qft": (0, "DFT"),
-    "qst1-opt": (1, "DST1"),
-    "qct1": (0, "DCT1", "DST1"), "qst1": (0, "DCT1", "DST1"),
-    "qct2": (0, "DCT2", "DST2"), "qst2": (0, "DCT2", "DST2"),
-    "qct3": (0, "DCT3", "DST3"), "qst3": (0, "DCT3", "DST3"),
-    "qct4": (0, "DCT4", "DST4"), "qst4": (0, "DCT4", "DST4"),
+def _blocks(first: int, *kinds: str):
+    """Check against the oracle blocks declared on the data register: the
+    block of the first kind starts at label ``first`` and the others follow
+    end to end."""
+    def check(circuit, n):
+        blocks, lo = [], first
+        for kind in kinds:
+            spec = oracle.TransformSpec(kind, 1 << n)
+            blocks.append((spec, lo, 1))
+            lo += spec.dim
+        errors, residual = trig.check_blocks(circuit, blocks)
+        return max(errors), residual, blocks
+    return check
+
+
+def _classical(inputs, want, dirty=lambda n: 0):
+    """Check the classical map a gadget computes on every basis input of its
+    first ``inputs(n)`` wires: ``want(n, labels)`` gives the expected output
+    labels, and ``dirty(n)`` masks the wires it may leave in any state."""
+    def check(circuit, n):
+        error, residual = gadgets.classical_map_error(circuit, inputs(n), partial(want, n), dirty(n))
+        return error, residual, ()
+    return check
+
+
+def _increment(n, lab):
+    """(c, x) -> (c, x + c mod 2^n), with x on wires 0..n-1 and c on wire n."""
+    c = lab >> n
+    return c << n | (lab + c) & ((1 << n) - 1)
+
+
+def _negate(n, lab):
+    """(c, x) -> (c, -x mod 2^n) when c = 1, else (c, x)."""
+    c = lab >> n
+    return c << n | np.where(c, -lab, lab) & ((1 << n) - 1)
+
+
+def _or_root(n, lab):
+    """x kept, and the root (the last tree ancilla) set to [x != 0]."""
+    return lab | (lab != 0) << (2 * n - 2)
+
+
+# name -> (builder, check); a check returns (max_error, residual, blocks).
+# qst1-opt's sine domain is register values 1..N-1, with the control at 0.
+# The or-tree leaves its internal nodes, wires n..2n-3, dirty.
+_TABLE = {
+    "qht-lcu": (hartley.build_qht_lcu, _blocks(0, "DHT")),
+    "qht-rec": (hartley.build_qht_recursive, _blocks(0, "DHT")),
+    "qct1": (trig.build_qcst_type1, _blocks(0, "DCT1", "DST1")),
+    "qst1": (trig.build_qcst_type1, _blocks(0, "DCT1", "DST1")),
+    "qst1-opt": (trig.build_qst1_optimized, _blocks(1, "DST1")),
+    "qct2": (trig.build_qcst_type2, _blocks(0, "DCT2", "DST2")),
+    "qst2": (trig.build_qcst_type2, _blocks(0, "DCT2", "DST2")),
+    "qct3": (trig.build_qcst_type3, _blocks(0, "DCT3", "DST3")),
+    "qst3": (trig.build_qcst_type3, _blocks(0, "DCT3", "DST3")),
+    "qct4": (trig.build_qcst_type4, _blocks(0, "DCT4", "DST4")),
+    "qst4": (trig.build_qcst_type4, _blocks(0, "DCT4", "DST4")),
+    "qft": (qft.build_qft, _blocks(0, "DFT")),
+    "inc": (gadgets.build_cond_increment, _classical(lambda n: n + 1, _increment)),
+    "twos-comp": (gadgets.build_cond_twos_complement, _classical(lambda n: n + 1, _negate)),
+    "or-tree": (gadgets.build_or_tree,
+                _classical(lambda n: n, _or_root, lambda n: (1 << 2 * n - 2) - (1 << n))),
 }
+TRANSFORMS = tuple(_TABLE)
+_INCORRECT_D2 = ("qct4", "qst4")  # the transforms --incorrect-d2 applies to
 
 
 def build_transform(name: str, n: int, incorrect_d2: bool = False):
-    if name == "qht-lcu":
-        return hartley.build_qht_lcu(n)
-    if name == "qht-rec":
-        return hartley.build_qht_recursive(n)
-    if name in ("qct1", "qst1"):
-        return trig.build_qcst_type1(n)
-    if name == "qst1-opt":
-        return trig.build_qst1_optimized(n)
-    if name in ("qct2", "qst2"):
-        return trig.build_qcst_type2(n)
-    if name in ("qct3", "qst3"):
-        return trig.build_qcst_type3(n)
-    if name in ("qct4", "qst4"):
-        return trig.build_qcst_type4(n, corrected=not incorrect_d2)
-    if name == "qft":
-        return qft.build_qft(n)
-    if name == "inc":
-        return gadgets.build_cond_increment(n)
-    if name == "twos-comp":
-        return gadgets.build_cond_twos_complement(n)
-    if name == "or-tree":
-        return gadgets.build_or_tree(n)
-    raise ValueError(f"unknown transform {name!r}")
+    if name not in _TABLE:
+        raise ValueError(f"unknown transform {name!r}")
+    if incorrect_d2 and name in _INCORRECT_D2:
+        return trig.build_qcst_type4(n, corrected=False)
+    return _TABLE[name][0](n)
 
 
 def verify_transform(name: str, n: int, tolerance: float, incorrect_d2: bool = False) -> dict:
-    """Run the oracle check for one transform; returns the report dict.
+    """Run the declared check of one transform; returns the report dict.
 
     ``tolerance`` must lie strictly between 0 and 1: entries of two
     unitaries differ by at most 2, so a tolerance of 1 or more (or inf)
-    cannot reject anything, and nan rejects everything.
+    cannot reject anything, and nan rejects everything.  A cosine/sine pair
+    reports its embedding: the cosine block on the low register labels and
+    the sine block above them, each label as (control, data).
     """
     if not 0 < tolerance < 1:
         raise ValueError(f"tolerance must lie strictly between 0 and 1, got {tolerance}")
     circuit = build_transform(name, n, incorrect_d2)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "transform": name,
-        "n": n,
-        "tolerance": tolerance,
-    }
-    N = 1 << n
-    if name in _ORACLE_BLOCKS:
-        first, *kinds = _ORACLE_BLOCKS[name]
-        specs = [oracle.TransformSpec(kind, N) for kind in kinds]
-        if len(specs) == 2:
-            block_report = trig.verify_block_identity(circuit, *specs)
-            max_error = block_report.max_error()
-            residual = block_report.ancilla_residual
-            report["embedding"] = trig.embedding_as_json_dict(block_report, name, n)
-        else:
-            (max_error,), residual = trig._check_blocks(circuit, [(specs[0], first, 1)])
-    elif name in ("inc", "twos-comp"):
-        wrap = (lambda c, x: (x + c) % N) if name == "inc" else \
-            (lambda c, x: (N - x) % N if c else x)
-        max_error, residual = gadgets.classical_map_error(circuit, n, wrap)
-    elif name == "or-tree":
-        max_error, residual = gadgets.or_tree_error(circuit, n), 0.0
-    else:
-        raise ValueError(f"unknown transform {name!r}")
+    max_error, residual, blocks = _TABLE[name][1](circuit, n)
+    report = {"schema": SCHEMA_VERSION, "transform": name, "n": n, "tolerance": tolerance}
+    if len(blocks) == 2:
+        pairs = [[lab >> n, lab & ((1 << n) - 1)] for lab in range(2 << n)]
+        cos_dim = blocks[0][0].dim
+        report["embedding"] = {"transform": name, "n": n, "phase": "1",
+                               "cos_block": pairs[:cos_dim], "sin_block": pairs[cos_dim:]}
     report["max_error"] = max_error
     report["ancilla_residual"] = residual
     report["passed"] = bool(max_error < tolerance and residual < tolerance)
@@ -250,7 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "counts" and args.n is None and args.n_range is None:
         parser.error("counts needs --n or --n-range")
-    if getattr(args, "incorrect_d2", False) and args.transform not in ("qct4", "qst4"):
+    if getattr(args, "incorrect_d2", False) and args.transform not in _INCORRECT_D2:
         parser.error("--incorrect-d2 applies to qct4/qst4 only")
     sizes = [args.n] if getattr(args, "n", None) is not None else []
     sizes += list(getattr(args, "n_range", None) or ())

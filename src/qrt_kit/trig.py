@@ -4,11 +4,12 @@ Every builder works on a transform register of n data wires (0..n-1) plus
 one control wire (n); scratch ancillas sit above the control and are listed
 in ``Circuit.ancillas``.  The control selects the cosine (|0>) or sine (|1>)
 branch of the doubled-size Fourier identity realized by the circuit.
+``check_blocks`` checks any circuit against oracle blocks declared on its
+data register.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,38 +270,14 @@ def build_qcst_type4(n: int, corrected: bool = True) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# block-identity verification
+# block verification
 # ---------------------------------------------------------------------------
-
-# the sine-block phases a report may carry, with their golden-file names
-_PHASES = {1: "1", 1j: "i", -1: "-1", -1j: "-i"}
-
-
-@dataclass(frozen=True)
-class BlockIdentityReport:
-    """Result of matching a doubled-register unitary against a cosine block
-    and a phase-scaled sine block under the declared index embedding."""
-
-    max_error_cos_block: float
-    max_error_sin_block: float
-    embedding: dict
-    phase: complex
-    ancilla_residual: float
-
-    def max_error(self) -> float:
-        return max(self.max_error_cos_block, self.max_error_sin_block)
-
-    def passed(self, tolerance: float = 1e-10) -> bool:
-        return self.max_error() < tolerance and self.ancilla_residual < tolerance
 
 
 def _block_error(start: int, chunk: np.ndarray, spec: oracle.TransformSpec,
                  lo: int, phase: complex) -> float:
-    """Max deviation over the columns of ``chunk`` (register columns
-    ``start..``) that belong to the block declared on labels
-    ``lo..lo+spec.dim-1``: those rows must carry phase times the oracle's
-    columns and every other row must vanish.  0.0 when the chunk has none
-    of the block's columns."""
+    """Max deviation of one block of ``check_blocks`` over the columns of
+    ``chunk`` (register columns ``start..``); 0.0 when it has none of them."""
     hi = lo + spec.dim
     first, stop = max(start, lo), min(start + chunk.shape[1], hi)
     if first >= stop:
@@ -315,11 +292,21 @@ def _block_error(start: int, chunk: np.ndarray, spec: oracle.TransformSpec,
     return float(max(inside, outside))
 
 
-def _check_blocks(circuit: Circuit, blocks):
-    """Run the circuit on its data register, one column chunk at a time,
-    and check each declared block ``(spec, lo, phase)`` of ``blocks`` with
-    ``_block_error``.  Returns the per-block max errors and the residual;
-    columns no block declares are not checked."""
+def check_blocks(circuit: Circuit, blocks):
+    """Check the circuit's data register against oracle blocks declared on
+    it, and return the max error of each block and the ancilla residual.
+
+    Each block ``(spec, lo, phase)`` sits on register labels
+    ``lo..lo+spec.dim-1``: in each of its columns, those rows must carry
+    ``phase`` times the oracle's column and every other row must vanish.
+    Nothing is searched for, so a circuit that puts a block anywhere else
+    fails with a large error.  Columns no block declares are not checked,
+    and the register runs one column chunk at a time.
+    """
+    dim = 1 << len(circuit.data_wires)
+    if any(lo < 0 or lo + spec.dim > dim for spec, lo, _ in blocks):
+        raise ValueError("a declared block does not fit in the data register")
+
     def check(start, chunk):
         return [_block_error(start, chunk, spec, lo, phase) for spec, lo, phase in blocks]
 
@@ -327,49 +314,3 @@ def _check_blocks(circuit: Circuit, blocks):
     for _, chunk_errors, residual in data_register_chunks(circuit, circuit.data_wires, check):
         errors = [max(a, b) for a, b in zip(errors, chunk_errors)]
     return errors, residual
-
-
-def verify_block_identity(circuit: Circuit, cos_spec: oracle.TransformSpec,
-                          sin_spec: oracle.TransformSpec,
-                          phase: complex = 1) -> BlockIdentityReport:
-    """Check the circuit's data register against a cosine and a sine block
-    with ``_check_blocks``, and report per-block max errors.
-
-    The embedding is declared, not searched for: the cosine block sits on
-    register labels ``0..cos_spec.dim-1`` and ``phase`` times the sine block
-    on the labels above them.  A circuit that puts a block anywhere else
-    fails with a large error.
-    """
-    if phase not in _PHASES:
-        raise ValueError("sine-block phase must be a fourth root of unity")
-    phase = complex(phase)
-    n = len(circuit.data_wires) - 1
-    dim = 2 << n
-    if cos_spec.dim + sin_spec.dim != dim:
-        raise ValueError("block dimensions do not tile the doubled register")
-    (cos_error, sin_error), residual = _check_blocks(
-        circuit, [(cos_spec, 0, 1.0), (sin_spec, cos_spec.dim, phase)])
-    cos_labels = list(range(cos_spec.dim))
-    sin_labels = list(range(cos_spec.dim, dim))
-    embedding = {
-        "cos_block": tuple((lab >> n, lab & ((1 << n) - 1)) for lab in cos_labels),
-        "sin_block": tuple((lab >> n, lab & ((1 << n) - 1)) for lab in sin_labels),
-    }
-    return BlockIdentityReport(
-        max_error_cos_block=cos_error,
-        max_error_sin_block=sin_error,
-        embedding=embedding,
-        phase=phase,
-        ancilla_residual=residual,
-    )
-
-
-def embedding_as_json_dict(report: BlockIdentityReport, transform: str, n: int) -> dict:
-    """Golden-file form of the embedding a report was checked under."""
-    return {
-        "transform": transform,
-        "n": n,
-        "cos_block": [list(pair) for pair in report.embedding["cos_block"]],
-        "sin_block": [list(pair) for pair in report.embedding["sin_block"]],
-        "phase": _PHASES[report.phase],
-    }

@@ -1,13 +1,37 @@
-"""Shared test utilities: the simulator's full unitary of a small circuit,
-an independent brute-force unitary builder, reference matrices the circuits
-are compared against, and the float-angle oracle the library's angle table
-is cross-checked with."""
+"""Shared test utilities: the block check of a cosine/sine pair, the
+expected labels of a controlled classical map, the simulator's full unitary
+of a small circuit, an independent brute-force unitary builder, reference
+matrices the circuits are compared against, and the float-angle oracle the
+library's angle table is cross-checked with."""
 import math
 
 import numpy as np
 
 from qrt_kit.oracle import TransformSpec, cas, reference_matrix
 from qrt_kit.simcore import _target_matrix, data_register_action
+from qrt_kit.trig import check_blocks
+
+
+def block_errors(circuit, cos_kind: str, sin_kind: str, phase=1):
+    """``trig.check_blocks`` on the cosine block on the low register labels
+    and ``phase`` times the sine block above it: (max error, residual)."""
+    N = 1 << (len(circuit.data_wires) - 1)
+    cos = TransformSpec(cos_kind, N)
+    errors, residual = check_blocks(
+        circuit, [(cos, 0, 1), (TransformSpec(sin_kind, N), cos.dim, phase)])
+    return max(errors), residual
+
+
+def controlled_map(n: int, fn):
+    """Expected labels of (c, x) -> (c, fn(c, x)) for
+    ``gadgets.classical_map_error``, with x on data wires 0..n-1 and the
+    control c on wire n.  ``fn`` is called once per control value, with an
+    int ``c`` and the array of all x."""
+    def want(labels):
+        x = labels[:1 << n]
+        return np.concatenate([np.asarray(fn(c, x), dtype=np.int64) | (c << n)
+                               for c in (0, 1)])
+    return want
 
 
 def unitary(circuit) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qrt_kit import oracle
-from qrt_kit.cli import quadratic_fit
+from qrt_kit.cli import quadratic_fit, verify_transform
 from qrt_kit.gadgets import (
     build_cond_decrement,
     build_cond_increment,
@@ -15,7 +15,6 @@ from qrt_kit.gadgets import (
     build_cond_twos_complement,
     build_or_tree,
     classical_map_error,
-    or_tree_error,
 )
 from qrt_kit.hartley import (
     build_qht_lcu,
@@ -35,8 +34,9 @@ from qrt_kit.trig import (
     build_qcst_type4,
     build_qst1_optimized,
     build_type1_core,
-    verify_block_identity,
 )
+
+from helpers import block_errors, controlled_map
 
 TOL = 1e-10
 
@@ -82,10 +82,7 @@ def test_criterion_3_type1_block_identity():
     sine block for n = 2..4."""
     worst = 0.0
     for n in (2, 3, 4):
-        N = 1 << n
-        rep = verify_block_identity(build_type1_core(n), spec("DCT1", N),
-                                    spec("DST1", N), phase=1j)
-        worst = max(worst, rep.max_error(), rep.ancilla_residual)
+        worst = max(worst, *block_errors(build_type1_core(n), "DCT1", "DST1", phase=1j))
     report("criterion 3: Type-I block identity error (n=2..4)", worst)
 
 
@@ -108,13 +105,8 @@ def test_criterion_5_type2_and_type3():
     """Type-II blocks match, and the Type-III circuit gives the transposes."""
     worst = 0.0
     for n in (2, 3, 4):
-        N = 1 << n
-        rep2 = verify_block_identity(build_qcst_type2(n), spec("DCT2", N),
-                                     spec("DST2", N))
-        rep3 = verify_block_identity(build_qcst_type3(n), spec("DCT3", N),
-                                     spec("DST3", N))
-        worst = max(worst, rep2.max_error(), rep2.ancilla_residual,
-                    rep3.max_error(), rep3.ancilla_residual)
+        worst = max(worst, *block_errors(build_qcst_type2(n), "DCT2", "DST2"),
+                    *block_errors(build_qcst_type3(n), "DCT3", "DST3"))
     report("criterion 5: Type-II/III block identity error (n=2..4)", worst)
 
 
@@ -122,15 +114,10 @@ def test_criterion_6_type4_correction():
     """Corrected diagonal passes at every size; the defective one fails."""
     worst = 0.0
     for n in (1, 2, 3, 4):
-        N = 1 << n
-        rep = verify_block_identity(build_qcst_type4(n), spec("DCT4", N),
-                                    spec("DST4", N))
-        worst = max(worst, rep.max_error(), rep.ancilla_residual)
+        worst = max(worst, *block_errors(build_qcst_type4(n), "DCT4", "DST4"))
     report("criterion 6: Type-IV corrected-diagonal error (n=1..4)", worst)
-    regression = min(
-        verify_block_identity(build_qcst_type4(n, corrected=False),
-                              spec("DCT4", 1 << n), spec("DST4", 1 << n)).max_error()
-        for n in (2, 3))
+    regression = min(block_errors(build_qcst_type4(n, corrected=False), "DCT4", "DST4")[0]
+                     for n in (2, 3))
     report("criterion 6: Type-IV uncorrected-diagonal error", regression,
            threshold=0.1, mode=">")
 
@@ -150,7 +137,7 @@ def test_criterion_7_gadget_exhaustives():
             checks.append((build_cond_twos_complement(n),
                            lambda c, x: (N - x) % N if c else x))
         for circ, fn in checks:
-            worst = max(worst, *classical_map_error(circ, n, fn))
+            worst = max(worst, *classical_map_error(circ, n + 1, controlled_map(n, fn)))
     report("criterion 7: gadget classical-map error (n<=16)", worst)
 
     for n in range(3, 17):
@@ -161,8 +148,8 @@ def test_criterion_7_gadget_exhaustives():
         assert count_gates(build_or_tree(n, reset_root=True)).total == 12 * (n - 1)
     print("PASS  criterion 7: two's complement 4n-4 and or-tree 3/6/12(n-1) counts exact")
 
-    # or-tree root value on every basis input up to n = 16
-    worst_root = max(or_tree_error(build_or_tree(n), n) for n in range(2, 17))
+    # or-tree root value on every basis input up to n = 16, as the CLI checks it
+    worst_root = max(verify_transform("or-tree", n, TOL)["max_error"] for n in range(2, 17))
     report("criterion 7: or-tree root exhaustive error (n<=16)", worst_root)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism, round trips."""
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -184,6 +185,33 @@ def test_unknown_transform_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["build", "--transform", "nope", "--n", "2"])
     assert exc.value.code == 2
+
+
+def test_build_transform_rejects_an_unknown_name():
+    with pytest.raises(ValueError):
+        cli.build_transform("nope", 2)
+
+
+def test_transform_names_and_order():
+    assert cli.TRANSFORMS == (
+        "qht-lcu", "qht-rec", "qct1", "qst1", "qst1-opt", "qct2", "qst2",
+        "qct3", "qst3", "qct4", "qst4", "qft", "inc", "twos-comp", "or-tree",
+    )
+
+
+@pytest.mark.parametrize("name", ["inc", "twos-comp", "or-tree"])
+def test_gadget_check_rejects_a_missing_last_gate(name, monkeypatch, capsys):
+    build, check = cli._TABLE[name]
+
+    def truncated(n):
+        circuit = build(n)
+        return dataclasses.replace(circuit, gates=circuit.gates[:-1])
+
+    monkeypatch.setitem(cli._TABLE, name, (truncated, check))
+    report = cli.verify_transform(name, 4, 1e-10)
+    assert report["passed"] is False
+    assert report["max_error"] == 1.0
+    assert run_cli(["verify", "--transform", name, "--n", "4"], capsys)[0] == 1
 
 
 def test_incorrect_d2_limited_to_type4(capsys):

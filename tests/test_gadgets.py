@@ -3,6 +3,7 @@ reversible-arithmetic gadgets."""
 import numpy as np
 import pytest
 
+from qrt_kit.cli import _TABLE
 from qrt_kit.gadgets import (
     build_cond_decrement,
     build_cond_increment,
@@ -11,11 +12,14 @@ from qrt_kit.gadgets import (
     build_or_gate,
     build_or_tree,
     classical_map_error,
-    or_tree_error,
 )
 from qrt_kit.simcore import Circuit, Gate, count_gates, data_register_action
 
-from helpers import unitary
+from helpers import controlled_map, unitary
+
+
+def identity(labels):
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -25,22 +29,22 @@ from helpers import unitary
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_increment_exhaustive(n):
-    err = classical_map_error(build_cond_increment(n), n,
-                              lambda c, x: (x + c) % (1 << n))
+    err = classical_map_error(build_cond_increment(n), n + 1,
+                              controlled_map(n, lambda c, x: (x + c) % (1 << n)))
     assert err == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_decrement_exhaustive(n):
-    err = classical_map_error(build_cond_decrement(n), n,
-                              lambda c, x: (x - c) % (1 << n))
+    err = classical_map_error(build_cond_decrement(n), n + 1,
+                              controlled_map(n, lambda c, x: (x - c) % (1 << n)))
     assert err == (0.0, 0.0)
 
 
 def test_increment_wraparound_case():
     # n=3, c=1, x=7 -> 0
-    err = classical_map_error(build_cond_increment(3), 3,
-                              lambda c, x: (x + c) % 8)
+    err = classical_map_error(build_cond_increment(3), 4,
+                              controlled_map(3, lambda c, x: (x + c) % 8))
     assert err == (0.0, 0.0)
 
 
@@ -49,14 +53,14 @@ def test_decrement_then_increment_is_identity():
         inc = build_cond_increment(n)
         dec = build_cond_decrement(n)
         both = Circuit(inc.width, inc.gates + dec.gates, inc.ancillas)
-        err = classical_map_error(both, n, lambda c, x: x)
+        err = classical_map_error(both, n + 1, identity)
         assert err == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_ones_complement_exhaustive(n):
-    err = classical_map_error(build_cond_ones_complement(n), n,
-                              lambda c, x: ((1 << n) - 1 - x) if c else x)
+    err = classical_map_error(build_cond_ones_complement(n), n + 1,
+                              controlled_map(n, lambda c, x: ((1 << n) - 1 - x) if c else x))
     assert err == (0.0, 0.0)
 
 
@@ -64,13 +68,13 @@ def test_ones_complement_involution():
     for n in range(1, 6):
         circ = build_cond_ones_complement(n)
         both = Circuit(circ.width, circ.gates + circ.gates)
-        assert classical_map_error(both, n, lambda c, x: x) == (0.0, 0.0)
+        assert classical_map_error(both, n + 1, identity) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_twos_complement_exhaustive(n):
-    err = classical_map_error(build_cond_twos_complement(n), n,
-                              lambda c, x: ((1 << n) - x) % (1 << n) if c else x)
+    err = classical_map_error(build_cond_twos_complement(n), n + 1,
+                              controlled_map(n, lambda c, x: ((1 << n) - x) % (1 << n) if c else x))
     assert err == (0.0, 0.0)
 
 
@@ -151,26 +155,27 @@ def test_or_tree_gate_tiers(n):
 def test_or_tree_uncompute_restores_all_ancillas():
     for n in (2, 3, 5):
         circ = build_or_tree(n, uncompute_internal=True)
-        err = classical_map_error(circ, n - 1, lambda c, x: x)  # identity map
+        err = classical_map_error(circ, n, identity)  # identity map
         assert err == (0.0, 0.0)
 
 
 def test_classical_map_error_flags_a_wrong_map_and_a_dirty_ancilla():
     # the increment is not the identity; its carries come back clean
-    assert classical_map_error(build_cond_increment(4), 4,
-                               lambda c, x: x) == (1.0, 0.0)
+    assert classical_map_error(build_cond_increment(4), 5, identity) == (1.0, 0.0)
     # the bare tree leaves its ancillas dirty whatever the map
-    assert classical_map_error(build_or_tree(4), 3, lambda c, x: x) == (1.0, 1.0)
+    assert classical_map_error(build_or_tree(4), 4, identity) == (1.0, 1.0)
     # only the lowest ancilla, right above the control, is dirtied
     copy_control = Circuit(4, (Gate("CNOT", (2,), (3,)),))
-    assert classical_map_error(copy_control, 2, lambda c, x: x) == (1.0, 1.0)
+    assert classical_map_error(copy_control, 3, identity) == (1.0, 1.0)
 
 
 def test_or_tree_error_checks_data_and_root():
+    # the CLI's or-tree check: data kept, root set, internal nodes don't-care
+    check = _TABLE["or-tree"][1]
     for n in (2, 3, 5):
-        assert or_tree_error(build_or_tree(n), n) == 0.0
+        assert check(build_or_tree(n), n)[0] == 0.0
         # the full uncompute clears the root again
-        assert or_tree_error(build_or_tree(n, uncompute_internal=True), n) == 1.0
+        assert check(build_or_tree(n, uncompute_internal=True), n)[0] == 1.0
 
 
 def test_or_tree_degenerate_two_inputs():

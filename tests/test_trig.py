@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from qrt_kit import oracle
+from qrt_kit import cli, oracle
 from qrt_kit.simcore import (
     Circuit,
     Gate,
@@ -25,11 +25,10 @@ from qrt_kit.trig import (
     build_qst1_optimized,
     build_t_gate,
     build_type1_core,
-    embedding_as_json_dict,
-    verify_block_identity,
+    check_blocks,
 )
 
-from helpers import unitary
+from helpers import block_errors, unitary
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -100,16 +99,14 @@ def test_t_gate_size_error():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_type1_core_block_identity(n):
-    report = verify_block_identity(build_type1_core(n), spec("DCT1", 1 << n),
-                                   spec("DST1", 1 << n), phase=1j)
-    assert report.passed()
+    error, residual = block_errors(build_type1_core(n), "DCT1", "DST1", phase=1j)
+    assert error < 1e-10 and residual < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_type1_full_block_identity(n):
-    report = verify_block_identity(build_qcst_type1(n), spec("DCT1", 1 << n),
-                                   spec("DST1", 1 << n), phase=1)
-    assert report.passed()
+    error, residual = block_errors(build_qcst_type1(n), "DCT1", "DST1")
+    assert error < 1e-10 and residual < 1e-10
 
 
 def test_type1_cosine_zero_column():
@@ -134,10 +131,12 @@ def test_type1_sine_columns_match_oracle():
 
 
 def test_type1_embedding_puts_extra_cosine_index_on_control_one():
-    report = verify_block_identity(build_type1_core(3), spec("DCT1", 8),
-                                   spec("DST1", 8), phase=1j)
-    assert report.embedding["cos_block"][-1] == (1, 0)
-    assert report.embedding["sin_block"][0] == (1, 1)
+    # DCT1 has N+1 rows, so its last one is register label N: control 1, data 0
+    errors, _ = check_blocks(build_type1_core(3), [(spec("DCT1", 8), 0, 1)])
+    assert errors[0] < 1e-10
+    embedding = cli.verify_transform("qct1", 3, 1e-10)["embedding"]
+    assert embedding["cos_block"][-1] == [1, 0]
+    assert embedding["sin_block"][0] == [1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +255,12 @@ def test_g_gate_matches_case_matrix(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_type2_block_identity(n):
-    report = verify_block_identity(build_qcst_type2(n), spec("DCT2", 1 << n),
-                                   spec("DST2", 1 << n), phase=1)
-    assert report.passed()
-    assert report.max_error_cos_block < 1e-10
-    assert report.max_error_sin_block < 1e-10
+    N = 1 << n
+    (cos_error, sin_error), residual = check_blocks(
+        build_qcst_type2(n), [(spec("DCT2", N), 0, 1), (spec("DST2", N), N, 1)])
+    assert cos_error < 1e-10
+    assert sin_error < 1e-10
+    assert residual < 1e-10
 
 
 def test_type2_eq5_phase_without_final_z():
@@ -270,8 +270,8 @@ def test_type2_eq5_phase_without_final_z():
     circ = build_qcst_type2(n)
     assert circ.gates[-1].kind == "Z"
     core = Circuit(circ.width, circ.gates[:-1], circ.ancillas)
-    report = verify_block_identity(core, spec("DCT2", 4), spec("DST2", 4), phase=-1)
-    assert report.passed()
+    error, residual = block_errors(core, "DCT2", "DST2", phase=-1)
+    assert error < 1e-10 and residual < 1e-10
 
 
 def test_type2_constant_column():
@@ -301,9 +301,8 @@ def test_type2_unitarity():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_type3_block_identity(n):
-    report = verify_block_identity(build_qcst_type3(n), spec("DCT3", 1 << n),
-                                   spec("DST3", 1 << n), phase=1)
-    assert report.passed()
+    error, residual = block_errors(build_qcst_type3(n), "DCT3", "DST3")
+    assert error < 1e-10 and residual < 1e-10
 
 
 def test_type3_composes_with_type2_to_identity():
@@ -320,9 +319,8 @@ def test_type3_composes_with_type2_to_identity():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_type4_corrected_block_identity(n):
-    report = verify_block_identity(build_qcst_type4(n), spec("DCT4", 1 << n),
-                                   spec("DST4", 1 << n), phase=1)
-    assert report.passed()
+    error, residual = block_errors(build_qcst_type4(n), "DCT4", "DST4")
+    assert error < 1e-10 and residual < 1e-10
 
 
 def test_type4_n1_blocks_match_formula():
@@ -344,10 +342,8 @@ def test_dct4_symmetric_involution():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_type4_incorrect_diagonal_regression(n):
-    report = verify_block_identity(build_qcst_type4(n, corrected=False),
-                                   spec("DCT4", 1 << n), spec("DST4", 1 << n),
-                                   phase=1)
-    assert report.max_error() > 0.1
+    error, _ = block_errors(build_qcst_type4(n, corrected=False), "DCT4", "DST4")
+    assert error > 0.1
 
 
 def test_type4_needs_no_scratch():
@@ -371,32 +367,37 @@ def test_ancilla_cleanliness_all_builders():
 
 
 def test_verify_negative_control_reports_without_raising():
-    report = verify_block_identity(Circuit(3), spec("DCT1", 4), spec("DST1", 4),
-                                   phase=1j)
-    assert report.max_error() > 0.5
-    assert not report.passed()
+    error, residual = block_errors(Circuit(3), "DCT1", "DST1", phase=1j)
+    assert error > 0.5
+    assert residual == 0.0
 
 
 def test_verify_rejects_bad_phase():
-    with pytest.raises(ValueError):
-        verify_block_identity(Circuit(3), spec("DCT1", 4), spec("DST1", 4),
-                              phase=0.5)
+    # a phase the circuit does not carry fails the check
+    error, _ = block_errors(build_qcst_type2(2), "DCT2", "DST2", phase=0.5)
+    assert error > 0.1
 
 
 def test_verify_rejects_mismatched_blocks():
+    # DCT1 on 4 points has 5 rows; DST1 on 8 points, 7, would end at label 12
     with pytest.raises(ValueError):
-        verify_block_identity(Circuit(3), spec("DCT1", 4), spec("DST1", 8))
+        check_blocks(Circuit(3), [(spec("DCT1", 4), 0, 1), (spec("DST1", 8), 5, 1)])
+    with pytest.raises(ValueError):
+        check_blocks(Circuit(3), [(spec("DFT", 8), -1, 1)])
 
 
-def test_blocks_off_the_declared_embedding_fail():
+def test_blocks_off_the_declared_embedding_fail(monkeypatch):
     # a control flip after a correct Type-II circuit moves the cosine block
     # onto the high labels: the declared embedding does not follow it
     circ = build_qcst_type2(2)
     flipped = Circuit(circ.width, circ.gates + (Gate("X", targets=(2,)),),
                       circ.ancillas)
-    report = verify_block_identity(flipped, spec("DCT2", 4), spec("DST2", 4))
-    assert report.max_error() > 0.5
-    assert report.embedding["cos_block"] == tuple((0, x) for x in range(4))
+    error, _ = block_errors(flipped, "DCT2", "DST2")
+    assert error > 0.5
+    monkeypatch.setattr(cli, "build_transform", lambda name, n, incorrect_d2=False: flipped)
+    report = cli.verify_transform("qct2", 2, 1e-10)
+    assert report["passed"] is False
+    assert report["embedding"]["cos_block"] == [[0, x] for x in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +405,31 @@ def test_blocks_off_the_declared_embedding_fail():
 # ---------------------------------------------------------------------------
 
 _GOLDEN_BUILDS = {
-    "qct1-core": (build_type1_core, "DCT1", "DST1", 1j),
-    "qct1": (build_qcst_type1, "DCT1", "DST1", 1),
-    "qct2": (build_qcst_type2, "DCT2", "DST2", 1),
-    "qct3": (build_qcst_type3, "DCT3", "DST3", 1),
-    "qct4": (build_qcst_type4, "DCT4", "DST4", 1),
+    "qct1-core": (build_type1_core, "DCT1", "DST1"),
+    "qct1": (build_qcst_type1, "DCT1", "DST1"),
+    "qct2": (build_qcst_type2, "DCT2", "DST2"),
+    "qct3": (build_qcst_type3, "DCT3", "DST3"),
+    "qct4": (build_qcst_type4, "DCT4", "DST4"),
 }
+_GOLDEN_PHASES = {"1": 1, "i": 1j, "-1": -1, "-i": -1j}
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*_n*.json")),
                          ids=lambda p: p.stem)
 def test_golden_embeddings(path):
+    """Each file's blocks, read back as register labels (control, data),
+    pass ``check_blocks`` on the circuit, and the CLI reports the same
+    embedding."""
     frozen = json.loads(path.read_text())
-    build, cos_kind, sin_kind, phase = _GOLDEN_BUILDS[frozen["transform"]]
+    build, cos_kind, sin_kind = _GOLDEN_BUILDS[frozen["transform"]]
     n = frozen["n"]
-    report = verify_block_identity(build(n), spec(cos_kind, 1 << n),
-                                   spec(sin_kind, 1 << n), phase=phase)
-    assert report.passed()
-    assert embedding_as_json_dict(report, frozen["transform"], n) == frozen
+    blocks = []
+    for key, kind, phase in (("cos_block", cos_kind, 1),
+                             ("sin_block", sin_kind, _GOLDEN_PHASES[frozen["phase"]])):
+        labels = [c << n | x for c, x in frozen[key]]
+        assert labels == list(range(labels[0], labels[0] + len(labels)))
+        blocks.append((spec(kind, 1 << n), labels[0], phase))
+    errors, residual = check_blocks(build(n), blocks)
+    assert max(errors) < 1e-10 and residual < 1e-10
+    if frozen["transform"] != "qct1-core":
+        assert cli.verify_transform(frozen["transform"], n, 1e-10)["embedding"] == frozen
