@@ -230,41 +230,78 @@ def _butterfly(tensor: np.ndarray, gate: Gate, width: int, scratch: np.ndarray) 
         b *= SQRT2_INV
 
 
-def _layers(circuit: Circuit):
-    """The dense engine's program for a circuit, in order: each H or CH gate
-    is a butterfly layer, and each maximal run of other gates is one
-    monomial layer, with the final relabeling folded into the last run."""
-    run = []
-    for gate in circuit.gates:
-        if gate.kind in _BUTTERFLY_KINDS:
-            if run:
-                yield _monomial_layer(run, None, circuit.width)
-                run = []
-            yield gate
-        else:
+def _layers(circuit: Circuit, data_wires: list):
+    """The dense engine's program for ``circuit`` on the data register
+    ``data_wires`` of d wires, as ``(layers, leak)`` over 2^d rows; None
+    where the rules below fail, and the sparse engine runs instead.
+
+    Row ``r`` stands for one basis label, ``keys[r]``, whose data bits spell
+    the register value ``r``; its other (ancilla) bits start at 0 and then
+    hold classical functions of the data.  Each maximal run of gates other
+    than H and CH goes through ``_monomial`` on those 2^d keys and is one
+    ``_monomial_layer``, with the final relabeling folded into the last run.
+    Each H or CH is a butterfly on the row bits: the gate itself, or, when
+    an ancilla controls it, a (2, m) array of the row pairs it mixes.
+    ``leak`` holds the rows whose final label has an ancilla bit set.  The
+    rules, all checked in integers: each run maps the rows one to one, every
+    butterfly targets a data wire, and the two rows of every pair a
+    butterfly mixes hold the same ancilla bits.  With no ancilla and the
+    data wires in wire order, the keys stay the row numbers."""
+    pos = {w: p for p, w in enumerate(data_wires)}
+    if circuit.width > _KEY_BITS or any(  # checked before anything 2^d-sized
+            g.kind in _BUTTERFLY_KINDS and g.targets[0] not in pos for g in circuit.gates):
+        return None
+    ancilla = sum(1 << w for w in range(circuit.width) if w not in pos)
+    rows = np.arange(1 << len(data_wires), dtype=np.int64)
+    keys, layers, run = _spread(rows, data_wires), [], []
+    for gate in circuit.gates + (None,):  # None: the end, which closes the last run
+        last = gate is None
+        if not last and gate.kind not in _BUTTERFLY_KINDS:
             run.append(gate)
-    if run or circuit.relabeling is not None:
-        yield _monomial_layer(run, circuit.relabeling, circuit.width)
+            continue
+        if run or (last and circuit.relabeling is not None):
+            relabeling = circuit.relabeling if last else None
+            step = _monomial_layer(run, relabeling, keys, rows, data_wires)
+            if step is None:
+                return None
+            keys, layer = step
+            layers.append(layer)
+            run = []
+        if last:
+            return layers, np.flatnonzero(keys & ancilla)
+        ctrl, bit = _masks(gate, 0)[0], 1 << pos[gate.targets[0]]
+        if ancilla:
+            on = np.flatnonzero((keys & ctrl) == ctrl)
+            if np.any((keys[on] ^ keys[on ^ bit]) & ancilla):
+                return None
+        if ctrl & ancilla:
+            lo = on[(on & bit) == 0]
+            layers.append(np.stack((lo, lo | bit)))
+        else:
+            layers.append(gate.remapped(pos))
 
 
-def _monomial_layer(run, relabeling, width: int):
-    """``(inv, phase)`` of a run of gates other than H and CH: output label
-    ``i`` takes the amplitude of input label ``inv[i]`` times ``phase[i]``.
-    ``inv`` is None when the run permutes no label, ``phase`` None when it
-    multiplies by no phase."""
-    labels = np.arange(1 << width, dtype=np.int64)
-    keys, phase = labels.copy(), np.ones(1 << width, dtype=complex)
+def _monomial_layer(run, relabeling, keys, rows, data_wires):
+    """One run of ``_layers`` on ``keys``, which it consumes: the keys after
+    it and its ``(inv, phase)`` layer, where output row ``i`` takes the
+    amplitude of input row ``inv[i]`` times ``phase[i]``; None when the run
+    does not map the rows one to one.  ``inv`` is None when the run permutes
+    no row, ``phase`` None when it multiplies by no phase."""
+    phase = np.ones(len(keys), dtype=complex)
     for gate in run:
         for sel, factor in _monomial(gate, 0)(keys):
             phase[sel] *= factor
     if relabeling is not None:
         keys = _relabel_keys(keys, relabeling, 0)
     phase = None if np.all(phase == 1) else phase
-    if np.array_equal(keys, labels):
-        return None, phase
-    inv = np.empty_like(keys)
-    inv[keys] = labels
-    return inv, None if phase is None else phase[inv]
+    dest = _gather(keys, data_wires)
+    if np.array_equal(dest, rows):
+        return keys, (None, phase)
+    inv = np.full_like(rows, -1)
+    inv[dest] = rows
+    if inv.min() < 0:
+        return None
+    return keys[inv], (inv, None if phase is None else phase[inv])
 
 
 _MAX_DEFERRED_H = 64
@@ -278,7 +315,7 @@ def _h_scale(count: int) -> float:
 
 
 def _run_flat(flat: np.ndarray, layers) -> np.ndarray:
-    """Run compiled ``_layers`` on a C-contiguous (dim, B) batch of
+    """Run compiled ``_layers`` on a C-contiguous (2^d, B) batch of
     amplitude columns, which it consumes: callers pass arrays they own.
 
     An uncontrolled H is an add and a subtract; its 1/sqrt(2) is folded
@@ -294,6 +331,11 @@ def _run_flat(flat: np.ndarray, layers) -> np.ndarray:
             if deferred == _MAX_DEFERRED_H:
                 flat *= _h_scale(deferred)
                 deferred = 0
+            continue
+        if isinstance(layer, np.ndarray):  # the row pairs of a CH
+            a, b = flat[layer[0]], flat[layer[1]]
+            flat[layer[0]] = (a + b) * SQRT2_INV
+            flat[layer[1]] = (a - b) * SQRT2_INV
             continue
         inv, phase = layer
         if inv is not None:
@@ -366,26 +408,26 @@ def data_register_chunks(circuit: Circuit, data_wires=None, check=None):
     a chunk or its check is raised here, and closing the stream early
     cancels the chunks not yet started: no thread outlives the stream.
 
-    When the data register is narrower than the circuit, some wires start in
-    |0> and the support-sparse engine runs: it keeps only the nonzero
-    amplitudes, at most 2^d per column for circuits whose ancillas hold
-    classical functions of the data, ``2^_sparse_chunk_bits(d)`` columns at
-    a time.  It compiles the circuit once, before any chunk, and the threads
-    share that program read-only.  Each H or CH in it is a split, which
-    doubles the entries with no sort, when GF(2) parity constraints that
-    hold on every key of a chunk show that no entry can meet its partner,
-    and a merge, which sorts and sums the entries that meet, otherwise.  It
-    drops entries below 1e-14 and adds the largest per-column L2 norm it
-    dropped to ``residual``, so the residual stays an upper bound on the
-    true leak and on the pruning error of every matrix entry.  The
-    bound is folded into ``residual`` rather than returned as a field of its
-    own because every caller already fails a run whose residual reaches its
-    tolerance: pruning can never hide a leak, and no caller has to learn a
-    new field.  A full-width data register runs the dense statevector
-    engine, ``_DENSE_BATCH`` columns at a time.
+    Wires off the data register start in |0>.  The dense statevector engine
+    runs on 2^d rows, ``_DENSE_BATCH`` columns at a time, whenever its
+    compile (``_layers``) can prove in integers that those wires only ever
+    hold classical functions of the data: then each row stands for one
+    basis label, and a row left with an ancilla bit set is leak, so a clean
+    circuit reports a residual of exactly 0.0.  Every full-width register
+    and every cosine and sine circuit runs there.  A circuit that puts an
+    ancilla in superposition (H or CH on it, as the Hartley pair does) or
+    breaks another rule of ``_layers`` runs the support-sparse engine
+    instead, ``2^_sparse_chunk_bits(d)`` columns at a time (see
+    ``_sparse_chunks``).  That engine drops amplitudes below 1e-14 and adds
+    the largest per-column L2 norm it dropped to ``residual``, so the
+    residual bounds the true leak and the pruning error of every entry:
+    every caller already fails a run whose residual reaches its tolerance,
+    so pruning can never hide a leak.  Both engines compile the circuit
+    once, before any chunk, and the threads share that program read-only.
 
-    ``data_wires`` must name distinct wires of the circuit; they are checked
-    before anything is simulated.
+    ``data_wires`` must name distinct wires of the circuit, at most
+    ``STATEVECTOR_WIDTH_CAP`` of them; they are checked before anything
+    is simulated or compiled.
     """
     if data_wires is None:
         data_wires = circuit.data_wires
@@ -394,9 +436,13 @@ def data_register_chunks(circuit: Circuit, data_wires=None, check=None):
         raise ValueError(f"data wires repeat: {data_wires}")
     if any(not 0 <= w < circuit.width for w in data_wires):
         raise ValueError(f"data wires must lie within 0..{circuit.width - 1}")
-    if len(data_wires) < circuit.width:
+    if len(data_wires) > STATEVECTOR_WIDTH_CAP:
+        raise ValueError(f"data registers are capped at {STATEVECTOR_WIDTH_CAP} qubits, "
+                         f"got {len(data_wires)}")
+    program = _layers(circuit, data_wires)
+    if program is None:
         return _sparse_chunks(circuit, data_wires, check)
-    return _dense_chunks(circuit, data_wires, check)
+    return _dense_chunks(program, len(data_wires), check)
 
 
 def _assemble(chunks):
@@ -441,36 +487,44 @@ def _spread(values, wires) -> np.ndarray:
     return labels
 
 
+def _gather(labels, wires) -> np.ndarray:
+    """The inverse of ``_spread``: bit ``pos`` of each value is wire
+    ``wires[pos]`` of its label, and other wires are dropped."""
+    values = np.zeros_like(labels)
+    for pos, w in enumerate(wires):
+        values |= ((labels >> w) & 1) << pos
+    return values
+
+
 def _dense_register_action(circuit: Circuit, data_wires: list):
-    """The dense engine's ``data_register_action``."""
-    return _assemble(_dense_chunks(circuit, data_wires))
+    """The dense engine's ``data_register_action``, or None where its
+    compile refuses the circuit."""
+    program = _layers(circuit, data_wires)
+    return None if program is None else _assemble(_dense_chunks(program, len(data_wires)))
 
 
-def _dense_chunks(circuit: Circuit, data_wires: list, check=None):
-    """Statevector engine of ``data_register_chunks``.  The data wires are
-    a permutation of all wires, so every output is on the data register
-    and the residual is 0.0; every column runs through the full 2^width
-    state.  The compiled layers are shared, read-only, by the chunks."""
-    if circuit.width > STATEVECTOR_WIDTH_CAP:
-        raise ValueError(f"statevector runs are capped at {STATEVECTOR_WIDTH_CAP} qubits")
-    dim = 1 << circuit.width
-    # in_labels[r] is the circuit label of data-register value r; None when
-    # the data wires are in wire order, so that the two coincide
-    in_labels = None
-    if data_wires != list(range(circuit.width)):
-        in_labels = _spread(np.arange(dim, dtype=np.int64), data_wires)
-    layers = list(_layers(circuit))
+def _dense_chunks(program, d: int, check=None):
+    """Statevector engine of ``data_register_chunks``: every column runs
+    through the 2^d rows of the compiled ``_layers`` program, which the
+    chunks share read-only.  The leak rows are zeroed, and their largest
+    amplitude is the residual, so a circuit whose ancillas come back clean
+    reports exactly 0.0."""
+    layers, leak = program
+    dim = 1 << d
 
     def simulate(start):
         cols = np.arange(start, min(start + _DENSE_BATCH, dim))
         # the basis block is passed as a temporary, so that _run_flat's
         # first gather frees it
-        block = _run_flat(_basis_columns(dim, cols if in_labels is None else in_labels[cols]),
-                          layers)
-        return block if in_labels is None else block[in_labels], None
+        block = _run_flat(_basis_columns(dim, cols), layers)
+        out = float(np.max(np.abs(block[leak]), initial=0.0))
+        block[leak] = 0.0
+        return block, out
 
-    for start, result, _ in _in_order(range(0, dim, _DENSE_BATCH), simulate, check):
-        yield start, result, 0.0
+    residual = 0.0
+    for start, result, out in _in_order(range(0, dim, _DENSE_BATCH), simulate, check):
+        residual = max(residual, out)
+        yield start, result, residual
 
 
 def _basis_columns(dim: int, labels) -> np.ndarray:
@@ -527,11 +581,8 @@ def _sparse_chunks(circuit: Circuit, data_wires: list, check=None):
             keys = _relabel_keys(keys, circuit.relabeling, c)
         labels, cols = keys >> c, keys & ((1 << c) - 1)
         on = (labels & ancilla_mask) == 0
-        rows = np.zeros(int(np.count_nonzero(on)), dtype=np.int64)
-        for pos, w in enumerate(data_wires):
-            rows |= ((labels[on] >> w) & 1) << pos
         block = np.zeros((1 << d, 1 << c), dtype=complex)
-        block[rows, cols[on]] = amps[on]
+        block[_gather(labels[on], data_wires), cols[on]] = amps[on]
         leak = float(np.max(np.abs(amps[~on]), initial=0.0))
         return block, (leak, float(np.max(pruned)))
 
@@ -642,9 +693,13 @@ def _butterfly_step(gate: Gate, c: int, split: bool):
             factor += SQRT2_INV
             np.multiply(a, factor, out=out_a[n:])
             k, a = out_k, out_a
+            # the halves differ by a sign at most, so their magnitudes agree
+            small = np.abs(a[:n]) < _PRUNE_BELOW
+            small = np.concatenate((small, small))
         else:
             k, a = _merge(k, a, bit)
-        k, a = _prune(k, a, c, pruned)
+            small = np.abs(a) < _PRUNE_BELOW
+        k, a = _prune(k, a, small, c, pruned)
         if ctrl:
             k = np.concatenate((keys[~sel], k))
             a = np.concatenate((amps[~sel], a))
@@ -784,10 +839,9 @@ def classical_image(circuit: Circuit, labels) -> np.ndarray:
     return labels
 
 
-def _prune(keys, amps, c: int, pruned):
-    """Drop entries below ``_PRUNE_BELOW``, adding each column's dropped L2
-    norm to ``pruned``."""
-    small = np.abs(amps) < _PRUNE_BELOW
+def _prune(keys, amps, small, c: int, pruned):
+    """Drop the entries that ``small`` marks as below ``_PRUNE_BELOW``,
+    adding each column's dropped L2 norm to ``pruned``."""
     if small.any():
         cols = keys[small] & ((1 << c) - 1)
         pruned += np.sqrt(np.bincount(cols, np.abs(amps[small]) ** 2, len(pruned)))

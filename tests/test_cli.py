@@ -102,6 +102,12 @@ def test_verify_incorrect_d2_fails_with_exit_one(capsys):
     assert "embedding" in report
 
 
+def test_incorrect_d2_error_is_unchanged():
+    report = cli.verify_transform("qct4", 9, 1e-10, incorrect_d2=True)
+    assert report["passed"] is False
+    assert abs(report["max_error"] - 0.07433550768664207) < 1e-15
+
+
 def test_qst1_opt_amplitude_on_register_value_zero_fails(monkeypatch):
     # a doubly controlled Ry(1e-5), conditioned on wires 1 and 2 both 0,
     # moves about 3.5e-6 of each sine-domain column onto register value 0,
@@ -142,11 +148,13 @@ def test_verify_cap_exceeded_is_usage_error(capsys):
 
 @pytest.mark.parametrize("name,n", [
     ("qft", 21),      # no ancillas: dense engine, width above STATEVECTOR_WIDTH_CAP
+    ("qct2", 21),     # a 22-wire data register, refused before anything 2^d-sized
 ])
 def test_dense_verify_cap_exceeded_is_usage_error(name, n, capsys):
     code, _, err = run_cli(["verify", "--transform", name, "--n", str(n)], capsys)
     assert code == 2
     assert "cap" in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_or_tree_beyond_statevector_width(capsys):

@@ -1,9 +1,10 @@
-"""The two engines behind ``data_register_action``: the support-sparse one
-(data register narrower than the circuit) against the dense statevector one
-and against the brute-force unitary, on random circuits; the sparse
-engine's split/merge tags, checked on the live keys; and
-``classical_image`` against the brute-force unitary on random classical
-circuits."""
+"""The two engines behind ``data_register_action``: the support-sparse one,
+the dense one on the full register, and the dense one folded onto a data
+register narrower than the circuit, against each other and against the
+brute-force unitary, on random circuits; the circuits the folded compile
+must refuse; the sparse engine's split/merge tags, checked on the live
+keys; and ``classical_image`` against the brute-force unitary on random
+classical circuits."""
 import contextlib
 import math
 
@@ -131,6 +132,16 @@ def checked_splits(chunk_bits=None):
         yield tags
 
 
+def assert_folded_agrees(circuit, data_wires, matrix, residual):
+    """The folded route on ``data_wires``, where its compile takes the
+    circuit, against ``(matrix, residual)``; returns whether it ran."""
+    folded = _dense_register_action(circuit, data_wires)
+    if folded is not None:
+        np.testing.assert_allclose(folded[0], matrix, rtol=0, atol=1e-12)
+        assert abs(folded[1] - residual) < 1e-12
+    return folded is not None
+
+
 SETTINGS = dict(derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -147,6 +158,7 @@ def test_sparse_dense_and_brute_force_agree(case):
     np.testing.assert_allclose(m_dense, m_brute, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_brute) < 1e-12
     assert abs(r_dense - r_brute) < 1e-12
+    assert_folded_agrees(circuit, data, m_brute, r_brute)
 
 
 @settings(max_examples=150, **SETTINGS)
@@ -158,6 +170,130 @@ def test_sparse_and_dense_agree_on_longer_circuits(case):
     m_dense, r_dense = dense_action(circuit, data)
     np.testing.assert_allclose(m_sparse, m_dense, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_dense) < 1e-12
+    assert_folded_agrees(circuit, data, m_dense, r_dense)
+
+
+# The folded route: the dense engine on 2^d rows, one per data-register
+# value, whose ancilla bits the compile tracks as classical functions of the
+# data.  The circuits below are built so that its three rules hold: the
+# ancillas are computed from a set of data wires that no later gate flips,
+# every H, CH and other flip targets one of the remaining data wires, and a
+# relabeling keeps the data wires among themselves.
+
+DIAGONAL = ("Z", "S", "Sdg", "Phase", "Rz", "CPhase", "CS", "CSdg", "GlobalPhase")
+CONTROLS = {"X": 0, "Y": 0, "H": 0, "CNOT": 1, "CH": 1, "Toffoli": 2}
+
+
+@st.composite
+def gate_onto(draw, targets, controls):
+    """A flip or butterfly onto one of ``targets``, controlled by wires of
+    ``controls`` (MCX by at least one); X when there are too few controls."""
+    target = draw(st.sampled_from(targets))
+    pool = [w for w in controls if w != target]
+    kind = draw(st.sampled_from(sorted(CONTROLS) + ["MCX"]))
+    k = draw(st.integers(1, max(len(pool), 1))) if kind == "MCX" else CONTROLS[kind]
+    if k > len(pool):
+        kind, k = "X", 0
+    wires = draw(st.permutations(pool))[:k]
+    return Gate(kind, tuple(wires), (target,))
+
+
+@st.composite
+def folded_cases(draw, max_width=8, max_gates=12):
+    width = draw(st.integers(2, max_width))
+    wires = draw(st.permutations(range(width)))
+    d = draw(st.integers(1, width - 1))
+    data, ancillas = wires[:d], wires[d:]
+    fixed = data[:draw(st.integers(0, d - 1))]  # the data the ancillas read
+    free = data[len(fixed):]
+    compute = draw(st.lists(
+        gate_onto(ancillas, fixed + ancillas).filter(lambda g: g.kind not in BUTTERFLY),
+        max_size=max_gates))
+    middle = draw(st.lists(st.one_of(gate_onto(free, wires), gate_onto(free, ancillas),
+                                     gates(width, DIAGONAL)), max_size=max_gates))
+    body = compute + middle
+    if draw(st.booleans()):
+        body += [g.inverse() for g in reversed(compute)]
+    relabeling = None
+    if draw(st.booleans()):
+        moved = draw(st.permutations(data)) + draw(st.permutations(ancillas))
+        relabeling = tuple(moved[wires.index(w)] for w in range(width))
+    return Circuit(width, tuple(body), relabeling=relabeling), draw(st.permutations(data))
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(folded_cases())
+def test_folded_sparse_and_brute_force_agree(case):
+    circuit, data = case
+    m_brute, r_brute = brute_action(circuit, data)
+    assert assert_folded_agrees(circuit, data, m_brute, r_brute)
+    m_sparse, r_sparse = _sparse_register_action(circuit, data)
+    np.testing.assert_allclose(m_sparse, m_brute, rtol=0, atol=1e-12)
+    assert abs(r_sparse - r_brute) < 1e-12
+
+
+@settings(max_examples=20, **SETTINGS)
+@given(folded_cases())
+def test_folded_chunks_of_random_circuits_match_one_chunk_exactly(case):
+    circuit, data = case
+    dim = 1 << len(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simcore, "_DENSE_BATCH", dim)
+        whole, residual = _dense_register_action(circuit, data)
+        for batch in (1, 3, 32):
+            patch.setattr(simcore, "_DENSE_BATCH", batch)
+            starts = [start for start, _, _ in simcore.data_register_chunks(circuit, data)]
+            assert starts == list(range(0, dim, batch))
+            chunked, chunked_residual = _dense_register_action(circuit, data)
+            assert np.array_equal(chunked, whole)
+            assert chunked_residual == residual
+
+
+# Each pattern below breaks one rule of the folded compile, on ancilla
+# ``a``, data wire ``x`` and any other wire ``y``: the circuit must fall
+# back to the sparse engine, which still gets it right.
+BREAKERS = {
+    "h-on-ancilla": lambda a, x, y: [Gate("H", targets=(a,))],
+    "ch-on-ancilla": lambda a, x, y: [Gate("CH", (y,), (a,))],
+    # x ends at 0 on every row: the run is not one to one on the rows
+    "run-not-one-to-one": lambda a, x, y: [Gate("CNOT", (x,), (a,)), Gate("CNOT", (a,), (x,)),
+                                           Gate("H", targets=(x,))],
+    # a holds x, so each pair the butterfly on x mixes differs in a
+    "ch-partners-differ": lambda a, x, y: [Gate("CNOT", (x,), (a,)), Gate("CH", (a,), (x,))],
+    "h-partners-differ": lambda a, x, y: [Gate("Toffoli", (x, y), (a,)), Gate("H", targets=(x,))],
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(BREAKERS))
+@settings(max_examples=12, **SETTINGS)
+@given(data=st.data())
+def test_rule_breakers_fall_back_and_agree_with_brute_force(pattern, data):
+    width = data.draw(st.integers(3, 7))
+    a, x, y, *rest = data.draw(st.permutations(range(width)))
+    before = [g.remapped(rest) for g in data.draw(st.lists(gates(len(rest)), max_size=6))] \
+        if rest else []
+    body = before + BREAKERS[pattern](a, x, y) + data.draw(st.lists(gates(width), max_size=6))
+    if data.draw(st.booleans()):
+        body += [g.inverse() for g in reversed(body)]
+    circuit = Circuit(width, tuple(body))
+    others = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    wires = data.draw(st.permutations([x, y] + others))
+    assert simcore._layers(circuit, wires) is None
+    assert _dense_register_action(circuit, wires) is None
+    matrix, residual = data_register_action(circuit, wires)
+    m_brute, r_brute = brute_action(circuit, wires)
+    np.testing.assert_allclose(matrix, m_brute, rtol=0, atol=1e-12)
+    assert abs(residual - r_brute) < 1e-12
+
+
+@pytest.mark.parametrize("name", cli.TRANSFORMS[:12])
+def test_engine_choice_on_every_oracle_transform(name):
+    # the Hartley pair puts its ancillas in superposition and stays sparse;
+    # every cosine and sine transform (and the QFT) runs on 2^d rows
+    for n in range(2, 8):
+        circuit = cli.build_transform(name, n)
+        folded = simcore._layers(circuit, circuit.data_wires) is not None
+        assert folded == (name not in ("qht-lcu", "qht-rec")), n
 
 
 # The sparse engine tags each H and CH, once per circuit, a split (no entry
@@ -219,15 +355,17 @@ SPARSE_CIRCUITS = {f"{name}-{n}": circuit for name in cli.TRANSFORMS for n in ra
 
 @pytest.mark.parametrize("name", sorted(SPARSE_CIRCUITS))
 def test_split_tags_hold_on_every_sparse_transform(name):
+    circuit = SPARSE_CIRCUITS[name]
     with checked_splits():
-        data_register_action(SPARSE_CIRCUITS[name])
+        _sparse_register_action(circuit, circuit.data_wires)
 
 
 def test_qct2_tags_exactly_its_splits():
     # the QFT's eight H on the data register are its splits; in each of
     # the other three butterflies some entries meet
+    circuit = cli.build_transform("qct2", 7)
     with checked_splits() as tags:
-        data_register_action(cli.build_transform("qct2", 7))
+        _sparse_register_action(circuit, circuit.data_wires)
     assert len(tags) == 11
     assert sum(split for split, _ in tags) == 8
     assert all(split != met for split, met in tags)
@@ -346,10 +484,12 @@ def test_narrow_data_register_runs_sparse_past_the_width_cap():
     toffoli = Gate("Toffoli", (0, 1), (20,))
     circuit = Circuit(40, [Gate("H", targets=(0,)), fan_out, toffoli, toffoli, fan_out],
                       ancillas=range(2, 40))
-    matrix, residual = data_register_action(circuit, [0, 1])
     want = np.kron(np.eye(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-    np.testing.assert_allclose(matrix, want, atol=1e-15)
-    assert residual < 1e-15
+    # the folded route takes it too, and runs on 2^2 rows
+    for engine in (data_register_action, _sparse_register_action):
+        matrix, residual = engine(circuit, [0, 1])
+        np.testing.assert_allclose(matrix, want, atol=1e-15)
+        assert residual < 1e-15
     with pytest.raises(ValueError, match="cap"):
         data_register_action(circuit, range(40))
 
@@ -367,7 +507,7 @@ def test_bad_data_wires_are_refused(data_wires):
 def test_key_overflow_is_refused():
     circuit = Circuit(60, (Gate("X", targets=(59,)),))
     with pytest.raises(ValueError, match="int64"):
-        data_register_action(circuit, [0, 1, 2])
+        _sparse_register_action(circuit, [0, 1, 2])
 
 
 def test_unknown_kind_is_refused_by_both_engines():
