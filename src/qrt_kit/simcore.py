@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -203,57 +204,40 @@ _CLASSICAL_KINDS = {"X", "CNOT", "Toffoli", "MCX", "SWAP"}
 _BUTTERFLY_KINDS = {"H", "CH"}
 
 
-def _slice(tensor, assignments):
-    # length-1 slices keep the result an assignable view even when every
-    # axis is pinned (integer indexing would collapse to a scalar)
-    idx = [slice(None)] * tensor.ndim
-    for axis, bit in assignments:
-        idx[axis] = slice(bit, bit + 1)
-    return tensor[tuple(idx)]
-
-
-def _butterfly(tensor: np.ndarray, gate: Gate, width: int, scratch: np.ndarray) -> None:
-    """Apply an H or CH gate in place on a (2,)*width [+ batch] tensor as a
-    butterfly over the two target slices where the controls are on, through
-    ``scratch`` (at least half the tensor's size).  A CH is scaled by
-    1/sqrt(2) here; an H is left unnormalised for the caller to scale."""
-    ctrl = [(width - 1 - w, 1) for w in gate.controls]
-    axis = width - 1 - gate.targets[0]
-    a = _slice(tensor, ctrl + [(axis, 0)])
-    b = _slice(tensor, ctrl + [(axis, 1)])
+def _butterfly(flat: np.ndarray, t: int, scratch: np.ndarray) -> None:
+    """Apply an H on row bit ``t`` in place on a C-contiguous (2^d, B)
+    batch, as a butterfly over the two halves of the 3-D view ``(rest, bit
+    t, lower rows and columns)``, through ``scratch`` (at least half the
+    batch's size); the 1/sqrt(2) is left for the caller."""
+    view = flat.reshape(-1, 2, flat.shape[1] << t)
+    a, b = view[:, 0], view[:, 1]
     diff = scratch[:a.size].reshape(a.shape)
     np.subtract(a, b, out=diff)
     a += b
     b[...] = diff
-    if gate.controls:
-        a *= SQRT2_INV
-        b *= SQRT2_INV
 
 
-def _layers(circuit: Circuit, data_wires: list):
-    """The dense engine's program for ``circuit`` on the data register
-    ``data_wires`` of d wires, as ``(layers, leak)`` over 2^d rows; None
-    where the rules below fail, and the sparse engine runs instead.
+def _layers(circuit: Circuit, d: int):
+    """The dense engine's program for ``circuit`` on the data register of
+    wires 0..d-1, as ``(layers, leak)`` over 2^d rows; None where the rules
+    below fail, and the sparse engine runs instead.
 
-    Row ``r`` stands for one basis label, ``keys[r]``, whose data bits spell
-    the register value ``r``; its other (ancilla) bits start at 0 and then
-    hold classical functions of the data.  Each maximal run of gates other
-    than H and CH goes through ``_monomial`` on those 2^d keys and is one
+    Row ``r`` stands for one basis label, ``keys[r]``, whose low d bits are
+    ``r``; its other (ancilla) bits start at 0 and then hold classical
+    functions of the data.  Each maximal run of gates other than H and CH
+    goes through ``_monomial`` on those 2^d keys and is one
     ``_monomial_layer``, with the final relabeling folded into the last run.
-    Each H or CH is a butterfly on the row bits: the gate itself, or, when
-    an ancilla controls it, a (2, m) array of the row pairs it mixes.
-    ``leak`` holds the rows whose final label has an ancilla bit set.  The
-    rules, all checked in integers: each run maps the rows one to one, every
-    butterfly targets a data wire, and the two rows of every pair a
-    butterfly mixes hold the same ancilla bits.  With no ancilla and the
-    data wires in wire order, the keys stay the row numbers."""
-    pos = {w: p for p, w in enumerate(data_wires)}
+    An H is a butterfly on its row bit, the layer an ``int``; a CH is a
+    (2, m) array of the row pairs it mixes.  ``leak`` holds the rows whose
+    final label has an ancilla bit set.  The rules, all checked in integers:
+    each run maps the rows one to one, every butterfly targets a data wire,
+    and the two rows of every pair a butterfly mixes hold the same ancilla
+    bits.  With no ancilla the keys stay the row numbers."""
     if circuit.width > _KEY_BITS or any(  # checked before anything 2^d-sized
-            g.kind in _BUTTERFLY_KINDS and g.targets[0] not in pos for g in circuit.gates):
+            g.kind in _BUTTERFLY_KINDS and g.targets[0] >= d for g in circuit.gates):
         return None
-    ancilla = sum(1 << w for w in range(circuit.width) if w not in pos)
-    rows = np.arange(1 << len(data_wires), dtype=np.int64)
-    keys, layers, run = _spread(rows, data_wires), [], []
+    rows = np.arange(1 << d, dtype=np.int64)
+    keys, layers, run = rows.copy(), [], []
     for gate in circuit.gates + (None,):  # None: the end, which closes the last run
         last = gate is None
         if not last and gate.kind not in _BUTTERFLY_KINDS:
@@ -261,27 +245,26 @@ def _layers(circuit: Circuit, data_wires: list):
             continue
         if run or (last and circuit.relabeling is not None):
             relabeling = circuit.relabeling if last else None
-            step = _monomial_layer(run, relabeling, keys, rows, data_wires)
+            step = _monomial_layer(run, relabeling, keys, rows)
             if step is None:
                 return None
             keys, layer = step
             layers.append(layer)
             run = []
         if last:
-            return layers, np.flatnonzero(keys & ancilla)
-        ctrl, bit = _masks(gate, 0)[0], 1 << pos[gate.targets[0]]
-        if ancilla:
-            on = np.flatnonzero((keys & ctrl) == ctrl)
-            if np.any((keys[on] ^ keys[on ^ bit]) & ancilla):
-                return None
-        if ctrl & ancilla:
+            return layers, np.flatnonzero(keys >> d)
+        ctrl, bit = _masks(gate, 0)
+        on = np.flatnonzero((keys & ctrl) == ctrl) if ctrl else rows
+        if circuit.width > d and np.any((keys[on] ^ keys[on ^ bit]) >> d):
+            return None
+        if ctrl:
             lo = on[(on & bit) == 0]
             layers.append(np.stack((lo, lo | bit)))
         else:
-            layers.append(gate.remapped(pos))
+            layers.append(gate.targets[0])
 
 
-def _monomial_layer(run, relabeling, keys, rows, data_wires):
+def _monomial_layer(run, relabeling, keys, rows):
     """One run of ``_layers`` on ``keys``, which it consumes: the keys after
     it and its ``(inv, phase)`` layer, where output row ``i`` takes the
     amplitude of input row ``inv[i]`` times ``phase[i]``; None when the run
@@ -294,7 +277,7 @@ def _monomial_layer(run, relabeling, keys, rows, data_wires):
     if relabeling is not None:
         keys = _relabel_keys(keys, relabeling, 0)
     phase = None if np.all(phase == 1) else phase
-    dest = _gather(keys, data_wires)
+    dest = keys & (len(rows) - 1)
     if np.array_equal(dest, rows):
         return keys, (None, phase)
     inv = np.full_like(rows, -1)
@@ -305,7 +288,7 @@ def _monomial_layer(run, relabeling, keys, rows, data_wires):
 
 
 _MAX_DEFERRED_H = 64
-"""Uncontrolled H layers whose 1/sqrt(2) may wait: 2^32 of growth, far
+"""H layers whose 1/sqrt(2) may wait: 2^32 of growth, far
 from overflow."""
 
 
@@ -318,32 +301,30 @@ def _run_flat(flat: np.ndarray, layers) -> np.ndarray:
     """Run compiled ``_layers`` on a C-contiguous (2^d, B) batch of
     amplitude columns, which it consumes: callers pass arrays they own.
 
-    An uncontrolled H is an add and a subtract; its 1/sqrt(2) is folded
-    into the next phase multiply, or applied once at the end, which saves
-    a pass over the block per H."""
-    width = flat.shape[0].bit_length() - 1
+    An H is an add and a subtract; its 1/sqrt(2) is folded into the next
+    phase multiply, or applied once at the end, which saves a pass over the
+    block per H."""
     scratch = np.empty(flat.size // 2, dtype=complex)
     deferred = 0
     for layer in layers:
-        if isinstance(layer, Gate):  # flat is C-contiguous, so this is a view
-            _butterfly(flat.reshape((2,) * width + (-1,)), layer, width, scratch)
-            deferred += not layer.controls
-            if deferred == _MAX_DEFERRED_H:
-                flat *= _h_scale(deferred)
-                deferred = 0
-            continue
-        if isinstance(layer, np.ndarray):  # the row pairs of a CH
+        if isinstance(layer, tuple):
+            inv, phase = layer
+            if inv is not None:
+                flat = flat[inv]
+            if phase is not None:
+                if deferred:
+                    phase, deferred = phase * _h_scale(deferred), 0
+                flat *= phase[:, None]
+        elif isinstance(layer, np.ndarray):  # the row pairs of a CH
             a, b = flat[layer[0]], flat[layer[1]]
             flat[layer[0]] = (a + b) * SQRT2_INV
             flat[layer[1]] = (a - b) * SQRT2_INV
-            continue
-        inv, phase = layer
-        if inv is not None:
-            flat = flat[inv]
-        if phase is not None:
-            if deferred:
-                phase, deferred = phase * _h_scale(deferred), 0
-            flat *= phase[:, None]
+        else:  # the row bit of an H
+            _butterfly(flat, layer, scratch)
+            deferred += 1
+            if deferred == _MAX_DEFERRED_H:
+                flat *= _h_scale(deferred)
+                deferred = 0
     if deferred:
         flat *= _h_scale(deferred)
     return flat
@@ -425,13 +406,16 @@ def data_register_chunks(circuit: Circuit, data_wires=None, check=None):
     so pruning can never hide a leak.  Both engines compile the circuit
     once, before any chunk, and the threads share that program read-only.
 
-    ``data_wires`` must name distinct wires of the circuit, at most
-    ``STATEVECTOR_WIDTH_CAP`` of them; they are checked before anything
-    is simulated or compiled.
+    ``data_wires`` must name distinct integer wires of the circuit, at most
+    ``STATEVECTOR_WIDTH_CAP`` of them; they are checked before anything is
+    simulated or compiled, and ``_canonical`` then makes them wires 0..d-1.
     """
     if data_wires is None:
         data_wires = circuit.data_wires
-    data_wires = list(data_wires)
+    try:
+        data_wires = [operator.index(w) for w in data_wires]
+    except TypeError:
+        raise ValueError(f"data wires must be integers, got {data_wires}") from None
     if len(set(data_wires)) != len(data_wires):
         raise ValueError(f"data wires repeat: {data_wires}")
     if any(not 0 <= w < circuit.width for w in data_wires):
@@ -439,10 +423,27 @@ def data_register_chunks(circuit: Circuit, data_wires=None, check=None):
     if len(data_wires) > STATEVECTOR_WIDTH_CAP:
         raise ValueError(f"data registers are capped at {STATEVECTOR_WIDTH_CAP} qubits, "
                          f"got {len(data_wires)}")
-    program = _layers(circuit, data_wires)
+    circuit, d = _canonical(circuit, data_wires), len(data_wires)
+    program = _layers(circuit, d)
     if program is None:
-        return _sparse_chunks(circuit, data_wires, check)
-    return _dense_chunks(program, len(data_wires), check)
+        return _sparse_chunks(circuit, d, check)
+    return _dense_chunks(program, d, check)
+
+
+def _canonical(circuit: Circuit, data_wires) -> Circuit:
+    """``circuit`` renamed so that wire ``data_wires[p]`` is wire p and the
+    other wires follow in wire order, its final relabeling conjugated by the
+    same renaming.  A circuit whose data register already is wires 0..d-1,
+    as every builder's is, comes back unchanged."""
+    order = list(data_wires)
+    if order == list(range(len(order))):
+        return circuit
+    order += sorted(set(range(circuit.width)) - set(order))
+    rename = {old: new for new, old in enumerate(order)}
+    relabeling = None if circuit.relabeling is None else [
+        rename[circuit.relabeling[w]] for w in order]
+    return Circuit(circuit.width, [g.remapped(rename) for g in circuit.gates],
+                   frozenset(rename[a] for a in circuit.ancillas), relabeling, circuit.label)
 
 
 def _assemble(chunks):
@@ -479,27 +480,10 @@ def _in_order(starts, simulate, check):
         pool.shutdown(cancel_futures=True)
 
 
-def _spread(values, wires) -> np.ndarray:
-    """Labels with bit ``pos`` of each value moved to wire ``wires[pos]``."""
-    labels = np.zeros_like(values)
-    for pos, w in enumerate(wires):
-        labels |= ((values >> pos) & 1) << w
-    return labels
-
-
-def _gather(labels, wires) -> np.ndarray:
-    """The inverse of ``_spread``: bit ``pos`` of each value is wire
-    ``wires[pos]`` of its label, and other wires are dropped."""
-    values = np.zeros_like(labels)
-    for pos, w in enumerate(wires):
-        values |= ((labels >> w) & 1) << pos
-    return values
-
-
 def _dense_register_action(circuit: Circuit, data_wires: list):
     """The dense engine's ``data_register_action``, or None where its
     compile refuses the circuit."""
-    program = _layers(circuit, data_wires)
+    program = _layers(_canonical(circuit, data_wires), len(data_wires))
     return None if program is None else _assemble(_dense_chunks(program, len(data_wires)))
 
 
@@ -540,49 +524,47 @@ _KEY_BITS = 62
 
 def _sparse_register_action(circuit: Circuit, data_wires: list):
     """The support-sparse engine's ``data_register_action``."""
-    return _assemble(_sparse_chunks(circuit, data_wires))
+    return _assemble(_sparse_chunks(_canonical(circuit, data_wires), len(data_wires)))
 
 
-def _sparse_chunks(circuit: Circuit, data_wires: list, check=None):
-    """Support-sparse engine of ``data_register_chunks``.
+def _sparse_chunks(circuit: Circuit, d: int, check=None):
+    """Support-sparse engine of ``data_register_chunks``, on data wires 0..d-1.
 
     A chunk of 2^c columns runs in one pass, each nonzero amplitude of each
     of its columns one entry: an int64 key ``(label << c) | column`` (the
     column counted within the chunk) and a complex amplitude, so wire ``w``
-    is key bit ``w + c``.  The circuit is compiled once, before any chunk,
-    by ``_sparse_program``; the chunks share that program read-only.  Each
-    H or CH is compiled as a split, which doubles the entries with no sort,
-    or as a merge, which pairs the entries that differ in the target bit
-    and sums each pair; the rule is in ``_sparse_program``.  Entries below
-    ``_PRUNE_BELOW`` are dropped after each butterfly and the per-column
-    L2 norm dropped is summed over the run.  Chunks run on the threads of
-    ``data_register_chunks``, at most ``_WORKERS + 1`` in flight; each
-    reports its largest leak and pruned sum, and these are folded in column
-    order, kept apart across chunks and added for the residual, as if all
-    columns ran at once.
+    is key bit ``w + c``; a key left with no ancilla bit is its entry's
+    flat index in the chunk's (2^d, 2^c) block.  The circuit is compiled
+    once, before any chunk, by ``_sparse_program``; the chunks share that
+    program read-only.  Each H or CH is compiled as a split, which doubles
+    the entries with no sort, or as a merge, which pairs the entries that
+    differ in the target bit and sums each pair; the rule is in
+    ``_sparse_program``.  Entries below ``_PRUNE_BELOW`` are dropped after
+    each butterfly and the per-column L2 norm dropped is summed over the
+    run.  Chunks run on the threads of ``data_register_chunks``, at most
+    ``_WORKERS + 1`` in flight; each reports its largest leak and pruned
+    sum, and these are folded in column order, kept apart across chunks and
+    added for the residual, as if all columns ran at once.
     """
-    width, d = circuit.width, len(data_wires)
     c = _sparse_chunk_bits(d)
-    if width + c > _KEY_BITS:
+    if circuit.width + c > _KEY_BITS:
         raise ValueError(
-            f"sparse simulation packs {width} wires and {c} column bits into one "
+            f"sparse simulation packs {circuit.width} wires and {c} column bits into one "
             f"int64 key, above the {_KEY_BITS}-bit cap")
-    ancilla_mask = sum(1 << w for w in range(width) if w not in data_wires)
     in_chunk = np.arange(1 << c, dtype=np.int64)
-    program = _sparse_program(circuit, data_wires, c)
+    program = _sparse_program(circuit, c)
 
     def simulate(start):
-        keys = (_spread(in_chunk + start, data_wires) << c) | in_chunk
+        keys = ((in_chunk + start) << c) | in_chunk
         amps = np.ones(1 << c, dtype=complex)
         pruned = np.zeros(1 << c)
         for step in program:
             keys, amps = step(keys, amps, pruned)
         if circuit.relabeling is not None:
             keys = _relabel_keys(keys, circuit.relabeling, c)
-        labels, cols = keys >> c, keys & ((1 << c) - 1)
-        on = (labels & ancilla_mask) == 0
+        on = keys >> (d + c) == 0
         block = np.zeros((1 << d, 1 << c), dtype=complex)
-        block[_gather(labels[on], data_wires), cols[on]] = amps[on]
+        block.reshape(-1)[keys[on]] = amps[on]
         leak = float(np.max(np.abs(amps[~on]), initial=0.0))
         return block, (leak, float(np.max(pruned)))
 
@@ -594,31 +576,27 @@ def _sparse_chunks(circuit: Circuit, data_wires: list, check=None):
         yield start, result, leak + pruned_max
 
 
-def _sparse_program(circuit: Circuit, data_wires: list, c: int) -> list:
+def _sparse_program(circuit: Circuit, c: int) -> list:
     """The sparse engine's program for ``circuit`` run 2^c columns at a
-    time: one ``step(keys, amps, pruned) -> (keys, amps)`` per gate, with
-    its masks and factors computed here, once, rather than per chunk.
+    time on a data register of wires 0..d-1, c <= d: one ``step(keys,
+    amps, pruned) -> (keys, amps)`` per gate, with its masks and factors
+    computed here, once, rather than per chunk.
 
     Each H or CH is tagged a split or a merge from GF(2) parity
     constraints: key masks ``y`` such that the parity of ``key & y`` is
     the same for every live key of a chunk.  Each wire starts with one:
-    ``e_{w+c}`` for a wire that is constant in a chunk (an ancilla, or a
-    data wire at register position ``pos >= c``) and ``e_{w+c} ^ e_pos``
-    for the data wire at ``pos < c``, whose bit is the column's.  X, Y,
-    GlobalPhase and the diagonal gates keep the constraints; CNOT(x -> t)
-    maps each ``y`` to ``y ^ (y_t << x)``; SWAP swaps two bits; H, CH,
-    Toffoli and MCX on ``t`` eliminate bit ``t``.  A butterfly on ``t`` is
-    a split when some constraint holds bit ``t``: then no two live keys
-    differ in bit ``t`` alone, no entry meets its partner, and each entry
-    becomes two with no sort.  Any other butterfly is a merge.
+    ``e_{w+c}`` for a wire ``w >= c``, which is constant in a chunk, and
+    ``e_{w+c} ^ e_w`` for a wire ``w < c``, which pairs with column bit
+    ``w``.  X, Y, GlobalPhase and the diagonal gates keep the constraints;
+    CNOT(x -> t) maps each ``y`` to ``y ^ (y_t << x)``; SWAP swaps two
+    bits; H, CH, Toffoli and MCX on ``t`` eliminate bit ``t``.  A butterfly
+    on ``t`` is a split when some constraint holds bit ``t``: then no two
+    live keys differ in bit ``t`` alone, no entry meets its partner, and
+    each entry becomes two with no sort.  Any other butterfly is a merge.
 
     The constraints are held by column: ``cols[b]`` is the set of
     constraints (one bit each) that hold key bit ``b``."""
-    cols = [0] * (circuit.width + c)
-    for w in range(circuit.width):
-        cols[w + c] = 1 << w
-    for pos, w in enumerate(data_wires[:c]):
-        cols[pos] = 1 << w
+    cols = [1 << w for w in range(c)] + [1 << w for w in range(circuit.width)]
     program = []
     for gate in circuit.gates:
         kind, wires = gate.kind, [w + c for w in gate.operands]

@@ -278,7 +278,7 @@ def test_rule_breakers_fall_back_and_agree_with_brute_force(pattern, data):
     circuit = Circuit(width, tuple(body))
     others = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
     wires = data.draw(st.permutations([x, y] + others))
-    assert simcore._layers(circuit, wires) is None
+    assert simcore._layers(simcore._canonical(circuit, wires), len(wires)) is None
     assert _dense_register_action(circuit, wires) is None
     matrix, residual = data_register_action(circuit, wires)
     m_brute, r_brute = brute_action(circuit, wires)
@@ -292,8 +292,22 @@ def test_engine_choice_on_every_oracle_transform(name):
     # every cosine and sine transform (and the QFT) runs on 2^d rows
     for n in range(2, 8):
         circuit = cli.build_transform(name, n)
-        folded = simcore._layers(circuit, circuit.data_wires) is not None
+        folded = simcore._layers(circuit, len(circuit.data_wires)) is not None
         assert folded == (name not in ("qht-lcu", "qht-rec")), n
+
+
+def test_builders_never_pay_for_the_rename():
+    # every builder puts its data register on wires 0..d-1, so
+    # data_register_chunks runs the very circuit it was given
+    for name in cli.TRANSFORMS:
+        for n in range(1, 9):
+            for incorrect_d2 in (False, True) if name in ("qct4", "qst4") else (False,):
+                try:
+                    circuit = cli.build_transform(name, n, incorrect_d2)
+                except ValueError:  # too small for this builder
+                    assert n == 1
+                    continue
+                assert simcore._canonical(circuit, list(circuit.data_wires)) is circuit
 
 
 # The sparse engine tags each H and CH, once per circuit, a split (no entry
@@ -497,6 +511,7 @@ def test_narrow_data_register_runs_sparse_past_the_width_cap():
 @pytest.mark.parametrize("data_wires", [
     [0, 1, 1], [0, 2, 3], [2, 1, 0, 1],  # as wide as the circuit: dense
     [0, 0], [5], [-1],                   # narrower: sparse
+    [0, 1.5, 2], [0.0, 1, 2], ["0", 1],  # not integers
 ])
 def test_bad_data_wires_are_refused(data_wires):
     circuit = Circuit(3, (Gate("H", targets=(0,)),))

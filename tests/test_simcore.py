@@ -170,7 +170,7 @@ def test_batched_columns_agree_with_single_runs():
     for _ in range(4):
         circ = random_circuit(4, 12, rng, allow_relabel=True)
         U = unitary(circ)  # all 16 columns in one batch
-        layers, _ = _layers(circ, list(range(4)))
+        layers, _ = _layers(circ, 4)
         for value in range(16):
             out = _run_flat(_basis_columns(16, [value]), layers)  # a batch of one
             np.testing.assert_allclose(U[:, value], out[:, 0], atol=1e-12)
