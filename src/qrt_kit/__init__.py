@@ -9,7 +9,6 @@ from .simcore import (
     Circuit,
     Gate,
     GateCountReport,
-    adjoint,
     classical_image,
     count_gates,
     data_register_action,
@@ -18,15 +17,12 @@ from .simcore import (
     parse_circuit,
 )
 from .gadgets import (
-    build_cond_decrement,
     build_cond_increment,
-    build_cond_ones_complement,
     build_cond_twos_complement,
-    build_or_gate,
     build_or_tree,
     classical_map_error,
 )
-from .qft import build_qft, build_qft_inverse
+from .qft import build_qft
 from .oracle import (
     TransformSpec,
     cas,
@@ -34,25 +30,15 @@ from .oracle import (
     reference_matrix,
 )
 from .hartley import (
-    AmplificationReport,
-    build_cx_zero_detect,
     build_qht_lcu,
     build_qht_recursive,
-    build_unitary_ur,
-    build_unitary_w,
-    check_oblivious_amplification,
 )
 from .trig import (
-    build_d1,
-    build_d2,
-    build_g_gate,
     build_qcst_type1,
     build_qcst_type2,
     build_qcst_type3,
     build_qcst_type4,
     build_qst1_optimized,
-    build_t_gate,
-    build_type1_core,
     check_blocks,
 )
 

@@ -95,7 +95,9 @@ _INCORRECT_D2 = ("qct4", "qst4")  # the transforms --incorrect-d2 applies to
 def build_transform(name: str, n: int, incorrect_d2: bool = False):
     if name not in _TABLE:
         raise ValueError(f"unknown transform {name!r}")
-    if incorrect_d2 and name in _INCORRECT_D2:
+    if incorrect_d2:
+        if name not in _INCORRECT_D2:
+            raise ValueError(f"--incorrect-d2 applies to qct4/qst4 only, not {name}")
         return trig.build_qcst_type4(n, corrected=False)
     return _TABLE[name][0](n)
 
@@ -247,9 +249,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_counts = sub.add_parser("counts", help="gate-count table for a transform")
     common(p_counts, needs_n=False)
-    p_counts.add_argument("--n", type=int, default=None)
-    p_counts.add_argument("--n-range", type=_parse_range, default=None,
-                          metavar="LO:HI")
+    sizes = p_counts.add_mutually_exclusive_group(required=True)
+    sizes.add_argument("--n", type=int)
+    sizes.add_argument("--n-range", type=_parse_range, metavar="LO:HI")
     p_counts.add_argument("--format", choices=("text", "json"), default="text")
     p_counts.set_defaults(func=cmd_counts)
 
@@ -264,10 +266,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "counts" and args.n is None and args.n_range is None:
-        parser.error("counts needs --n or --n-range")
-    if getattr(args, "incorrect_d2", False) and args.transform not in _INCORRECT_D2:
-        parser.error("--incorrect-d2 applies to qct4/qst4 only")
     sizes = [args.n] if getattr(args, "n", None) is not None else []
     sizes += list(getattr(args, "n_range", None) or ())
     try:

@@ -1,15 +1,16 @@
 """Reversible arithmetic and logic subcircuits.
 
-Conditional increment / decrement / one's and two's complement, the or-gate
-and the or-gate tree, and the exhaustive check of their classical maps.
-Standard layout of the public builders: data wires 0..n-1, control wire n,
+Fragments for the conditional increment, one's and two's complement, the
+or-gate and the or-gate tree; builders for the increment, the two's
+complement and the or-tree; and the exhaustive check of their classical
+maps.  Standard layout of the builders: data wires 0..n-1, control wire n,
 scratch ancillas above the control.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .simcore import Circuit, Gate, classical_image, inverse
+from .simcore import Circuit, Gate, classical_image
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +127,6 @@ def build_cond_increment(n: int) -> Circuit:
                    carries, None, f"inc_{n}")
 
 
-def build_cond_decrement(n: int) -> Circuit:
-    """Conditional modular decrement: the adjoint of the increment."""
-    if n < 1:
-        raise ValueError("decrement needs at least one data qubit")
-    inc = build_cond_increment(n)
-    return Circuit(inc.width, inverse(inc.gates), inc.ancillas, None, f"dec_{n}")
-
-
-def build_cond_ones_complement(n: int) -> Circuit:
-    """Conditional bitwise NOT: |c=1>|x> -> |c=1>|2^n - x - 1>."""
-    if n < 1:
-        raise ValueError("one's complement needs at least one data qubit")
-    return Circuit(n + 1, cond_ones_complement_gates(n, range(n)), label=f"p1c_{n}")
-
-
 def build_cond_twos_complement(n: int) -> Circuit:
     """Conditional modular negation: |c=1>|x> -> |c=1>|(2^n - x) mod 2^n>.
 
@@ -154,32 +140,15 @@ def build_cond_twos_complement(n: int) -> Circuit:
                    carries, None, f"p2c_{n}")
 
 
-def build_or_gate() -> Circuit:
-    """Single or-gate on wires (0, 1) with the result on wire 2."""
-    return Circuit(3, or_gate_gates(0, 1, 2), label="or")
-
-
-def build_or_tree(n: int, uncompute_internal: bool = False,
-                  reset_root: bool = False) -> Circuit:
-    """Or-tree over n data wires into n-1 ancillas (root on the last one).
-
-    Gate totals land on the three standard cost tiers exactly: 3(n-1) for
-    the bare compute, 6(n-1) with the uncompute pass, 12(n-1) with the
-    additional evaluation that resets the root.  The uncompute passes restore
-    every ancilla; payloads conditioned on the root belong between the
-    compute and uncompute passes (see the transform builders).
-    """
+def build_or_tree(n: int) -> Circuit:
+    """Or-tree over n data wires into n-1 ancillas, root on the last one:
+    3(n-1) gates, leaving the internal nodes dirty.  A payload conditioned
+    on the root sits between this pass and its inverse (see the transform
+    builders)."""
     if n < 2:
         raise ValueError("or-tree needs at least two data qubits")
-    tree_ancillas = range(n, 2 * n - 1)
-    tree, _ = or_tree_gates(range(n), tree_ancillas)
-    label = f"or_tree_{n}"
-    if not (uncompute_internal or reset_root):
-        # only the bare compute leaves the internals dirty
-        return Circuit(2 * n - 1, tree, label=label)
-    rounds = 2 if reset_root else 1
-    return Circuit(2 * n - 1, (tree + inverse(tree)) * rounds, tree_ancillas,
-                   None, label)
+    tree, _ = or_tree_gates(range(n), range(n, 2 * n - 1))
+    return Circuit(2 * n - 1, tree, label=f"or_tree_{n}")
 
 
 # ---------------------------------------------------------------------------

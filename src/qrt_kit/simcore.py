@@ -80,6 +80,11 @@ class Gate:
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
         ops = self.controls + self.targets
+        try:
+            for q in ops:
+                operator.index(q)
+        except TypeError:
+            raise ValueError(f"gate operands must be integers, got {ops}") from None
         if len(set(ops)) != len(ops):
             raise ValueError(f"gate operands must be distinct, got {ops}")
         if any(q < 0 for q in ops):
@@ -121,10 +126,16 @@ class Circuit:
     label: str = ""
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "width", operator.index(self.width))
+            object.__setattr__(self, "ancillas", frozenset(map(operator.index, self.ancillas)))
+            if self.relabeling is not None:
+                object.__setattr__(self, "relabeling", tuple(map(operator.index, self.relabeling)))
+        except TypeError:
+            raise ValueError("width, ancillas and relabeling must be integers") from None
         if not 0 <= self.width <= MAX_WIDTH:
             raise ValueError(f"width {self.width} outside 0..{MAX_WIDTH}")
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "ancillas", frozenset(self.ancillas))
         for g in self.gates:
             for q in g.operands:
                 if q >= self.width:
@@ -132,7 +143,6 @@ class Circuit:
         if any(a >= self.width or a < 0 for a in self.ancillas):
             raise ValueError("ancilla index outside register")
         if self.relabeling is not None:
-            object.__setattr__(self, "relabeling", tuple(self.relabeling))
             if sorted(self.relabeling) != list(range(self.width)):
                 raise ValueError("relabeling must be a permutation of the wires")
 
@@ -141,7 +151,20 @@ class Circuit:
         return tuple(w for w in range(self.width) if w not in self.ancillas)
 
     def adjoint(self) -> "Circuit":
-        return adjoint(self)
+        """Inverse circuit: reversed inverted gates; a relabeling is inverted
+        and pushed through the gates so it can stay in final position."""
+        relab = self.relabeling
+        gates = inverse(self.gates)
+        if relab is None:
+            inv_relab = None
+        else:
+            gates = [g.remapped(relab) for g in gates]
+            inv_relab = [0] * self.width
+            for w, dest in enumerate(relab):
+                inv_relab[dest] = w
+            inv_relab = tuple(inv_relab)
+        label = self.label + "^dag" if self.label else ""
+        return Circuit(self.width, gates, self.ancillas, inv_relab, label)
 
 
 @dataclass(frozen=True)
@@ -835,23 +858,6 @@ def _prune(keys, amps, small, c: int, pruned):
 def inverse(gates) -> list[Gate]:
     """The inverse of a gate fragment: its gates reversed, each inverted."""
     return [g.inverse() for g in reversed(gates)]
-
-
-def adjoint(circuit: Circuit) -> Circuit:
-    """Inverse circuit: reversed inverted gates; a relabeling is inverted and
-    pushed through the gates so it can stay in final position."""
-    relab = circuit.relabeling
-    gates = inverse(circuit.gates)
-    if relab is None:
-        inv_relab = None
-    else:
-        gates = [g.remapped(relab) for g in gates]
-        inv_relab = [0] * circuit.width
-        for w, dest in enumerate(relab):
-            inv_relab[dest] = w
-        inv_relab = tuple(inv_relab)
-    label = circuit.label + "^dag" if circuit.label else ""
-    return Circuit(circuit.width, gates, circuit.ancillas, inv_relab, label)
 
 
 def count_gates(circuit: Circuit) -> GateCountReport:

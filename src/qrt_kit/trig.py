@@ -56,29 +56,9 @@ def _scratch_pool(n: int) -> tuple[int, ...]:
     return tuple(range(n + 1, 2 * n))
 
 
-def build_t_gate(n: int) -> Circuit:
-    """The doubling unitary T: |0,0> and |1,0> fixed, |0,x> spread into
-    (|0,x> + |1,N-x>)/sqrt(2) and |1,x> into i(|0,x> - |1,N-x>)/sqrt(2)."""
-    if n < 2:
-        raise ValueError("T needs at least two data qubits")
-    pool = _scratch_pool(n)
-    return Circuit(2 * n, _t_gates(n, n, pool), pool, None, f"t_gate_{n}")
-
-
 # ---------------------------------------------------------------------------
 # Type I
 # ---------------------------------------------------------------------------
-
-
-def build_type1_core(n: int) -> Circuit:
-    """The bare doubled-Fourier sandwich T^dag QFT_2N T, whose blocks are the
-    Type-I cosine matrix and i times the Type-I sine matrix."""
-    if n < 2:
-        raise ValueError("Type-I transform needs at least two data qubits")
-    pool = _scratch_pool(n)
-    t = _t_gates(n, n, pool)
-    return Circuit(2 * n, t + qft_gates(range(n + 1)) + inverse(t), pool, None,
-                   f"qcst1_core_{n}")
 
 
 def build_qcst_type1(n: int) -> Circuit:
@@ -173,22 +153,6 @@ def _d2_gates(n: int, c: int, corrected: bool) -> list[Gate]:
     return gates
 
 
-def build_d1(n: int) -> Circuit:
-    """The Type-II diagonal: w_4N^x on control 0 and w_4N^{x-N} on control 1."""
-    if n < 1:
-        raise ValueError("D1 needs at least one data qubit")
-    return Circuit(n + 1, _d1_gates(n, n), label=f"d1_{n}")
-
-
-def build_d2(n: int, corrected: bool = True) -> Circuit:
-    """The Type-IV diagonal; ``corrected=False`` reproduces the defective
-    variant with the wrong control-1 block, kept for the regression test."""
-    if n < 1:
-        raise ValueError("D2 needs at least one data qubit")
-    label = f"d2_{n}" if corrected else f"d2_incorrect_{n}"
-    return Circuit(n + 1, _d2_gates(n, n, corrected), label=label)
-
-
 # ---------------------------------------------------------------------------
 # Type II / III
 # ---------------------------------------------------------------------------
@@ -205,14 +169,6 @@ def _g_gates(n: int, c: int, pool) -> list[Gate]:
                 Gate("X", targets=(root,))]
     return [Gate("H", targets=(c,)), Gate("S", targets=(c,))] + \
         _conditioned_rotation(range(n), pool, payload)
-
-
-def build_g_gate(n: int) -> Circuit:
-    """The Type-II entangling unitary G as a standalone circuit."""
-    if n < 2:
-        raise ValueError("G needs at least two data qubits")
-    pool = _scratch_pool(n)
-    return Circuit(2 * n, _g_gates(n, n, pool), pool, None, f"g_gate_{n}")
 
 
 def build_qcst_type2(n: int) -> Circuit:

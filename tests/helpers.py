@@ -1,14 +1,24 @@
 """Shared test utilities: the block check of a cosine/sine pair, the
 expected labels of a controlled classical map, the simulator's full unitary
-of a small circuit, an independent brute-force unitary builder, reference
-matrices the circuits are compared against, and the float-angle oracle the
-library's angle table is cross-checked with."""
+of a small circuit, an independent brute-force unitary builder, the stage
+circuits the transforms are assembled from, the amplification check of the
+LCU Hartley construction, reference matrices the circuits are compared
+against, and the float-angle oracle the library's angle table is
+cross-checked with."""
 import math
 
 import numpy as np
 
-from qrt_kit.oracle import TransformSpec, cas, reference_matrix
-from qrt_kit.simcore import _target_matrix, data_register_action
+from qrt_kit import hartley, trig
+from qrt_kit.gadgets import (
+    build_cond_increment,
+    cond_ones_complement_gates,
+    or_gate_gates,
+    or_tree_gates,
+)
+from qrt_kit.oracle import TransformSpec, cas, reference_matrix, twos_complement_permutation
+from qrt_kit.qft import qft_gates
+from qrt_kit.simcore import Circuit, _target_matrix, data_register_action, inverse
 from qrt_kit.trig import check_blocks
 
 
@@ -89,6 +99,120 @@ def brute_unitary(circuit):
             perm[out, lab] = 1.0
         total = perm @ total
     return total
+
+
+# ---------------------------------------------------------------------------
+# stage circuits: the private fragments the transforms are assembled from,
+# each on a register of its own, with the width, ancillas and label that
+# tests/golden/builders.json records for it.  The transform control, or the
+# gadget control, sits on wire n, right above the n data wires.
+# ---------------------------------------------------------------------------
+
+
+def t_gate(n: int) -> Circuit:
+    """The doubling unitary T: |0,0> and |1,0> fixed, |0,x> spread into
+    (|0,x> + |1,N-x>)/sqrt(2) and |1,x> into i(|0,x> - |1,N-x>)/sqrt(2)."""
+    pool = trig._scratch_pool(n)
+    return Circuit(2 * n, trig._t_gates(n, n, pool), pool, None, f"t_gate_{n}")
+
+
+def type1_core(n: int) -> Circuit:
+    """The bare doubled-Fourier sandwich T^dag QFT_2N T, whose blocks are
+    the Type-I cosine matrix and i times the Type-I sine matrix."""
+    pool = trig._scratch_pool(n)
+    t = trig._t_gates(n, n, pool)
+    return Circuit(2 * n, t + qft_gates(range(n + 1)) + inverse(t), pool, None,
+                   f"qcst1_core_{n}")
+
+
+def d1(n: int) -> Circuit:
+    """The Type-II diagonal: w_4N^x on control 0 and w_4N^{x-N} on control 1."""
+    return Circuit(n + 1, trig._d1_gates(n, n), label=f"d1_{n}")
+
+
+def d2(n: int, corrected: bool = True) -> Circuit:
+    """The Type-IV diagonal, or with ``corrected=False`` the defective one."""
+    label = f"d2_{n}" if corrected else f"d2_incorrect_{n}"
+    return Circuit(n + 1, trig._d2_gates(n, n, corrected), label=label)
+
+
+def g_gate(n: int) -> Circuit:
+    """The Type-II entangling unitary G."""
+    pool = trig._scratch_pool(n)
+    return Circuit(2 * n, trig._g_gates(n, n, pool), pool, None, f"g_gate_{n}")
+
+
+def unitary_w(n: int) -> Circuit:
+    """The LCU block unitary W on data 0..n-1, select n and carries above:
+    projecting onto select=0 gives exactly V/sqrt(2)."""
+    carries = tuple(range(n + 1, 2 * n - 1))
+    return Circuit(2 * n - 1, hartley._w_gates(n, n, carries), carries, None, f"w_{n}")
+
+
+def unitary_ur(n: int) -> Circuit:
+    """U_R on wires (b=0, y=1..n, c=n+1), rotation angle 2*pi*b*y/2^(n+1)."""
+    return Circuit(n + 2, hartley.ur_gates(n + 1, range(1, n + 1), 0, 1 << (n + 1)),
+                   label=f"ur_{n}")
+
+
+def cx_zero_detect(n: int) -> Circuit:
+    """Flip b iff c=1 and the n-qubit y register is zero, on wires (b=0,
+    y=1..n, c=n+1), with the or-tree's n-1 ancillas above c."""
+    tree = range(n + 2, 2 * n + 1)
+    return Circuit(2 * n + 1, hartley.flip_if_zero_gates(n + 1, range(1, n + 1), 0, tree),
+                   tree, None, f"cx_zero_{n}")
+
+
+def cond_decrement(n: int) -> Circuit:
+    """The conditional decrement: the adjoint of the increment."""
+    inc = build_cond_increment(n)
+    return Circuit(inc.width, inverse(inc.gates), inc.ancillas, None, f"dec_{n}")
+
+
+def cond_ones_complement(n: int) -> Circuit:
+    """The conditional bitwise NOT of the n data wires."""
+    return Circuit(n + 1, cond_ones_complement_gates(n, range(n)), label=f"p1c_{n}")
+
+
+def or_gate() -> Circuit:
+    """One or-gate on wires (0, 1), result on wire 2."""
+    return Circuit(3, or_gate_gates(0, 1, 2), label="or")
+
+
+def or_tree_rounds(n: int, rounds: int) -> Circuit:
+    """``rounds`` times the or-tree pass over n data wires and its inverse:
+    6(n-1) gates a round, each restoring every tree ancilla."""
+    ancillas = range(n, 2 * n - 1)
+    tree, _ = or_tree_gates(range(n), ancillas)
+    return Circuit(2 * n - 1, (tree + inverse(tree)) * rounds, ancillas, None, f"or_tree_{n}")
+
+
+# ---------------------------------------------------------------------------
+# oblivious amplitude amplification of the LCU Hartley construction
+# ---------------------------------------------------------------------------
+
+
+def lcu_target_v(N: int) -> np.ndarray:
+    """Dense V = (e^{-i pi/4} I + e^{i pi/4} T)/sqrt(2), T the modular
+    negation."""
+    T = twos_complement_permutation(N)
+    return (np.exp(-1j * math.pi / 4) * np.eye(N) + np.exp(1j * math.pi / 4) * T) / math.sqrt(2)
+
+
+def amplification_overlap(n: int, rounds: int, seed: int = 20240901):
+    """The overlap of S'^k W' |00>|psi> with |00> V|psi> for k = ``rounds``
+    and a random |psi>, and sin((2k+1) pi/6), the value the amplification
+    law predicts for it."""
+    assert n >= 2 and rounds >= 0
+    N = 1 << n
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=N) + 1j * rng.normal(size=N)
+    psi /= np.linalg.norm(psi)
+    # the ideal branch has the wires above the data register at 0, so only
+    # the circuit's action on that subspace enters the overlap
+    matrix, _ = data_register_action(Circuit(2 * n, hartley._amplified(n, rounds)), range(n))
+    overlap = complex(np.vdot(lcu_target_v(N) @ psi, matrix @ psi))
+    return overlap, math.sin((2 * rounds + 1) * math.pi / 6)
 
 
 def rotation_r(y, b, N):

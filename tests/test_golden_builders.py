@@ -1,13 +1,15 @@
-"""Golden digests of every public circuit builder.
+"""Golden digests of every public circuit builder and of the stage
+circuits the tests build from the library's private fragments.
 
 ``tests/golden/builders.json`` holds, for each (builder, n, flag) case, one
 SHA-256 over the exported gate list, the width, the sorted ancillas and the
-label, or ``"ValueError"`` for a size the builder rejects.  A change to how
-circuits are assembled must leave every one of them unchanged.
+label, or ``"ValueError"`` for a size a public builder rejects.  A change to
+how circuits are assembled must leave every one of them unchanged.
 
 Regenerate (only when a circuit is meant to change) with
 ``PYTHONPATH=src python tests/test_golden_builders.py``.
 """
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -15,41 +17,58 @@ import pathlib
 from qrt_kit import gadgets, hartley, qft, trig
 from qrt_kit.simcore import export_circuit
 
+from helpers import (
+    cond_decrement,
+    cond_ones_complement,
+    cx_zero_detect,
+    d1,
+    d2,
+    g_gate,
+    or_gate,
+    or_tree_rounds,
+    t_gate,
+    type1_core,
+    unitary_ur,
+    unitary_w,
+)
+
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "builders.json"
 SIZES = range(0, 9)
 
 _SIZED = {
     "inc": gadgets.build_cond_increment,
-    "dec": gadgets.build_cond_decrement,
-    "p1c": gadgets.build_cond_ones_complement,
     "p2c": gadgets.build_cond_twos_complement,
     "or_tree": gadgets.build_or_tree,
-    "or_tree/uncompute_internal": lambda n: gadgets.build_or_tree(n, uncompute_internal=True),
-    "or_tree/reset_root": lambda n: gadgets.build_or_tree(n, reset_root=True),
-    "or_tree/both": lambda n: gadgets.build_or_tree(n, True, True),
     "qft": qft.build_qft,
-    "qft/no_swaps": lambda n: qft.build_qft(n, swaps=False),
-    "qft_inv": qft.build_qft_inverse,
-    "qft_inv/no_swaps": lambda n: qft.build_qft_inverse(n, swaps=False),
-    "ur": hartley.build_unitary_ur,
-    "cx_zero": hartley.build_cx_zero_detect,
-    "cx_zero/naive": lambda n: hartley.build_cx_zero_detect(n, naive=True),
-    "w": hartley.build_unitary_w,
     "qht_lcu": hartley.build_qht_lcu,
     "qht_rec": hartley.build_qht_recursive,
-    "qht_rec/naive_zero_detect": lambda n: hartley.build_qht_recursive(n, naive_zero_detect=True),
-    "t": trig.build_t_gate,
-    "qcst1_core": trig.build_type1_core,
     "qcst1": trig.build_qcst_type1,
     "qst1_opt": trig.build_qst1_optimized,
-    "d1": trig.build_d1,
-    "d2": trig.build_d2,
-    "d2/uncorrected": lambda n: trig.build_d2(n, corrected=False),
-    "g": trig.build_g_gate,
     "qcst2": trig.build_qcst_type2,
     "qcst3": trig.build_qcst_type3,
     "qcst4": trig.build_qcst_type4,
     "qcst4/uncorrected": lambda n: trig.build_qcst_type4(n, corrected=False),
+}
+
+# name -> (smallest n, stage circuit); a stage is recorded from the smallest
+# size its construction is meant for, since the fragments check no size
+_STAGES = {
+    "dec": (1, cond_decrement),
+    "p1c": (1, cond_ones_complement),
+    "or_tree/uncompute_internal": (2, lambda n: or_tree_rounds(n, 1)),
+    "or_tree/reset_root": (2, lambda n: or_tree_rounds(n, 2)),
+    "or_tree/both": (2, lambda n: or_tree_rounds(n, 2)),
+    "qft_inv": (1, lambda n: dataclasses.replace(qft.build_qft(n).adjoint(),
+                                                 label=f"qft_inv_{n}")),
+    "ur": (1, unitary_ur),
+    "cx_zero": (1, cx_zero_detect),
+    "w": (2, unitary_w),
+    "t": (2, t_gate),
+    "qcst1_core": (2, type1_core),
+    "d1": (1, d1),
+    "d2": (1, d2),
+    "d2/uncorrected": (1, lambda n: d2(n, corrected=False)),
+    "g": (2, g_gate),
 }
 
 
@@ -64,9 +83,12 @@ def _digest(build) -> str:
 
 
 def current_digests() -> dict:
-    out = {"or_gate": _digest(gadgets.build_or_gate)}
+    out = {"or_gate": _digest(or_gate)}
     for name, build in _SIZED.items():
         for n in SIZES:
+            out[f"{name}/{n}"] = _digest(lambda: build(n))
+    for name, (first, build) in _STAGES.items():
+        for n in range(first, SIZES.stop):
             out[f"{name}/{n}"] = _digest(lambda: build(n))
     return out
 

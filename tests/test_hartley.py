@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 
 from qrt_kit import oracle
-from qrt_kit.hartley import (
-    build_cx_zero_detect,
-    build_qht_lcu,
-    build_qht_recursive,
-    build_unitary_ur,
-    build_unitary_w,
-    check_oblivious_amplification,
-    lcu_target_v,
-)
+from qrt_kit.hartley import build_qht_lcu, build_qht_recursive
 from qrt_kit.qft import build_qft
-from qrt_kit.simcore import count_gates, data_register_action
+from qrt_kit.simcore import Circuit, Gate, count_gates, data_register_action
 
-from helpers import rotation_r, unitary
+from helpers import (
+    amplification_overlap,
+    cx_zero_detect,
+    lcu_target_v,
+    rotation_r,
+    unitary,
+    unitary_ur,
+    unitary_w,
+)
 
 # the N=4 Hartley matrix, frozen from evaluating cas(2 pi a y / 4) by hand
 H4 = 0.5 * np.array([
@@ -59,7 +59,7 @@ def test_v_is_unitary_and_factors_hartley():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_w_select_zero_block_is_v_over_sqrt2(n):
     N = 1 << n
-    circ = build_unitary_w(n)
+    circ = unitary_w(n)
     matrix, residual = data_register_action(circ, list(range(n + 1)))
     assert residual < 1e-12
     np.testing.assert_allclose(matrix[:N, :N], lcu_target_v(N) / math.sqrt(2),
@@ -69,7 +69,7 @@ def test_w_select_zero_block_is_v_over_sqrt2(n):
 def test_w_on_zero_input_amplitude():
     n = 3
     N = 1 << n
-    matrix, _ = data_register_action(build_unitary_w(n), list(range(n + 1)))
+    matrix, _ = data_register_action(unitary_w(n), list(range(n + 1)))
     want = lcu_target_v(N)[:, 0] * math.sin(math.pi / 4)
     np.testing.assert_allclose(matrix[:N, 0], want, atol=1e-12)
 
@@ -78,18 +78,13 @@ def test_block_encoding_projection_on_random_states():
     rng = np.random.default_rng(3)
     n = 3
     N = 1 << n
-    matrix, _ = data_register_action(build_unitary_w(n), list(range(n + 1)))
+    matrix, _ = data_register_action(unitary_w(n), list(range(n + 1)))
     V = lcu_target_v(N)
     for _ in range(5):
         psi = rng.normal(size=N) + 1j * rng.normal(size=N)
         psi /= np.linalg.norm(psi)
         np.testing.assert_allclose(matrix[:N, :N] @ psi, V @ psi / math.sqrt(2),
                                    atol=1e-12)
-
-
-def test_w_size_error():
-    with pytest.raises(ValueError):
-        build_unitary_w(1)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +99,7 @@ def test_rotation_r_trivial_cases():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ur_blocks_match_rotation(n):
-    U = unitary(build_unitary_ur(n))
+    U = unitary(unitary_ur(n))
     N = 1 << (n + 1)
     for y in range(1 << n):
         for b in (0, 1):
@@ -118,7 +113,7 @@ def test_ur_blocks_match_rotation(n):
 
 def test_cx_zero_detect_defining_cases():
     n = 2
-    circ = build_cx_zero_detect(n)
+    circ = cx_zero_detect(n)
     matrix, residual = data_register_action(circ, list(range(n + 2)))
     assert residual < 1e-12
     c_bit = 1 << (n + 1)
@@ -131,20 +126,13 @@ def test_cx_zero_detect_defining_cases():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_cx_variants_identical(n):
-    a, _ = data_register_action(build_cx_zero_detect(n, naive=True),
-                                list(range(n + 2)))
-    b, rb = data_register_action(build_cx_zero_detect(n, naive=False),
-                                 list(range(n + 2)))
+    # the or-tree detector against one MCX on c and the negated y wires
+    flips = [Gate("X", targets=(q,)) for q in range(1, n + 1)]
+    mcx = Circuit(n + 2, flips + [Gate("MCX", (n + 1, *range(1, n + 1)), (0,))] + flips)
+    a, _ = data_register_action(mcx, list(range(n + 2)))
+    b, rb = data_register_action(cx_zero_detect(n), list(range(n + 2)))
     assert rb < 1e-12
     np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_naive_variant_uses_one_mcx():
-    circ = build_cx_zero_detect(4, naive=True)
-    kinds = [g.kind for g in circ.gates]
-    assert kinds.count("MCX") == 1
-    mcx = next(g for g in circ.gates if g.kind == "MCX")
-    assert len(mcx.controls) == 5  # c plus the four y wires
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +171,6 @@ def test_qht_recursive_matches_oracle(n):
     np.testing.assert_allclose(matrix, dht(1 << n), atol=1e-10)
 
 
-def test_qht_recursive_naive_variant_agrees():
-    tree, _ = data_matrix(build_qht_recursive(3), 3)
-    naive, _ = data_matrix(build_qht_recursive(3, naive_zero_detect=True), 3)
-    np.testing.assert_allclose(tree, naive, atol=1e-12)
-
-
 def test_qht_uniform_column():
     for n in (2, 3, 4):
         matrix, _ = data_matrix(build_qht_lcu(n), n)
@@ -223,15 +205,15 @@ def test_qht_size_errors():
 
 @pytest.mark.parametrize("rounds,expected", [(0, 0.5), (1, 1.0), (2, 0.5)])
 def test_amplification_overlaps(rounds, expected):
-    report = check_oblivious_amplification(3, rounds)
-    assert report.expected == pytest.approx(expected)
-    assert report.error < 1e-10
+    overlap, law = amplification_overlap(3, rounds)
+    assert law == pytest.approx(expected)
+    assert abs(overlap - law) < 1e-10
 
 
 def test_amplification_independent_of_state_seed():
     for seed in (1, 2, 3):
-        report = check_oblivious_amplification(2, 1, seed=seed)
-        assert report.error < 1e-10
+        overlap, law = amplification_overlap(2, 1, seed=seed)
+        assert abs(overlap - law) < 1e-10
 
 
 def test_lcu_overhead_over_qft_is_linear():

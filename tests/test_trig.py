@@ -15,20 +15,15 @@ from qrt_kit.simcore import (
 )
 from qrt_kit.qft import build_qft
 from qrt_kit.trig import (
-    build_d1,
-    build_d2,
-    build_g_gate,
     build_qcst_type1,
     build_qcst_type2,
     build_qcst_type3,
     build_qcst_type4,
     build_qst1_optimized,
-    build_t_gate,
-    build_type1_core,
     check_blocks,
 )
 
-from helpers import block_errors, unitary
+from helpers import block_errors, d1, d2, g_gate, t_gate, type1_core, unitary
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -73,23 +68,18 @@ def case_matrix_g(N):
 @pytest.mark.parametrize("n", [2, 3])
 def test_t_gate_matches_case_matrix(n):
     N = 1 << n
-    matrix, residual = data_register_action(build_t_gate(n), list(range(n + 1)))
+    matrix, residual = data_register_action(t_gate(n), list(range(n + 1)))
     assert residual < 1e-12
     np.testing.assert_allclose(matrix, case_matrix_t(N), atol=1e-12)
 
 
 def test_t_gate_zero_value_cases():
-    matrix, _ = data_register_action(build_t_gate(2), [0, 1, 2])
+    matrix, _ = data_register_action(t_gate(2), [0, 1, 2])
     assert abs(matrix[0, 0] - 1) < 1e-12      # |00> fixed
     assert abs(matrix[4, 4] - 1) < 1e-12      # |1,0> fixed
     # |0,x> -> (|0,x> + |1,N-x>)/sqrt(2)
     assert abs(matrix[1, 1] - 1 / math.sqrt(2)) < 1e-12
     assert abs(matrix[4 + 3, 1] - 1 / math.sqrt(2)) < 1e-12
-
-
-def test_t_gate_size_error():
-    with pytest.raises(ValueError):
-        build_t_gate(1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +89,7 @@ def test_t_gate_size_error():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_type1_core_block_identity(n):
-    error, residual = block_errors(build_type1_core(n), "DCT1", "DST1", phase=1j)
+    error, residual = block_errors(type1_core(n), "DCT1", "DST1", phase=1j)
     assert error < 1e-10 and residual < 1e-10
 
 
@@ -132,7 +122,7 @@ def test_type1_sine_columns_match_oracle():
 
 def test_type1_embedding_puts_extra_cosine_index_on_control_one():
     # DCT1 has N+1 rows, so its last one is register label N: control 1, data 0
-    errors, _ = check_blocks(build_type1_core(3), [(spec("DCT1", 8), 0, 1)])
+    errors, _ = check_blocks(type1_core(3), [(spec("DCT1", 8), 0, 1)])
     assert errors[0] < 1e-10
     embedding = cli.verify_transform("qct1", 3, 1e-10)["embedding"]
     assert embedding["cos_block"][-1] == [1, 0]
@@ -211,7 +201,7 @@ def test_qst1_optimized_intermediate_state():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_d1_diagonal(n):
     N = 1 << n
-    U = unitary(build_d1(n))
+    U = unitary(d1(n))
     w = np.exp(2j * np.pi / (4 * N))
     want = np.diag([w ** x for x in range(N)] + [w ** (x - N) for x in range(N)])
     np.testing.assert_allclose(U, want, atol=1e-12)
@@ -222,7 +212,7 @@ def test_d1_phase_cases():
     # control=0: w^x; control=1, x=N-1: w^{-1}
     n = 2
     N = 1 << n
-    U = unitary(build_d1(n))
+    U = unitary(d1(n))
     w = np.exp(2j * np.pi / (4 * N))
     assert abs(U[3, 3] - w ** 3) < 1e-12
     assert abs(U[N + N - 1, N + N - 1] - w ** -1) < 1e-12
@@ -232,10 +222,10 @@ def test_d1_phase_cases():
 def test_d2_corrected_and_incorrect_diagonals(n):
     N = 1 << n
     w = np.exp(2j * np.pi / (4 * N))
-    U = unitary(build_d2(n, corrected=True))
+    U = unitary(d2(n, corrected=True))
     want = np.diag([w ** x for x in range(N)] + [w ** (-1 - x) for x in range(N)])
     np.testing.assert_allclose(U, want, atol=1e-12)
-    U_bad = unitary(build_d2(n, corrected=False))
+    U_bad = unitary(d2(n, corrected=False))
     # defective variant: control-1 entry at x=0 is w^{-1} w^{-N+1} = w^{-N}
     assert abs(U_bad[N, N] - w ** -N) < 1e-12
     np.testing.assert_allclose(np.abs(np.diagonal(U_bad)), 1, atol=1e-12)
@@ -248,7 +238,7 @@ def test_d2_corrected_and_incorrect_diagonals(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_g_gate_matches_case_matrix(n):
-    matrix, residual = data_register_action(build_g_gate(n), list(range(n + 1)))
+    matrix, residual = data_register_action(g_gate(n), list(range(n + 1)))
     assert residual < 1e-12
     np.testing.assert_allclose(matrix, case_matrix_g(1 << n), atol=1e-12)
 
@@ -360,7 +350,7 @@ def test_type4_needs_no_scratch():
 def test_ancilla_cleanliness_all_builders():
     for n in (2, 3):
         for build in (build_qcst_type1, build_qcst_type2, build_qcst_type3,
-                      build_qcst_type4, build_t_gate, build_g_gate):
+                      build_qcst_type4, t_gate, g_gate):
             circ = build(n)
             _, residual = data_register_action(circ, circ.data_wires)
             assert residual < 1e-10, build.__name__
@@ -405,7 +395,7 @@ def test_blocks_off_the_declared_embedding_fail(monkeypatch):
 # ---------------------------------------------------------------------------
 
 _GOLDEN_BUILDS = {
-    "qct1-core": (build_type1_core, "DCT1", "DST1"),
+    "qct1-core": (type1_core, "DCT1", "DST1"),
     "qct1": (build_qcst_type1, "DCT1", "DST1"),
     "qct2": (build_qcst_type2, "DCT2", "DST2"),
     "qct3": (build_qcst_type3, "DCT3", "DST3"),
