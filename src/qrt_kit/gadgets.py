@@ -118,11 +118,17 @@ def or_tree_gates(data, ancillas):
 # ---------------------------------------------------------------------------
 
 
+def _carry_wires(n: int) -> range:
+    """The n-2 carry ancillas of the standard layout (none below n = 3),
+    right above the control."""
+    return range(n + 1, 2 * n - 1)
+
+
 def build_cond_increment(n: int) -> Circuit:
     """Conditional modular increment on n data wires, control on wire n."""
     if n < 1:
         raise ValueError("increment needs at least one data qubit")
-    carries = range(n + 1, 2 * n - 1)  # n-2 carries (none below n = 3)
+    carries = _carry_wires(n)
     return Circuit(n + 1 + len(carries), cond_increment_gates(n, range(n), carries),
                    carries, None, f"inc_{n}")
 
@@ -135,7 +141,7 @@ def build_cond_twos_complement(n: int) -> Circuit:
     """
     if n < 2:
         raise ValueError("two's complement needs at least two data qubits")
-    carries = range(n + 1, 2 * n - 1)  # n-2 carries (none below n = 3)
+    carries = _carry_wires(n)
     return Circuit(n + 1 + len(carries), cond_twos_complement_gates(n, range(n), carries),
                    carries, None, f"p2c_{n}")
 

@@ -73,9 +73,9 @@ def _w_gates(n: int, sel: int, carries) -> list[Gate]:
             + [Gate("Rz", targets=(sel,), angle=math.pi / 2), _h(sel)])
 
 
-def _amplified(n: int, rounds: int) -> list[Gate]:
-    """W' (H on the widening ancilla, then W), followed by ``rounds`` rounds
-    of -R W'^dag R W', where R reflects the two select wires about |00>.
+def _amplified(n: int) -> list[Gate]:
+    """W' (H on the widening ancilla, then W), followed by one round of
+    -R W'^dag R W', where R reflects the two select wires about |00>.
 
     Wires: data 0..n-1, select n, widening ancilla n+1, carries above.
     """
@@ -83,12 +83,8 @@ def _amplified(n: int, rounds: int) -> list[Gate]:
     w_prime = [_h(p)] + _w_gates(n, sel, range(n + 2, 2 * n))
     reflect = [Gate("Z", targets=(p,)), Gate("Z", targets=(sel,)),
                Gate("CPhase", (p,), (sel,), math.pi)]
-    gates = list(w_prime)
-    for _ in range(rounds):
-        gates += reflect + inverse(w_prime) + reflect
-        gates.append(Gate("GlobalPhase", angle=math.pi))
-        gates += w_prime
-    return gates
+    return (w_prime + reflect + inverse(w_prime) + reflect
+            + [Gate("GlobalPhase", angle=math.pi)] + w_prime)
 
 
 def build_qht_lcu(n: int) -> Circuit:
@@ -100,7 +96,7 @@ def build_qht_lcu(n: int) -> Circuit:
     """
     if n < 2:
         raise ValueError("LCU Hartley transform needs at least two data qubits")
-    return Circuit(2 * n, _amplified(n, 1) + qft_gates(range(n)), range(n, 2 * n),
+    return Circuit(2 * n, _amplified(n) + qft_gates(range(n)), range(n, 2 * n),
                    None, f"qht_lcu_{n}")
 
 

@@ -110,9 +110,3 @@ def reference_columns(spec: TransformSpec, start: int, stop: int) -> np.ndarray:
 def reference_matrix(spec: TransformSpec) -> np.ndarray:
     return reference_columns(spec, 0, spec.dim)
 
-
-def twos_complement_permutation(N: int) -> np.ndarray:
-    """Permutation matrix of x -> (N - x) mod N."""
-    T = np.zeros((N, N))
-    T[(N - np.arange(N)) % N, np.arange(N)] = 1.0
-    return T

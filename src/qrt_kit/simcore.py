@@ -17,40 +17,67 @@ import operator
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
-# kind -> (n_controls, n_targets, parameterized); MCX is variadic and handled apart
-_GATE_SIGNATURES = {
-    "X": (0, 1, False),
-    "Y": (0, 1, False),
-    "Z": (0, 1, False),
-    "H": (0, 1, False),
-    "S": (0, 1, False),
-    "Sdg": (0, 1, False),
-    "Phase": (0, 1, True),
-    "Rz": (0, 1, True),
-    "CPhase": (1, 1, True),
-    "CNOT": (1, 1, False),
-    "CH": (1, 1, False),
-    "CS": (1, 1, False),
-    "CSdg": (1, 1, False),
-    "Toffoli": (2, 1, False),
-    "SWAP": (0, 2, False),
-    "GlobalPhase": (0, 0, True),
-    "MCX": (-1, 1, False),
+
+class _Kind(NamedTuple):
+    """What a gate kind is.  ``action`` is what the gate does to its
+    targets where every control is 1: "X" or "SWAP" (a basis permutation),
+    "H" (the butterfly), "Y", "GlobalPhase" (e^{i angle} on every label), or
+    for a diagonal gate the function of the angle that gives its phases on
+    |0> and |1>."""
+
+    controls: int | None  # None: MCX's one or more
+    targets: int
+    takes_angle: bool
+    inverse: str  # of the same operands; an angle is negated
+    action: object
+
+
+def _diagonal(on0, on1):
+    return lambda angle: (on0, on1)
+
+
+def _phase(angle):
+    return 1, np.exp(1j * angle)
+
+
+_S, _SDG = _diagonal(1, 1j), _diagonal(1, -1j)
+
+# The elementary gate set, one row per kind.  The export name of a kind is
+# its name in lower case.
+_KINDS = {
+    "X": _Kind(0, 1, False, "X", "X"),
+    "Y": _Kind(0, 1, False, "Y", "Y"),
+    "Z": _Kind(0, 1, False, "Z", _diagonal(1, -1)),
+    "H": _Kind(0, 1, False, "H", "H"),
+    "S": _Kind(0, 1, False, "Sdg", _S),
+    "Sdg": _Kind(0, 1, False, "S", _SDG),
+    "Phase": _Kind(0, 1, True, "Phase", _phase),
+    "Rz": _Kind(0, 1, True, "Rz", lambda angle: (np.exp(-0.5j * angle), np.exp(0.5j * angle))),
+    "CPhase": _Kind(1, 1, True, "CPhase", _phase),
+    "CNOT": _Kind(1, 1, False, "CNOT", "X"),
+    "CH": _Kind(1, 1, False, "CH", "H"),
+    "CS": _Kind(1, 1, False, "CSdg", _S),
+    "CSdg": _Kind(1, 1, False, "CS", _SDG),
+    "Toffoli": _Kind(2, 1, False, "Toffoli", "X"),
+    "SWAP": _Kind(0, 2, False, "SWAP", "SWAP"),
+    "GlobalPhase": _Kind(0, 0, True, "GlobalPhase", "GlobalPhase"),
+    "MCX": _Kind(None, 1, False, "MCX", "X"),
 }
+_BUTTERFLIES = frozenset(k for k, row in _KINDS.items() if row.action == "H")
+_PERMUTATIONS = frozenset(k for k, row in _KINDS.items() if row.action in ("X", "SWAP"))
+_BY_NAME = {kind.lower(): kind for kind in _KINDS}
 
 MAX_WIDTH = 1 << 16
 """Widest register a ``Circuit`` may have.  It sits far above the widest
 built circuit (qht-rec at the CLI's largest n, 512, has 1533 wires) and
 keeps every width-sized structure (the relabeling, ``data_wires``, a
 parsed circuit) small, whatever wire index a gate list names."""
-
-_SELF_INVERSE = {"X", "Y", "Z", "H", "CNOT", "CH", "Toffoli", "SWAP", "MCX"}
-_INVERSE_PAIRS = {"S": "Sdg", "Sdg": "S", "CS": "CSdg", "CSdg": "CS"}
 
 
 @dataclass(frozen=True)
@@ -63,18 +90,18 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        sig = _GATE_SIGNATURES.get(self.kind)
-        if sig is None:
+        row = _KINDS.get(self.kind)
+        if row is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        n_ctrl, n_tgt, parameterized = sig
-        if self.kind == "MCX":
-            if len(self.controls) < 1:
-                raise ValueError("MCX requires at least one control")
+        n_ctrl, n_tgt, takes_angle, _, _ = row
+        if n_ctrl is None:
+            if not self.controls:
+                raise ValueError(f"{self.kind} requires at least one control")
         elif len(self.controls) != n_ctrl:
             raise ValueError(f"{self.kind} takes {n_ctrl} controls, got {len(self.controls)}")
         if len(self.targets) != n_tgt:
             raise ValueError(f"{self.kind} takes {n_tgt} targets, got {len(self.targets)}")
-        if parameterized:
+        if takes_angle:
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"{self.kind} requires a finite angle")
         elif self.angle is not None:
@@ -95,11 +122,10 @@ class Gate:
         return self.controls + self.targets
 
     def inverse(self) -> "Gate":
-        if self.kind in _SELF_INVERSE:
-            return self
-        if self.kind in _INVERSE_PAIRS:
-            return Gate(_INVERSE_PAIRS[self.kind], self.controls, self.targets)
-        return Gate(self.kind, self.controls, self.targets, -self.angle)
+        kind = _KINDS[self.kind].inverse
+        if self.angle is not None:
+            return Gate(kind, self.controls, self.targets, -self.angle)
+        return self if kind == self.kind else Gate(kind, self.controls, self.targets)
 
     def remapped(self, wire_map) -> "Gate":
         return Gate(
@@ -183,48 +209,8 @@ class GateCountReport:
 
 
 # ---------------------------------------------------------------------------
-# gate matrices
-# ---------------------------------------------------------------------------
-
-_FIXED_1Q = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1, -1]).astype(complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV,
-    "S": np.diag([1, 1j]).astype(complex),
-    "Sdg": np.diag([1, -1j]).astype(complex),
-}
-
-
-# controlled kind -> the kind it applies to its target
-_BASE_KIND = {"CPhase": "Phase", "CS": "S", "CSdg": "Sdg", "CH": "H",
-              "CNOT": "X", "Toffoli": "X", "MCX": "X"}
-
-
-def _target_matrix(gate: Gate) -> np.ndarray:
-    """Unitary acting on the target wires alone (controls handled separately)."""
-    kind = _BASE_KIND.get(gate.kind, gate.kind)
-    if kind in _FIXED_1Q:
-        return _FIXED_1Q[kind]
-    if kind == "Phase":
-        return np.diag([1, np.exp(1j * gate.angle)])
-    if kind == "Rz":
-        return np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
-    if kind == "SWAP":
-        m = np.eye(4, dtype=complex)
-        m[[1, 2]] = m[[2, 1]]
-        return m
-    raise ValueError(f"no matrix for kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
-
-
-_DIAGONAL_KINDS = {"Z", "S", "Sdg", "Phase", "Rz", "CPhase", "CS", "CSdg"}
-_CLASSICAL_KINDS = {"X", "CNOT", "Toffoli", "MCX", "SWAP"}
-_BUTTERFLY_KINDS = {"H", "CH"}
 
 
 def _butterfly(flat: np.ndarray, t: int, scratch: np.ndarray) -> None:
@@ -257,13 +243,13 @@ def _layers(circuit: Circuit, d: int):
     and the two rows of every pair a butterfly mixes hold the same ancilla
     bits.  With no ancilla the keys stay the row numbers."""
     if circuit.width > _KEY_BITS or any(  # checked before anything 2^d-sized
-            g.kind in _BUTTERFLY_KINDS and g.targets[0] >= d for g in circuit.gates):
+            g.kind in _BUTTERFLIES and g.targets[0] >= d for g in circuit.gates):
         return None
     rows = np.arange(1 << d, dtype=np.int64)
     keys, layers, run = rows.copy(), [], []
     for gate in circuit.gates + (None,):  # None: the end, which closes the last run
         last = gate is None
-        if not last and gate.kind not in _BUTTERFLY_KINDS:
+        if not last and gate.kind not in _BUTTERFLIES:
             run.append(gate)
             continue
         if run or (last and circuit.relabeling is not None):
@@ -611,8 +597,9 @@ def _sparse_program(circuit: Circuit, c: int) -> list:
     ``e_{w+c}`` for a wire ``w >= c``, which is constant in a chunk, and
     ``e_{w+c} ^ e_w`` for a wire ``w < c``, which pairs with column bit
     ``w``.  X, Y, GlobalPhase and the diagonal gates keep the constraints;
-    CNOT(x -> t) maps each ``y`` to ``y ^ (y_t << x)``; SWAP swaps two
-    bits; H, CH, Toffoli and MCX on ``t`` eliminate bit ``t``.  A butterfly
+    an X on ``t`` with one control ``x`` (CNOT) maps each ``y`` to
+    ``y ^ (y_t << x)``; SWAP swaps two bits; a butterfly, or an X with two
+    or more controls, on ``t`` eliminates bit ``t``.  A butterfly
     on ``t`` is a split when some constraint holds bit ``t``: then no two
     live keys differ in bit ``t`` alone, no entry meets its partner, and
     each entry becomes two with no sort.  Any other butterfly is a merge.
@@ -622,18 +609,18 @@ def _sparse_program(circuit: Circuit, c: int) -> list:
     cols = [1 << w for w in range(c)] + [1 << w for w in range(circuit.width)]
     program = []
     for gate in circuit.gates:
-        kind, wires = gate.kind, [w + c for w in gate.operands]
-        if kind in _BUTTERFLY_KINDS:
+        action, wires = _action(gate), [w + c for w in gate.operands]
+        if action == "H":
             program.append(_butterfly_step(gate, c, split=cols[wires[-1]] != 0))
         else:
             program.append(_monomial_step(gate, c))
-        if kind == "CNOT":
-            x, t = wires
-            cols[x] ^= cols[t]
-        elif kind == "SWAP":
+        if action == "SWAP":
             a, b = wires
             cols[a], cols[b] = cols[b], cols[a]
-        elif kind in ("H", "CH", "Toffoli", "MCX"):
+        elif action == "X" and len(gate.controls) == 1:
+            x, t = wires
+            cols[x] ^= cols[t]
+        elif action == "H" or action == "X" and gate.controls:
             _eliminate(cols, wires[-1])
     return program
 
@@ -751,11 +738,11 @@ def _monomial(gate: Gate, shift: int):
     and returns the phases as ``(select, factor)`` pairs, where the entries
     ``select`` picks out (indexed like the keys before the gate) are
     multiplied by ``factor``."""
-    kind = gate.kind
-    if kind == "GlobalPhase":
+    action = _action(gate)
+    if action == "GlobalPhase":
         phases = [(slice(None), complex(np.exp(1j * gate.angle)))]
         return lambda keys: phases
-    if kind in _CLASSICAL_KINDS:
+    if gate.kind in _PERMUTATIONS:
         permute = _key_permutation(gate, shift)
 
         def rule(keys):
@@ -763,30 +750,29 @@ def _monomial(gate: Gate, shift: int):
             return []
         return rule
     ctrl, bit = _masks(gate, shift)
-    m = _target_matrix(gate).tolist()
-    if kind == "Y":  # |0> -> m[1,0] |1> and |1> -> m[0,1] |0>
+    if action == "Y":  # |0> -> i |1> and |1> -> -i |0>
         def rule(keys):
-            phase = np.where(keys & bit, m[0][1], m[1][0])
+            phase = np.where(keys & bit, -1j, 1j)
             keys ^= bit
             return [(slice(None), phase)]
         return rule
-    if kind in _DIAGONAL_KINDS:
-        factors = [(ctrl | bit * value, m[value][value])
-                   for value in (0, 1) if m[value][value] != 1]
+    if callable(action):  # diagonal
+        factors = [(ctrl | bit * value, complex(factor))
+                   for value, factor in enumerate(action(gate.angle)) if factor != 1]
 
         def rule(keys):
             on = keys & (ctrl | bit)
             return [(on == value, factor) for value, factor in factors]
         return rule
-    raise ValueError(f"no simulation rule for gate kind {kind!r}")
+    raise ValueError(f"no simulation rule for gate kind {gate.kind!r}")
 
 
 def _key_permutation(gate: Gate, shift: int):
-    """A gate of ``_CLASSICAL_KINDS`` compiled for int64 keys that hold wire
+    """A gate of ``_PERMUTATIONS`` compiled for int64 keys that hold wire
     ``w`` in bit ``w + shift``: returns ``permute(keys)``, which applies it
     in place.  The bit semantics shared by both engines and
     ``classical_image``."""
-    if gate.kind == "SWAP":
+    if _action(gate) == "SWAP":
         a, b = gate.targets[0] + shift, gate.targets[1] + shift
         both = (1 << a) | (1 << b)
 
@@ -798,6 +784,15 @@ def _key_permutation(gate: Gate, shift: int):
     def permute(keys):
         keys ^= ((keys & ctrl) == ctrl) * bit if ctrl else bit
     return permute
+
+
+def _action(gate: Gate):
+    """The action of the gate's kind, from ``_KINDS``; a ValueError for a
+    kind outside it, which only a gate forged past its validation has."""
+    row = _KINDS.get(gate.kind)
+    if row is None:
+        raise ValueError(f"no simulation rule for gate kind {gate.kind!r}")
+    return row.action
 
 
 def _masks(gate: Gate, shift: int) -> tuple[int, int]:
@@ -829,7 +824,7 @@ def classical_image(circuit: Circuit, labels) -> np.ndarray:
         raise ValueError(
             f"classical evaluation packs {circuit.width} wires into one int64 "
             f"label, above the {_KEY_BITS}-bit cap")
-    other = sorted({g.kind for g in circuit.gates} - _CLASSICAL_KINDS)
+    other = sorted({g.kind for g in circuit.gates} - _PERMUTATIONS)
     if other:
         raise ValueError(f"not a classical circuit: it holds {', '.join(other)} gates")
     labels = np.array(labels, dtype=np.int64)
@@ -893,16 +888,12 @@ def count_gates(circuit: Circuit) -> GateCountReport:
 # textual export / import
 # ---------------------------------------------------------------------------
 
-_EXPORT_NAMES = {k: k.lower() for k in _GATE_SIGNATURES}
-_IMPORT_NAMES = {v: k for k, v in _EXPORT_NAMES.items()}
-
-
 def export_circuit(circuit: Circuit) -> str:
     """One gate per line: lowercase kind, angle in radians to 17 significant
     digits, operands as q[i] with controls before targets."""
     lines = []
     for g in circuit.gates:
-        name = _EXPORT_NAMES[g.kind]
+        name = g.kind.lower()
         head = f"{name}({g.angle:.17g})" if g.angle is not None else name
         ops = ",".join(f"q[{q}]" for q in g.operands)
         lines.append(f"{head} {ops}".rstrip())
@@ -948,7 +939,7 @@ def parse_circuit(text: str, width: int | None = None, label: str = "") -> Circu
             angle = float(arg)
         else:
             name, angle = head, None
-        kind = _IMPORT_NAMES.get(name)
+        kind = _BY_NAME.get(name)
         if kind is None:
             raise ValueError(f"unknown gate name {name!r}")
         wires = []
@@ -958,8 +949,8 @@ def parse_circuit(text: str, width: int | None = None, label: str = "") -> Circu
                 if not (item.startswith("q[") and item.endswith("]")):
                     raise ValueError(f"bad operand {item!r}")
                 wires.append(int(item[2:-1]))
-        n_ctrl = _GATE_SIGNATURES[kind][0]
-        if kind == "MCX":
+        n_ctrl = _KINDS[kind].controls
+        if n_ctrl is None:
             n_ctrl = len(wires) - 1
         gates.append(Gate(kind, tuple(wires[:n_ctrl]), tuple(wires[n_ctrl:]), angle))
         if wires:

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import oracle
 from .gadgets import (
+    _carry_wires,
     cond_increment_gates,
     cond_ones_complement_gates,
     cond_twos_complement_gates,
@@ -93,7 +94,7 @@ def build_qst1_optimized(n: int) -> Circuit:
     if n < 2:
         raise ValueError("optimized sine transform needs at least two data qubits")
     a = n
-    carries = tuple(range(n + 1, 2 * n - 1))
+    carries = _carry_wires(n)
     negate = cond_twos_complement_gates(a, range(n), carries)
     gates = ([Gate("X", targets=(a,)), Gate("H", targets=(a,))]
              + negate + qft_gates(range(n + 1)) + negate

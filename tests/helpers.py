@@ -1,24 +1,26 @@
 """Shared test utilities: the block check of a cosine/sine pair, the
 expected labels of a controlled classical map, the simulator's full unitary
-of a small circuit, an independent brute-force unitary builder, the stage
+of a small circuit, textbook matrices of the gate set and an independent
+brute-force unitary builder on them, the stage
 circuits the transforms are assembled from, the amplification check of the
 LCU Hartley construction, reference matrices the circuits are compared
 against, and the float-angle oracle the library's angle table is
 cross-checked with."""
+import cmath
 import math
 
 import numpy as np
 
-from qrt_kit import hartley, trig
+from qrt_kit import gadgets, hartley, trig
 from qrt_kit.gadgets import (
     build_cond_increment,
     cond_ones_complement_gates,
     or_gate_gates,
     or_tree_gates,
 )
-from qrt_kit.oracle import TransformSpec, cas, reference_matrix, twos_complement_permutation
+from qrt_kit.oracle import TransformSpec, cas, reference_matrix
 from qrt_kit.qft import qft_gates
-from qrt_kit.simcore import Circuit, _target_matrix, data_register_action, inverse
+from qrt_kit.simcore import Circuit, Gate, data_register_action, inverse
 from qrt_kit.trig import check_blocks
 
 
@@ -50,16 +52,49 @@ def unitary(circuit) -> np.ndarray:
     return data_register_action(circuit, range(circuit.width))[0]
 
 
+_X = [[0, 1], [1, 0]]
+_H = [[math.sqrt(0.5), math.sqrt(0.5)], [math.sqrt(0.5), -math.sqrt(0.5)]]
+_S = [[1, 0], [0, 1j]]
+_SDG = [[1, 0], [0, -1j]]
+
+
+def _phase(angle):
+    return [[1, 0], [0, cmath.exp(1j * angle)]]
+
+
+# The gate set as textbook matrices, written out here rather than taken from
+# qrt_kit, so that brute_unitary is a reference independent of the library:
+# kind -> the matrix on the gate's targets as a function of its angle,
+# applied where every control is 1.
+REFERENCE_MATRICES = {
+    "X": lambda angle: _X,
+    "Y": lambda angle: [[0, -1j], [1j, 0]],
+    "Z": lambda angle: [[1, 0], [0, -1]],
+    "H": lambda angle: _H,
+    "S": lambda angle: _S,
+    "Sdg": lambda angle: _SDG,
+    "Phase": _phase,
+    "Rz": lambda angle: [[cmath.exp(-0.5j * angle), 0], [0, cmath.exp(0.5j * angle)]],
+    "CPhase": _phase,
+    "CNOT": lambda angle: _X,
+    "CH": lambda angle: _H,
+    "CS": lambda angle: _S,
+    "CSdg": lambda angle: _SDG,
+    "Toffoli": lambda angle: _X,
+    "SWAP": lambda angle: [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+    "GlobalPhase": lambda angle: [[cmath.exp(1j * angle)]],
+    "MCX": lambda angle: _X,
+}
+
+
 def operand_matrix(gate):
     """Full matrix over the gate's operand wires, first operand = most
-    significant bit of the matrix index (textbook layout)."""
-    tgt = _target_matrix(gate)
-    k = len(gate.controls)
-    if k == 0:
-        return tgt
-    dim = (1 << k) * tgt.shape[0]
+    significant bit of the matrix index (textbook layout): the identity,
+    with the target matrix in the corner where every control is 1."""
+    tgt = np.array(REFERENCE_MATRICES[gate.kind](gate.angle), dtype=complex)
+    dim = (1 << len(gate.controls)) * len(tgt)
     full = np.eye(dim, dtype=complex)
-    full[dim - tgt.shape[0]:, dim - tgt.shape[0]:] = tgt
+    full[dim - len(tgt):, dim - len(tgt):] = tgt
     return full
 
 
@@ -67,15 +102,13 @@ def brute_unitary(circuit):
     """Full circuit unitary built by explicit basis-permutation embedding.
 
     Independent of the simulator's slice arithmetic: each gate's operand
-    matrix is scattered entry by entry over the full 2^width space.
+    matrix is scattered entry by entry over the full 2^width space (a
+    gate with no operand, GlobalPhase, scales every label).
     """
     width = circuit.width
     dim = 1 << width
     total = np.eye(dim, dtype=complex)
     for gate in circuit.gates:
-        if gate.kind == "GlobalPhase":
-            total = np.exp(1j * gate.angle) * total
-            continue
         ops = gate.operands
         mat = operand_matrix(gate)
         k = len(ops)
@@ -145,7 +178,7 @@ def g_gate(n: int) -> Circuit:
 def unitary_w(n: int) -> Circuit:
     """The LCU block unitary W on data 0..n-1, select n and carries above:
     projecting onto select=0 gives exactly V/sqrt(2)."""
-    carries = tuple(range(n + 1, 2 * n - 1))
+    carries = gadgets._carry_wires(n)
     return Circuit(2 * n - 1, hartley._w_gates(n, n, carries), carries, None, f"w_{n}")
 
 
@@ -192,6 +225,13 @@ def or_tree_rounds(n: int, rounds: int) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
+def twos_complement_permutation(N: int) -> np.ndarray:
+    """Permutation matrix of x -> (N - x) mod N."""
+    T = np.zeros((N, N))
+    T[(N - np.arange(N)) % N, np.arange(N)] = 1.0
+    return T
+
+
 def lcu_target_v(N: int) -> np.ndarray:
     """Dense V = (e^{-i pi/4} I + e^{i pi/4} T)/sqrt(2), T the modular
     negation."""
@@ -202,15 +242,31 @@ def lcu_target_v(N: int) -> np.ndarray:
 def amplification_overlap(n: int, rounds: int, seed: int = 20240901):
     """The overlap of S'^k W' |00>|psi> with |00> V|psi> for k = ``rounds``
     and a random |psi>, and sin((2k+1) pi/6), the value the amplification
-    law predicts for it."""
+    law predicts for it.
+
+    One round is the library's circuit, ``hartley._amplified``, which
+    ``build_qht_lcu`` uses.  Any other count is built here on the same
+    wires from ``hartley._w_gates``: W', then ``rounds`` rounds of
+    -R W'^dag R W', with R, the reflection of the two select wires about
+    |00>, written out as Z, Z and a controlled phase of pi."""
     assert n >= 2 and rounds >= 0
+    sel, p = n, n + 1
+    if rounds == 1:
+        gates = hartley._amplified(n)
+    else:
+        w_prime = [Gate("H", targets=(p,))] + hartley._w_gates(n, sel, range(n + 2, 2 * n))
+        reflect = [Gate("Z", targets=(p,)), Gate("Z", targets=(sel,)),
+                   Gate("CPhase", (p,), (sel,), math.pi)]
+        one_round = (reflect + inverse(w_prime) + reflect
+                     + [Gate("GlobalPhase", angle=math.pi)] + w_prime)
+        gates = w_prime + one_round * rounds
     N = 1 << n
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=N) + 1j * rng.normal(size=N)
     psi /= np.linalg.norm(psi)
     # the ideal branch has the wires above the data register at 0, so only
     # the circuit's action on that subspace enters the overlap
-    matrix, _ = data_register_action(Circuit(2 * n, hartley._amplified(n, rounds)), range(n))
+    matrix, _ = data_register_action(Circuit(2 * n, gates), range(n))
     overlap = complex(np.vdot(lcu_target_v(N) @ psi, matrix @ psi))
     return overlap, math.sin((2 * rounds + 1) * math.pi / 6)
 

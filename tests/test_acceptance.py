@@ -33,6 +33,7 @@ from helpers import (
     cond_ones_complement,
     controlled_map,
     or_tree_rounds,
+    twos_complement_permutation,
     type1_core,
 )
 
@@ -172,7 +173,7 @@ def test_criterion_9_identity_suite():
     for N in (2, 4, 8, 16, 32, 64):
         F = oracle.reference_matrix(spec("DFT", N))
         H = oracle.reference_matrix(spec("DHT", N))
-        T = oracle.twos_complement_permutation(N)
+        T = twos_complement_permutation(N)
         worst = max(worst, float(np.max(np.abs(
             (1 - 1j) / 2 * F + (1 + 1j) / 2 * F.conj() - H))))
         worst = max(worst, float(np.max(np.abs(F @ T - F.conj()))))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (build_dht_from_dft, build_reference_matrix, compare_unitaries,
-                     dump_csv, naive_reference, unitary)
+                     dump_csv, naive_reference, twos_complement_permutation, unitary)
 from qrt_kit import cli, oracle
 from qrt_kit.oracle import TransformSpec, cas
 
@@ -205,7 +205,7 @@ def test_compare_qft_circuit_to_oracle():
 
 
 def test_twos_complement_permutation():
-    T = oracle.twos_complement_permutation(4)
+    T = twos_complement_permutation(4)
     np.testing.assert_array_equal(T @ np.array([1, 0, 0, 0]), [1, 0, 0, 0])
     np.testing.assert_array_equal(T @ np.array([0, 1, 0, 0]), [0, 0, 0, 1])
 

@@ -61,7 +61,7 @@ def test_fourier_times_negation_is_conjugate(n):
     base = build_cond_twos_complement(n)
     force = Gate("X", targets=(n,))  # force the gadget control on
     circ = Circuit(base.width, [force, *base.gates, force, *qft_gates(range(n))],
-                   ancillas=range(n + 1, 2 * n - 1))
+                   ancillas=base.ancillas)
     matrix, residual = data_register_action(circ, list(range(n)))
     want = oracle.reference_matrix(oracle.TransformSpec("DFT", N)).conj()
     assert residual < 1e-12

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qrt_kit.simcore import (
-    _IMPORT_NAMES,
+    _KINDS,
     MAX_WIDTH,
     Circuit,
     Gate,
@@ -21,7 +21,7 @@ from qrt_kit.simcore import (
     parse_circuit,
 )
 
-from helpers import brute_unitary, unitary
+from helpers import REFERENCE_MATRICES, brute_unitary, unitary
 
 RNG = np.random.default_rng(1234)
 
@@ -71,6 +71,11 @@ def test_engine_matches_brute_force(width):
         got = unitary(circ)
         want = brute_unitary(circ)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_reference_matrices_name_every_kind():
+    # a kind enters the gate set only with a reference matrix of its own
+    assert sorted(REFERENCE_MATRICES) == sorted(_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +415,7 @@ def test_parse_rejects_a_repeated_relabel_source():
         parse_circuit("x q[1]\n# relabel: 0->1,0->0\n")
 
 
-_NAMES = sorted(_IMPORT_NAMES) + ["bogus"]
+_NAMES = sorted(kind.lower() for kind in _KINDS) + ["bogus"]
 _WIRE = st.integers(-2, 12)
 _LINES = st.one_of(
     st.text(max_size=24),
