@@ -5,8 +5,9 @@ Conventions used throughout the package:
 
 * qubit 0 is the least significant bit of a register value, so the basis
   label of a classical assignment is ``sum(bit[w] << w)``;
-* control and ancilla qubits sit on higher wire indices than the data
-  register they serve;
+* a ``Circuit``'s ancillas are its top wires, so its data register is
+  wires 0..d-1 (``Circuit.data_wires``); control qubits sit on higher wire
+  indices than the data register they serve;
 * a ``Circuit`` may carry a final ``relabeling`` -- a gate-free renaming of
   wires applied after the last gate.
 """
@@ -76,8 +77,8 @@ _BY_NAME = {kind.lower(): kind for kind in _KINDS}
 MAX_WIDTH = 1 << 16
 """Widest register a ``Circuit`` may have.  It sits far above the widest
 built circuit (qht-rec at the CLI's largest n, 512, has 1533 wires) and
-keeps every width-sized structure (the relabeling, ``data_wires``, a
-parsed circuit) small, whatever wire index a gate list names."""
+keeps every width-sized structure (the relabeling, a parsed circuit) small,
+whatever wire index a gate list names."""
 
 
 @dataclass(frozen=True)
@@ -127,22 +128,15 @@ class Gate:
             return Gate(kind, self.controls, self.targets, -self.angle)
         return self if kind == self.kind else Gate(kind, self.controls, self.targets)
 
-    def remapped(self, wire_map) -> "Gate":
-        return Gate(
-            self.kind,
-            tuple(wire_map[q] for q in self.controls),
-            tuple(wire_map[q] for q in self.targets),
-            self.angle,
-        )
-
 
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over a fixed-width register.
 
-    ``ancillas`` documents wires that enter and leave in |0>; ``relabeling``
-    maps each wire to its final name (``relabeling[w]`` is where the content
-    of wire ``w`` ends up).
+    ``ancillas`` are the wires that enter and leave in |0>, and must be the
+    top wires, so the data register is wires 0..d-1; ``relabeling`` maps
+    each wire to its final name (``relabeling[w]`` is where the content of
+    wire ``w`` ends up).
     """
 
     width: int
@@ -166,31 +160,17 @@ class Circuit:
             for q in g.operands:
                 if q >= self.width:
                     raise ValueError(f"gate operand {q} outside width {self.width}")
-        if any(a >= self.width or a < 0 for a in self.ancillas):
-            raise ValueError("ancilla index outside register")
+        if self.ancillas != set(range(self.width - len(self.ancillas), self.width)):
+            raise ValueError(f"ancillas must be the top wires of width {self.width}, "
+                             f"got {sorted(self.ancillas)}")
         if self.relabeling is not None:
             if sorted(self.relabeling) != list(range(self.width)):
                 raise ValueError("relabeling must be a permutation of the wires")
 
     @property
-    def data_wires(self) -> tuple[int, ...]:
-        return tuple(w for w in range(self.width) if w not in self.ancillas)
-
-    def adjoint(self) -> "Circuit":
-        """Inverse circuit: reversed inverted gates; a relabeling is inverted
-        and pushed through the gates so it can stay in final position."""
-        relab = self.relabeling
-        gates = inverse(self.gates)
-        if relab is None:
-            inv_relab = None
-        else:
-            gates = [g.remapped(relab) for g in gates]
-            inv_relab = [0] * self.width
-            for w, dest in enumerate(relab):
-                inv_relab[dest] = w
-            inv_relab = tuple(inv_relab)
-        label = self.label + "^dag" if self.label else ""
-        return Circuit(self.width, gates, self.ancillas, inv_relab, label)
+    def data_wires(self) -> range:
+        """The data register: every wire below the ancillas."""
+        return range(self.width - len(self.ancillas))
 
 
 @dataclass(frozen=True)
@@ -366,8 +346,8 @@ def _sparse_chunk_bits(d: int) -> int:
     return d if d <= 8 else 6
 
 
-def data_register_action(circuit: Circuit, data_wires=None):
-    """Action of the circuit on a data sub-register with all other wires |0>.
+def data_register_action(circuit: Circuit):
+    """Action of the circuit on its data register with the ancillas in |0>.
 
     Returns ``(matrix, residual)`` where ``matrix[r, c]`` is the amplitude of
     data basis state r given input c, and ``residual`` bounds the output
@@ -377,10 +357,10 @@ def data_register_action(circuit: Circuit, data_wires=None):
     ``data_register_chunks``, which holds one column chunk at a time; see
     there for the engines and the residual.
     """
-    return _assemble(data_register_chunks(circuit, data_wires))
+    return _assemble(data_register_chunks(circuit))
 
 
-def data_register_chunks(circuit: Circuit, data_wires=None, check=None):
+def data_register_chunks(circuit: Circuit, check=None):
     """``data_register_action`` as a stream of column chunks.
 
     Yields ``(start, result, residual)`` in increasing ``start``, one per
@@ -398,61 +378,33 @@ def data_register_chunks(circuit: Circuit, data_wires=None, check=None):
     a chunk or its check is raised here, and closing the stream early
     cancels the chunks not yet started: no thread outlives the stream.
 
-    Wires off the data register start in |0>.  The dense statevector engine
-    runs on 2^d rows, ``_DENSE_BATCH`` columns at a time, whenever its
-    compile (``_layers``) can prove in integers that those wires only ever
-    hold classical functions of the data: then each row stands for one
-    basis label, and a row left with an ancilla bit set is leak, so a clean
-    circuit reports a residual of exactly 0.0.  Every full-width register
-    and every cosine and sine circuit runs there.  A circuit that puts an
-    ancilla in superposition (H or CH on it, as the Hartley pair does) or
-    breaks another rule of ``_layers`` runs the support-sparse engine
-    instead, ``2^_sparse_chunk_bits(d)`` columns at a time (see
+    The data register is ``circuit.data_wires``, wires 0..d-1, at most
+    ``STATEVECTOR_WIDTH_CAP`` of them, checked before anything is compiled;
+    the ancillas above it start in |0>.  The dense statevector engine runs
+    on 2^d rows, ``_DENSE_BATCH`` columns at a time, whenever its compile
+    (``_layers``) can prove in integers that the ancillas only ever hold
+    classical functions of the data: then each row stands for one basis
+    label, and a row left with an ancilla bit set is leak, so a clean
+    circuit reports a residual of exactly 0.0.  Every circuit without
+    ancillas and every cosine and sine circuit runs there.  A circuit that
+    puts an ancilla in superposition (H or CH on it, as the Hartley pair
+    does) or breaks another rule of ``_layers`` runs the support-sparse
+    engine instead, ``2^_sparse_chunk_bits(d)`` columns at a time (see
     ``_sparse_chunks``).  That engine drops amplitudes below 1e-14 and adds
     the largest per-column L2 norm it dropped to ``residual``, so the
     residual bounds the true leak and the pruning error of every entry:
     every caller already fails a run whose residual reaches its tolerance,
     so pruning can never hide a leak.  Both engines compile the circuit
     once, before any chunk, and the threads share that program read-only.
-
-    ``data_wires`` must name distinct integer wires of the circuit, at most
-    ``STATEVECTOR_WIDTH_CAP`` of them; they are checked before anything is
-    simulated or compiled, and ``_canonical`` then makes them wires 0..d-1.
     """
-    if data_wires is None:
-        data_wires = circuit.data_wires
-    try:
-        data_wires = [operator.index(w) for w in data_wires]
-    except TypeError:
-        raise ValueError(f"data wires must be integers, got {data_wires}") from None
-    if len(set(data_wires)) != len(data_wires):
-        raise ValueError(f"data wires repeat: {data_wires}")
-    if any(not 0 <= w < circuit.width for w in data_wires):
-        raise ValueError(f"data wires must lie within 0..{circuit.width - 1}")
-    if len(data_wires) > STATEVECTOR_WIDTH_CAP:
+    d = len(circuit.data_wires)
+    if d > STATEVECTOR_WIDTH_CAP:
         raise ValueError(f"data registers are capped at {STATEVECTOR_WIDTH_CAP} qubits, "
-                         f"got {len(data_wires)}")
-    circuit, d = _canonical(circuit, data_wires), len(data_wires)
+                         f"got {d}")
     program = _layers(circuit, d)
     if program is None:
         return _sparse_chunks(circuit, d, check)
     return _dense_chunks(program, d, check)
-
-
-def _canonical(circuit: Circuit, data_wires) -> Circuit:
-    """``circuit`` renamed so that wire ``data_wires[p]`` is wire p and the
-    other wires follow in wire order, its final relabeling conjugated by the
-    same renaming.  A circuit whose data register already is wires 0..d-1,
-    as every builder's is, comes back unchanged."""
-    order = list(data_wires)
-    if order == list(range(len(order))):
-        return circuit
-    order += sorted(set(range(circuit.width)) - set(order))
-    rename = {old: new for new, old in enumerate(order)}
-    relabeling = None if circuit.relabeling is None else [
-        rename[circuit.relabeling[w]] for w in order]
-    return Circuit(circuit.width, [g.remapped(rename) for g in circuit.gates],
-                   frozenset(rename[a] for a in circuit.ancillas), relabeling, circuit.label)
 
 
 def _assemble(chunks):
@@ -489,13 +441,6 @@ def _in_order(starts, simulate, check):
         pool.shutdown(cancel_futures=True)
 
 
-def _dense_register_action(circuit: Circuit, data_wires: list):
-    """The dense engine's ``data_register_action``, or None where its
-    compile refuses the circuit."""
-    program = _layers(_canonical(circuit, data_wires), len(data_wires))
-    return None if program is None else _assemble(_dense_chunks(program, len(data_wires)))
-
-
 def _dense_chunks(program, d: int, check=None):
     """Statevector engine of ``data_register_chunks``: every column runs
     through the 2^d rows of the compiled ``_layers`` program, which the
@@ -529,11 +474,6 @@ def _basis_columns(dim: int, labels) -> np.ndarray:
 
 _PRUNE_BELOW = 1e-14
 _KEY_BITS = 62
-
-
-def _sparse_register_action(circuit: Circuit, data_wires: list):
-    """The support-sparse engine's ``data_register_action``."""
-    return _assemble(_sparse_chunks(_canonical(circuit, data_wires), len(data_wires)))
 
 
 def _sparse_chunks(circuit: Circuit, d: int, check=None):
@@ -935,6 +875,8 @@ def parse_circuit(text: str, width: int | None = None, label: str = "") -> Circu
             continue
         head, _, ops = line.partition(" ")
         if "(" in head:
+            if not head.endswith(")"):
+                raise ValueError(f"bad gate head {head!r}")
             name, arg = head[:-1].split("(", 1)
             angle = float(arg)
         else:

@@ -192,12 +192,11 @@ def build_qcst_type2(n: int) -> Circuit:
 
 
 def build_qcst_type3(n: int) -> Circuit:
-    """Type-III transforms as the adjoint of the Type-II circuit; the blocks
+    """Type-III transforms as the inverse of the Type-II circuit; the blocks
     are the transposes of the Type-II blocks."""
     if n < 2:
         raise ValueError("Type-III transform needs at least two data qubits")
-    circ = build_qcst_type2(n).adjoint()
-    return Circuit(circ.width, circ.gates, circ.ancillas, circ.relabeling,
+    return Circuit(2 * n, inverse(build_qcst_type2(n).gates), _scratch_pool(n), None,
                    f"qcst3_{n}")
 
 
@@ -268,6 +267,6 @@ def check_blocks(circuit: Circuit, blocks):
         return [_block_error(start, chunk, spec, lo, phase) for spec, lo, phase in blocks]
 
     errors, residual = [0.0] * len(blocks), 0.0
-    for _, chunk_errors, residual in data_register_chunks(circuit, circuit.data_wires, check):
+    for _, chunk_errors, residual in data_register_chunks(circuit, check):
         errors = [max(a, b) for a, b in zip(errors, chunk_errors)]
     return errors, residual

@@ -1,17 +1,19 @@
 """Shared test utilities: the block check of a cosine/sine pair, the
 expected labels of a controlled classical map, the simulator's full unitary
-of a small circuit, textbook matrices of the gate set and an independent
+of a small circuit and each engine's action on its data register, textbook
+matrices of the gate set and an independent
 brute-force unitary builder on them, the stage
 circuits the transforms are assembled from, the amplification check of the
 LCU Hartley construction, reference matrices the circuits are compared
 against, and the float-angle oracle the library's angle table is
 cross-checked with."""
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 
-from qrt_kit import gadgets, hartley, trig
+from qrt_kit import gadgets, hartley, simcore, trig
 from qrt_kit.gadgets import (
     build_cond_increment,
     cond_ones_complement_gates,
@@ -46,10 +48,28 @@ def controlled_map(n: int, fn):
     return want
 
 
+def full_register(circuit) -> Circuit:
+    """The circuit with every wire taken as data."""
+    return dataclasses.replace(circuit, ancillas=frozenset())
+
+
 def unitary(circuit) -> np.ndarray:
-    """The circuit's full matrix from the simulator: its action on a data
-    register of every wire, in wire order (column j is the image of |j>)."""
-    return data_register_action(circuit, range(circuit.width))[0]
+    """The circuit's full matrix from the simulator: its action on the full
+    register, in wire order (column j is the image of |j>)."""
+    return data_register_action(full_register(circuit))[0]
+
+
+def sparse_action(circuit):
+    """The support-sparse engine's ``data_register_action``."""
+    return simcore._assemble(simcore._sparse_chunks(circuit, len(circuit.data_wires)))
+
+
+def folded_action(circuit):
+    """The dense engine's ``data_register_action``, or None where its
+    compile refuses the circuit."""
+    d = len(circuit.data_wires)
+    program = simcore._layers(circuit, d)
+    return None if program is None else simcore._assemble(simcore._dense_chunks(program, d))
 
 
 _X = [[0, 1], [1, 0]]
@@ -266,7 +286,7 @@ def amplification_overlap(n: int, rounds: int, seed: int = 20240901):
     psi /= np.linalg.norm(psi)
     # the ideal branch has the wires above the data register at 0, so only
     # the circuit's action on that subspace enters the overlap
-    matrix, _ = data_register_action(Circuit(2 * n, gates), range(n))
+    matrix, _ = data_register_action(Circuit(2 * n, gates, range(n, 2 * n)))
     overlap = complex(np.vdot(lcu_target_v(N) @ psi, matrix @ psi))
     return overlap, math.sin((2 * rounds + 1) * math.pi / 6)
 

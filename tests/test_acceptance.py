@@ -58,7 +58,7 @@ def test_criterion_1_qht_both_variants():
     for n in range(2, 7):
         target = oracle.reference_matrix(spec("DHT", 1 << n))
         for build in (build_qht_recursive, build_qht_lcu):
-            matrix, resid = data_register_action(build(n), list(range(n)))
+            matrix, resid = data_register_action(build(n))
             worst_err = max(worst_err, float(np.max(np.abs(matrix - target))))
             worst_resid = max(worst_resid, resid)
     report("criterion 1: QHT matrix error (rec+lcu, n=2..6)", worst_err)
@@ -91,7 +91,7 @@ def test_criterion_4_optimized_sine():
         N = 1 << n
         circ = build_qst1_optimized(n)
         assert all(len(g.controls) < 3 and g.kind != "MCX" for g in circ.gates)
-        matrix, _ = data_register_action(circ, list(range(n + 1)))
+        matrix, _ = data_register_action(circ)
         S1 = oracle.reference_matrix(spec("DST1", N))
         worst = max(worst, float(np.max(np.abs(matrix[1:N, 1:N] - S1))))
         worst = max(worst, float(np.max(np.abs(matrix[N:, 1:N]))))
@@ -192,11 +192,11 @@ def test_criterion_9_identity_suite():
         base = build_cond_twos_complement(n)
         force = Gate("X", targets=(n,))
         circ = Circuit(base.width, [force, *base.gates, force, *qft_gates(range(n))],
-                       ancillas=base.ancillas)
-        matrix, resid = data_register_action(circ, list(range(n)))
+                       ancillas=range(n, base.width))
+        matrix, resid = data_register_action(circ)
         want = oracle.reference_matrix(spec("DFT", N)).conj()
         worst_circ = max(worst_circ, resid, float(np.max(np.abs(matrix - want))))
-        hart, resid = data_register_action(build_qht_lcu(n), list(range(n)))
+        hart, resid = data_register_action(build_qht_lcu(n))
         worst_circ = max(worst_circ, resid,
                          float(np.max(np.abs(hart @ hart - np.eye(N)))))
     report("criterion 9: circuit identity suite (n<=6)", worst_circ)

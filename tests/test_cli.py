@@ -57,8 +57,8 @@ def test_build_round_trip_with_relabeling(capsys):
     assert "# relabel:" in out
     circ = cli.build_transform("qht-rec", 3)
     back = parse_circuit(out, width=circ.width)
-    matrix_a, _ = data_register_action(circ, [0, 1, 2])
-    matrix_b, _ = data_register_action(back, [0, 1, 2])
+    matrix_a, _ = data_register_action(circ)
+    matrix_b, _ = data_register_action(dataclasses.replace(back, ancillas=circ.ancillas))
     np.testing.assert_allclose(matrix_a, matrix_b, atol=1e-12)
 
 

@@ -14,88 +14,78 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qrt_kit import cli, simcore
-from qrt_kit.simcore import (
-    Circuit,
-    Gate,
-    _dense_register_action,
-    _sparse_register_action,
-    classical_image,
-    data_register_action,
-)
+from qrt_kit.simcore import _KINDS, Circuit, Gate, classical_image, data_register_action
 
-from helpers import brute_unitary, unitary
+from helpers import brute_unitary, folded_action, full_register, sparse_action, unitary
 
-ARITY = {
-    "X": (0, 1), "Y": (0, 1), "Z": (0, 1), "H": (0, 1), "S": (0, 1),
-    "Sdg": (0, 1), "Phase": (0, 1), "Rz": (0, 1), "CPhase": (1, 1),
-    "CNOT": (1, 1), "CH": (1, 1), "CS": (1, 1), "CSdg": (1, 1),
-    "Toffoli": (2, 1), "SWAP": (0, 2), "GlobalPhase": (0, 0), "MCX": (1, 1),
-}
-ANGLED = {"Phase", "Rz", "CPhase", "GlobalPhase"}
+# The gate set as the random circuits draw it, read off the rows of _KINDS.
+KINDS = tuple(_KINDS)
+BUTTERFLY = tuple(k for k in KINDS if _KINDS[k].action == "H")
+MONOMIAL = tuple(k for k in KINDS if k not in BUTTERFLY)
+CLASSICAL = tuple(k for k in KINDS if _KINDS[k].action in ("X", "SWAP"))
+DIAGONAL = tuple(k for k in KINDS if callable(_KINDS[k].action)
+                 or _KINDS[k].action == "GlobalPhase")
+FLIPS = tuple(k for k in KINDS if _KINDS[k].action in ("X", "Y", "H"))
+
+
+def arity(kind):
+    """(controls, targets) of the smallest gate of the kind."""
+    row = _KINDS[kind]
+    return 1 if row.controls is None else row.controls, row.targets
 
 
 @st.composite
-def gates(draw, width, kinds=tuple(ARITY)):
+def gates(draw, wires, kinds=KINDS):
+    """A gate of one of ``kinds`` on distinct wires drawn from ``wires``."""
     kind = draw(st.sampled_from(
-        [k for k in kinds if sum(ARITY[k]) <= width]))
-    n_ctrl, n_tgt = ARITY[kind]
-    if kind == "MCX":
-        n_ctrl = draw(st.integers(1, width - 1))
-    wires = draw(st.permutations(range(width)))[:n_ctrl + n_tgt]
+        [k for k in kinds if sum(arity(k)) <= len(wires)]))
+    n_ctrl, n_tgt = arity(kind)
+    if _KINDS[kind].controls is None:
+        n_ctrl = draw(st.integers(1, len(wires) - 1))
+    ops = draw(st.permutations(wires))[:n_ctrl + n_tgt]
     angle = None
-    if kind in ANGLED:
+    if _KINDS[kind].takes_angle:
         angle = draw(st.floats(-2 * math.pi, 2 * math.pi))
-    return Gate(kind, tuple(wires[:n_ctrl]), tuple(wires[n_ctrl:]), angle)
+    return Gate(kind, tuple(ops[:n_ctrl]), tuple(ops[n_ctrl:]), angle)
 
 
 @st.composite
-def cases(draw, max_width=10, max_gates=12, min_width=1, kinds=tuple(ARITY)):
+def cases(draw, max_width=10, max_gates=12, min_width=1, kinds=KINDS):
     """A random circuit over the given gate kinds, optionally followed by
     its own inverse (so ancillas come back clean through exact
     cancellations), with an optional relabeling, and a random data
-    register."""
+    register: the lowest wires, with the ancillas above it."""
     width = draw(st.integers(min_width, max_width))
-    body = draw(st.lists(gates(width, kinds), max_size=max_gates))
+    body = draw(st.lists(gates(range(width), kinds), max_size=max_gates))
     if draw(st.booleans()):
         body += [g.inverse() for g in reversed(body)]
     relabeling = None
     if draw(st.booleans()):
         relabeling = tuple(draw(st.permutations(range(width))))
-    data = draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width))
-    return Circuit(width, tuple(body), relabeling=relabeling), data
+    d = draw(st.integers(0, width))
+    return Circuit(width, tuple(body), range(d, width), relabeling)
 
 
-def restricted_action(unitary, width, data_wires):
-    """(matrix, residual) of data_register_action, read off a full unitary:
-    the data-register block with every other wire at |0>, and the largest
-    amplitude those columns put outside that subspace."""
-    d = len(data_wires)
-    labels = np.arange(1 << width)
-    on = np.ones(1 << width, dtype=bool)
-    for w in range(width):
-        if w not in data_wires:
-            on &= ((labels >> w) & 1) == 0
-    in_labels = [sum(((c >> pos) & 1) << w for pos, w in enumerate(data_wires))
-                 for c in range(1 << d)]
-    rows = [sum(((lab >> w) & 1) << pos for pos, w in enumerate(data_wires))
-            for lab in labels[on]]
-    cols = unitary[:, in_labels]
-    matrix = np.zeros((1 << d, 1 << d), dtype=complex)
-    matrix[rows, :] = cols[on, :]
-    off = np.abs(cols[~on, :])
-    return matrix, float(off.max()) if off.size else 0.0
+def restricted_action(unitary, d):
+    """(matrix, residual) of data_register_action on data wires 0..d-1, read
+    off a full unitary: the data-register block with every other wire at
+    |0>, and the largest amplitude those columns put outside that
+    subspace."""
+    cols = unitary[:, :1 << d]
+    off = np.abs(cols[1 << d:])
+    return cols[:1 << d], float(off.max()) if off.size else 0.0
 
 
-def brute_action(circuit, data_wires):
-    return restricted_action(brute_unitary(circuit), circuit.width, data_wires)
+def brute_action(circuit):
+    return restricted_action(brute_unitary(circuit), len(circuit.data_wires))
 
 
-def dense_action(circuit, data_wires):
-    """The same, read off the dense engine's full-register run (the dense
-    engine itself only takes a permutation of all wires)."""
-    unitary, residual = _dense_register_action(circuit, list(range(circuit.width)))
+def dense_action(circuit):
+    """The same, read off the dense engine's run on every wire, which the
+    compile always takes."""
+    unitary, residual = folded_action(full_register(circuit))
     assert residual == 0.0
-    return restricted_action(unitary, circuit.width, data_wires)
+    return restricted_action(unitary, len(circuit.data_wires))
 
 
 @contextlib.contextmanager
@@ -132,10 +122,10 @@ def checked_splits(chunk_bits=None):
         yield tags
 
 
-def assert_folded_agrees(circuit, data_wires, matrix, residual):
-    """The folded route on ``data_wires``, where its compile takes the
-    circuit, against ``(matrix, residual)``; returns whether it ran."""
-    folded = _dense_register_action(circuit, data_wires)
+def assert_folded_agrees(circuit, matrix, residual):
+    """The folded route, where its compile takes the circuit, against
+    ``(matrix, residual)``; returns whether it ran."""
+    folded = folded_action(circuit)
     if folded is not None:
         np.testing.assert_allclose(folded[0], matrix, rtol=0, atol=1e-12)
         assert abs(folded[1] - residual) < 1e-12
@@ -148,29 +138,27 @@ SETTINGS = dict(derandomize=True, database=None, deadline=None,
 
 @settings(max_examples=40, **SETTINGS)
 @given(cases())
-def test_sparse_dense_and_brute_force_agree(case):
-    circuit, data = case
+def test_sparse_dense_and_brute_force_agree(circuit):
     with checked_splits():
-        m_sparse, r_sparse = _sparse_register_action(circuit, data)
-    m_dense, r_dense = dense_action(circuit, data)
-    m_brute, r_brute = brute_action(circuit, data)
+        m_sparse, r_sparse = sparse_action(circuit)
+    m_dense, r_dense = dense_action(circuit)
+    m_brute, r_brute = brute_action(circuit)
     np.testing.assert_allclose(m_sparse, m_brute, rtol=0, atol=1e-12)
     np.testing.assert_allclose(m_dense, m_brute, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_brute) < 1e-12
     assert abs(r_dense - r_brute) < 1e-12
-    assert_folded_agrees(circuit, data, m_brute, r_brute)
+    assert_folded_agrees(circuit, m_brute, r_brute)
 
 
 @settings(max_examples=150, **SETTINGS)
 @given(cases(max_gates=40))
-def test_sparse_and_dense_agree_on_longer_circuits(case):
-    circuit, data = case
+def test_sparse_and_dense_agree_on_longer_circuits(circuit):
     with checked_splits():
-        m_sparse, r_sparse = _sparse_register_action(circuit, data)
-    m_dense, r_dense = dense_action(circuit, data)
+        m_sparse, r_sparse = sparse_action(circuit)
+    m_dense, r_dense = dense_action(circuit)
     np.testing.assert_allclose(m_sparse, m_dense, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_dense) < 1e-12
-    assert_folded_agrees(circuit, data, m_dense, r_dense)
+    assert_folded_agrees(circuit, m_dense, r_dense)
 
 
 # The folded route: the dense engine on 2^d rows, one per data-register
@@ -180,18 +168,16 @@ def test_sparse_and_dense_agree_on_longer_circuits(case):
 # every H, CH and other flip targets one of the remaining data wires, and a
 # relabeling keeps the data wires among themselves.
 
-DIAGONAL = ("Z", "S", "Sdg", "Phase", "Rz", "CPhase", "CS", "CSdg", "GlobalPhase")
-CONTROLS = {"X": 0, "Y": 0, "H": 0, "CNOT": 1, "CH": 1, "Toffoli": 2}
-
-
 @st.composite
 def gate_onto(draw, targets, controls):
     """A flip or butterfly onto one of ``targets``, controlled by wires of
     ``controls`` (MCX by at least one); X when there are too few controls."""
     target = draw(st.sampled_from(targets))
     pool = [w for w in controls if w != target]
-    kind = draw(st.sampled_from(sorted(CONTROLS) + ["MCX"]))
-    k = draw(st.integers(1, max(len(pool), 1))) if kind == "MCX" else CONTROLS[kind]
+    kind = draw(st.sampled_from(FLIPS))
+    k = _KINDS[kind].controls
+    if k is None:  # MCX
+        k = draw(st.integers(1, max(len(pool), 1)))
     if k > len(pool):
         kind, k = "X", 0
     wires = draw(st.permutations(pool))[:k]
@@ -201,50 +187,46 @@ def gate_onto(draw, targets, controls):
 @st.composite
 def folded_cases(draw, max_width=8, max_gates=12):
     width = draw(st.integers(2, max_width))
-    wires = draw(st.permutations(range(width)))
     d = draw(st.integers(1, width - 1))
-    data, ancillas = wires[:d], wires[d:]
+    data, ancillas = draw(st.permutations(range(d))), list(range(d, width))
     fixed = data[:draw(st.integers(0, d - 1))]  # the data the ancillas read
     free = data[len(fixed):]
     compute = draw(st.lists(
         gate_onto(ancillas, fixed + ancillas).filter(lambda g: g.kind not in BUTTERFLY),
         max_size=max_gates))
-    middle = draw(st.lists(st.one_of(gate_onto(free, wires), gate_onto(free, ancillas),
-                                     gates(width, DIAGONAL)), max_size=max_gates))
+    middle = draw(st.lists(st.one_of(gate_onto(free, range(width)), gate_onto(free, ancillas),
+                                     gates(range(width), DIAGONAL)), max_size=max_gates))
     body = compute + middle
     if draw(st.booleans()):
         body += [g.inverse() for g in reversed(compute)]
     relabeling = None
     if draw(st.booleans()):
-        moved = draw(st.permutations(data)) + draw(st.permutations(ancillas))
-        relabeling = tuple(moved[wires.index(w)] for w in range(width))
-    return Circuit(width, tuple(body), relabeling=relabeling), draw(st.permutations(data))
+        relabeling = tuple(draw(st.permutations(range(d))) + draw(st.permutations(ancillas)))
+    return Circuit(width, tuple(body), ancillas, relabeling)
 
 
 @settings(max_examples=60, **SETTINGS)
 @given(folded_cases())
-def test_folded_sparse_and_brute_force_agree(case):
-    circuit, data = case
-    m_brute, r_brute = brute_action(circuit, data)
-    assert assert_folded_agrees(circuit, data, m_brute, r_brute)
-    m_sparse, r_sparse = _sparse_register_action(circuit, data)
+def test_folded_sparse_and_brute_force_agree(circuit):
+    m_brute, r_brute = brute_action(circuit)
+    assert assert_folded_agrees(circuit, m_brute, r_brute)
+    m_sparse, r_sparse = sparse_action(circuit)
     np.testing.assert_allclose(m_sparse, m_brute, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_brute) < 1e-12
 
 
 @settings(max_examples=20, **SETTINGS)
 @given(folded_cases())
-def test_folded_chunks_of_random_circuits_match_one_chunk_exactly(case):
-    circuit, data = case
-    dim = 1 << len(data)
+def test_folded_chunks_of_random_circuits_match_one_chunk_exactly(circuit):
+    dim = 1 << len(circuit.data_wires)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simcore, "_DENSE_BATCH", dim)
-        whole, residual = _dense_register_action(circuit, data)
+        whole, residual = folded_action(circuit)
         for batch in (1, 3, 32):
             patch.setattr(simcore, "_DENSE_BATCH", batch)
-            starts = [start for start, _, _ in simcore.data_register_chunks(circuit, data)]
+            starts = [start for start, _, _ in simcore.data_register_chunks(circuit)]
             assert starts == list(range(0, dim, batch))
-            chunked, chunked_residual = _dense_register_action(circuit, data)
+            chunked, chunked_residual = folded_action(circuit)
             assert np.array_equal(chunked, whole)
             assert chunked_residual == residual
 
@@ -269,19 +251,19 @@ BREAKERS = {
 @given(data=st.data())
 def test_rule_breakers_fall_back_and_agree_with_brute_force(pattern, data):
     width = data.draw(st.integers(3, 7))
-    a, x, y, *rest = data.draw(st.permutations(range(width)))
-    before = [g.remapped(rest) for g in data.draw(st.lists(gates(len(rest)), max_size=6))] \
-        if rest else []
-    body = before + BREAKERS[pattern](a, x, y) + data.draw(st.lists(gates(width), max_size=6))
+    d = data.draw(st.integers(2, width - 1))
+    x, y, *low = data.draw(st.permutations(range(d)))
+    a, *high = data.draw(st.permutations(range(d, width)))
+    rest = low + high
+    before = data.draw(st.lists(gates(rest), max_size=6)) if rest else []
+    body = before + BREAKERS[pattern](a, x, y) + data.draw(st.lists(gates(range(width)), max_size=6))
     if data.draw(st.booleans()):
         body += [g.inverse() for g in reversed(body)]
-    circuit = Circuit(width, tuple(body))
-    others = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
-    wires = data.draw(st.permutations([x, y] + others))
-    assert simcore._layers(simcore._canonical(circuit, wires), len(wires)) is None
-    assert _dense_register_action(circuit, wires) is None
-    matrix, residual = data_register_action(circuit, wires)
-    m_brute, r_brute = brute_action(circuit, wires)
+    circuit = Circuit(width, tuple(body), range(d, width))
+    assert simcore._layers(circuit, d) is None
+    assert folded_action(circuit) is None
+    matrix, residual = data_register_action(circuit)
+    m_brute, r_brute = brute_action(circuit)
     np.testing.assert_allclose(matrix, m_brute, rtol=0, atol=1e-12)
     assert abs(residual - r_brute) < 1e-12
 
@@ -294,20 +276,6 @@ def test_engine_choice_on_every_oracle_transform(name):
         circuit = cli.build_transform(name, n)
         folded = simcore._layers(circuit, len(circuit.data_wires)) is not None
         assert folded == (name not in ("qht-lcu", "qht-rec")), n
-
-
-def test_builders_never_pay_for_the_rename():
-    # every builder puts its data register on wires 0..d-1, so
-    # data_register_chunks runs the very circuit it was given
-    for name in cli.TRANSFORMS:
-        for n in range(1, 9):
-            for incorrect_d2 in (False, True) if name in ("qct4", "qst4") else (False,):
-                try:
-                    circuit = cli.build_transform(name, n, incorrect_d2)
-                except ValueError:  # too small for this builder
-                    assert n == 1
-                    continue
-                assert simcore._canonical(circuit, list(circuit.data_wires)) is circuit
 
 
 # The sparse engine tags each H and CH, once per circuit, a split (no entry
@@ -333,17 +301,17 @@ def boundary_cases(draw, pattern):
     it undone; a data register that holds x and not a.  Also returns the
     index of the pattern's butterfly among the circuit's H and CH."""
     width = draw(st.integers(3, 7))
-    a, x, y, *rest = draw(st.permutations(range(width)))
-    before = [g.remapped(rest) for g in draw(st.lists(gates(len(rest)), max_size=6))] \
-        if rest else []
+    d = draw(st.integers(1, width - 1))
+    x, *low = draw(st.permutations(range(d)))
+    a, *high = draw(st.permutations(range(d, width)))
+    y, *rest = draw(st.permutations(low + high))
+    before = draw(st.lists(gates(rest), max_size=6)) if rest else []
     body = before + BOUNDARY[pattern](a, x, y)
-    index = sum(g.kind in ("H", "CH") for g in body) - 1
-    body += draw(st.lists(gates(width), max_size=6))
+    index = sum(g.kind in BUTTERFLY for g in body) - 1
+    body += draw(st.lists(gates(range(width)), max_size=6))
     if draw(st.booleans()):
         body += [g.inverse() for g in reversed(body)]
-    data = [x] + draw(st.lists(st.sampled_from([y] + rest), unique=True))
-    data = draw(st.permutations(data))
-    return Circuit(width, tuple(body)), data, index
+    return Circuit(width, tuple(body), range(d, width)), index
 
 
 @pytest.mark.parametrize("chunk_bits", [None, 1, 2], ids=["one-chunk", "chunks-of-2", "chunks-of-4"])
@@ -351,12 +319,12 @@ def boundary_cases(draw, pattern):
 @settings(max_examples=12, **SETTINGS)
 @given(data=st.data())
 def test_split_boundary_agrees_with_dense_and_brute_force(pattern, chunk_bits, data):
-    circuit, wires, index = data.draw(boundary_cases(pattern))
+    circuit, index = data.draw(boundary_cases(pattern))
     with checked_splits(chunk_bits) as tags:
-        m_sparse, r_sparse = _sparse_register_action(circuit, wires)
+        m_sparse, r_sparse = sparse_action(circuit)
     assert tags[index][0] == (pattern != "toffoli-then-h")
-    m_dense, r_dense = dense_action(circuit, wires)
-    m_brute, r_brute = brute_action(circuit, wires)
+    m_dense, r_dense = dense_action(circuit)
+    m_brute, r_brute = brute_action(circuit)
     np.testing.assert_allclose(m_sparse, m_brute, rtol=0, atol=1e-12)
     np.testing.assert_allclose(m_dense, m_brute, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_brute) < 1e-12
@@ -371,7 +339,7 @@ SPARSE_CIRCUITS = {f"{name}-{n}": circuit for name in cli.TRANSFORMS for n in ra
 def test_split_tags_hold_on_every_sparse_transform(name):
     circuit = SPARSE_CIRCUITS[name]
     with checked_splits():
-        _sparse_register_action(circuit, circuit.data_wires)
+        sparse_action(circuit)
 
 
 def test_qct2_tags_exactly_its_splits():
@@ -379,7 +347,7 @@ def test_qct2_tags_exactly_its_splits():
     # the other three butterflies some entries meet
     circuit = cli.build_transform("qct2", 7)
     with checked_splits() as tags:
-        _sparse_register_action(circuit, circuit.data_wires)
+        sparse_action(circuit)
     assert len(tags) == 11
     assert sum(split for split, _ in tags) == 8
     assert all(split != met for split, met in tags)
@@ -390,21 +358,14 @@ def test_qct2_tags_exactly_its_splits():
 # one multiply) and H/CH butterflies.  The tests below pin the compiled
 # program against the brute-force unitary.
 
-BUTTERFLY = ("H", "CH")
-MONOMIAL = tuple(k for k in ARITY if k not in BUTTERFLY)
-
-
 @settings(max_examples=10, **SETTINGS)
-@given(cases(min_width=8, max_gates=8), st.randoms(use_true_random=False))
-def test_dense_engine_reuses_its_layers_across_batches(case, rnd):
+@given(cases(min_width=8, max_gates=8))
+def test_dense_engine_reuses_its_layers_across_batches(circuit):
     # width 8-10: 8-32 batches of _DENSE_BATCH (32) columns run through one
-    # compiled program on two threads; the data register is a random order
-    # of all wires
-    circuit, _ = case
-    data = list(range(circuit.width))
-    rnd.shuffle(data)
-    matrix, residual = _dense_register_action(circuit, data)
-    want, _ = brute_action(circuit, data)
+    # compiled program on two threads; the data register is every wire
+    circuit = full_register(circuit)
+    matrix, residual = folded_action(circuit)
+    want, _ = brute_action(circuit)
     np.testing.assert_allclose(matrix, want, rtol=0, atol=1e-12)
     assert residual == 0.0
 
@@ -415,12 +376,12 @@ def test_dense_engine_reuses_its_layers_across_batches(case, rnd):
 def test_one_layer_kind_agrees_with_brute_force(kinds, data):
     # without H/CH the whole circuit is one monomial layer; with only H/CH
     # it is butterflies and, at most, a relabeling
-    circuit, wires = data.draw(cases(max_width=7, kinds=kinds))
+    circuit = data.draw(cases(max_width=7, kinds=kinds))
     want = brute_unitary(circuit)
     np.testing.assert_allclose(unitary(circuit), want, rtol=0, atol=1e-12)
-    for engine in (_sparse_register_action, dense_action):
-        matrix, residual = engine(circuit, wires)
-        m_want, r_want = restricted_action(want, circuit.width, wires)
+    for engine in (sparse_action, dense_action):
+        matrix, residual = engine(circuit)
+        m_want, r_want = restricted_action(want, len(circuit.data_wires))
         np.testing.assert_allclose(matrix, m_want, rtol=0, atol=1e-12)
         assert abs(residual - r_want) < 1e-12
 
@@ -430,18 +391,18 @@ def test_one_layer_kind_agrees_with_brute_force(kinds, data):
 def test_relabeling_only_circuit_agrees_with_brute_force(perm):
     circuit = Circuit(len(perm), relabeling=tuple(perm))
     want = brute_unitary(circuit)
-    matrix, _ = _dense_register_action(circuit, list(range(circuit.width)))
+    matrix, _ = folded_action(circuit)
     np.testing.assert_array_equal(matrix, want)
 
 
-@pytest.mark.parametrize("kind", sorted(ARITY))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 @settings(max_examples=5, **SETTINGS)
 @given(data=st.data())
 def test_every_kind_through_every_entry_point(kind, data):
-    circuit = Circuit(3, [data.draw(gates(3, (kind,)))])
+    circuit = Circuit(3, [data.draw(gates(range(3), (kind,)))])
     want = brute_unitary(circuit)
-    for engine in (data_register_action, _sparse_register_action, _dense_register_action):
-        matrix, residual = engine(circuit, [0, 1, 2])
+    for engine in (data_register_action, sparse_action, folded_action):
+        matrix, residual = engine(circuit)
         np.testing.assert_allclose(matrix, want, rtol=0, atol=1e-12)
         assert residual < 1e-12
 
@@ -463,7 +424,7 @@ H0, H1, S1 = Gate("H", targets=(0,)), Gate("H", targets=(1,)), Gate("S", targets
 ], ids=["ends-in-h", "h-then-relabel", "ch-among-h", "long-h-run", "long-h-runs-and-phase"])
 def test_deferred_h_scale_agrees_with_brute_force(circuit):
     want = brute_unitary(circuit)
-    matrix, _ = _dense_register_action(circuit, list(range(circuit.width)))
+    matrix, _ = folded_action(circuit)
     np.testing.assert_allclose(matrix, want, rtol=0, atol=1e-12)
 
 
@@ -480,8 +441,8 @@ def test_leak_is_reported_by_both_engines(eps):
     # at 1e-15 the leaked amplitude is below the pruning threshold: the
     # sparse engine drops it and reports it through the pruning bound
     circuit = _leaky(eps)
-    for engine in (_sparse_register_action, dense_action):
-        matrix, residual = engine(circuit, [0])
+    for engine in (sparse_action, dense_action):
+        matrix, residual = engine(circuit)
         assert residual >= eps / 4
         np.testing.assert_allclose(np.abs(matrix), np.eye(2), atol=1e-12)
 
@@ -489,7 +450,7 @@ def test_leak_is_reported_by_both_engines(eps):
 def test_pruning_bound_covers_an_accumulated_leak():
     # 1000 rounds of a 5e-16 leak, each pruned on its own, add up coherently
     rounds, eps = 1000, 1e-15
-    _, residual = _sparse_register_action(_leaky(eps, rounds), [0])
+    _, residual = sparse_action(_leaky(eps, rounds))
     assert residual >= 0.9 * math.sin(rounds * eps / 2)
 
 
@@ -500,41 +461,27 @@ def test_narrow_data_register_runs_sparse_past_the_width_cap():
                       ancillas=range(2, 40))
     want = np.kron(np.eye(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
     # the folded route takes it too, and runs on 2^2 rows
-    for engine in (data_register_action, _sparse_register_action):
-        matrix, residual = engine(circuit, [0, 1])
+    for engine in (data_register_action, sparse_action):
+        matrix, residual = engine(circuit)
         np.testing.assert_allclose(matrix, want, atol=1e-15)
         assert residual < 1e-15
     with pytest.raises(ValueError, match="cap"):
-        data_register_action(circuit, range(40))
-
-
-@pytest.mark.parametrize("data_wires", [
-    [0, 1, 1], [0, 2, 3], [2, 1, 0, 1],  # as wide as the circuit: dense
-    [0, 0], [5], [-1],                   # narrower: sparse
-    [0, 1.5, 2], [0.0, 1, 2], ["0", 1],  # not integers
-])
-def test_bad_data_wires_are_refused(data_wires):
-    circuit = Circuit(3, (Gate("H", targets=(0,)),))
-    with pytest.raises(ValueError, match="data wires"):
-        data_register_action(circuit, data_wires)
+        data_register_action(full_register(circuit))
 
 
 def test_key_overflow_is_refused():
-    circuit = Circuit(60, (Gate("X", targets=(59,)),))
+    circuit = Circuit(60, (Gate("X", targets=(59,)),), range(3, 60))
     with pytest.raises(ValueError, match="int64"):
-        _sparse_register_action(circuit, [0, 1, 2])
+        sparse_action(circuit)
 
 
 def test_unknown_kind_is_refused_by_both_engines():
     gate = Gate("X", targets=(0,))
     object.__setattr__(gate, "kind", "Bogus")
     circuit = Circuit(2, (gate,))
-    for engine in (_sparse_register_action, _dense_register_action):
+    for engine in (sparse_action, folded_action):
         with pytest.raises(ValueError, match="Bogus"):
-            engine(circuit, [0, 1])
-
-
-CLASSICAL = ("X", "CNOT", "Toffoli", "MCX", "SWAP")
+            engine(circuit)
 
 
 @st.composite
@@ -542,11 +489,11 @@ def classical_cases(draw, max_width=10, max_gates=12):
     """A random X/CNOT/Toffoli/MCX/SWAP circuit with an optional relabeling;
     when ``extra`` is drawn, one gate of another kind is inserted."""
     width = draw(st.integers(1, max_width))
-    body = draw(st.lists(gates(width, CLASSICAL), max_size=max_gates))
+    body = draw(st.lists(gates(range(width), CLASSICAL), max_size=max_gates))
     extra = draw(st.booleans())
     if extra:
-        other = [k for k in ARITY if k not in CLASSICAL]
-        body.insert(draw(st.integers(0, len(body))), draw(gates(width, other)))
+        other = [k for k in KINDS if k not in CLASSICAL]
+        body.insert(draw(st.integers(0, len(body))), draw(gates(range(width), other)))
     relabeling = None
     if draw(st.booleans()):
         relabeling = tuple(draw(st.permutations(range(width))))

@@ -85,7 +85,7 @@ def test_twos_complement_exhaustive(n):
 def test_twos_complement_fixed_point_and_negation():
     # n=3: c=1 maps 3 -> 5 and 0 -> 0
     circ = build_cond_twos_complement(3)
-    matrix, _ = data_register_action(circ, [0, 1, 2, 3])
+    matrix, _ = data_register_action(circ)
     assert abs(matrix[8 + 5, 8 + 3] - 1) < 1e-12
     assert abs(matrix[8 + 0, 8 + 0] - 1) < 1e-12
 
@@ -135,7 +135,7 @@ def test_or_gate_count():
 def test_or_tree_root_exhaustive_n4():
     circ = build_or_tree(4)
     root = circ.width - 1
-    matrix, residual = data_register_action(circ, list(range(circ.width)))
+    matrix, residual = data_register_action(circ)
     assert residual == 0
     for x in range(16):
         column = matrix[:, x]

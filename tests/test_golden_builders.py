@@ -9,13 +9,13 @@ how circuits are assembled must leave every one of them unchanged.
 Regenerate (only when a circuit is meant to change) with
 ``PYTHONPATH=src python tests/test_golden_builders.py``.
 """
-import dataclasses
 import hashlib
 import json
 import pathlib
 
 from qrt_kit import gadgets, hartley, qft, trig
-from qrt_kit.simcore import export_circuit
+from qrt_kit.qft import qft_gates
+from qrt_kit.simcore import Circuit, export_circuit, inverse
 
 from helpers import (
     cond_decrement,
@@ -58,8 +58,7 @@ _STAGES = {
     "or_tree/uncompute_internal": (2, lambda n: or_tree_rounds(n, 1)),
     "or_tree/reset_root": (2, lambda n: or_tree_rounds(n, 2)),
     "or_tree/both": (2, lambda n: or_tree_rounds(n, 2)),
-    "qft_inv": (1, lambda n: dataclasses.replace(qft.build_qft(n).adjoint(),
-                                                 label=f"qft_inv_{n}")),
+    "qft_inv": (1, lambda n: Circuit(n, inverse(qft_gates(range(n))), label=f"qft_inv_{n}")),
     "ur": (1, unitary_ur),
     "cx_zero": (1, cx_zero_detect),
     "w": (2, unitary_w),

@@ -32,11 +32,6 @@ def dht(N):
     return oracle.reference_matrix(oracle.TransformSpec("DHT", N))
 
 
-def data_matrix(circ, n):
-    matrix, residual = data_register_action(circ, list(range(n)))
-    return matrix, residual
-
-
 # ---------------------------------------------------------------------------
 # LCU target
 # ---------------------------------------------------------------------------
@@ -60,7 +55,7 @@ def test_v_is_unitary_and_factors_hartley():
 def test_w_select_zero_block_is_v_over_sqrt2(n):
     N = 1 << n
     circ = unitary_w(n)
-    matrix, residual = data_register_action(circ, list(range(n + 1)))
+    matrix, residual = data_register_action(circ)
     assert residual < 1e-12
     np.testing.assert_allclose(matrix[:N, :N], lcu_target_v(N) / math.sqrt(2),
                                atol=1e-12)
@@ -69,7 +64,7 @@ def test_w_select_zero_block_is_v_over_sqrt2(n):
 def test_w_on_zero_input_amplitude():
     n = 3
     N = 1 << n
-    matrix, _ = data_register_action(unitary_w(n), list(range(n + 1)))
+    matrix, _ = data_register_action(unitary_w(n))
     want = lcu_target_v(N)[:, 0] * math.sin(math.pi / 4)
     np.testing.assert_allclose(matrix[:N, 0], want, atol=1e-12)
 
@@ -78,7 +73,7 @@ def test_block_encoding_projection_on_random_states():
     rng = np.random.default_rng(3)
     n = 3
     N = 1 << n
-    matrix, _ = data_register_action(unitary_w(n), list(range(n + 1)))
+    matrix, _ = data_register_action(unitary_w(n))
     V = lcu_target_v(N)
     for _ in range(5):
         psi = rng.normal(size=N) + 1j * rng.normal(size=N)
@@ -114,7 +109,7 @@ def test_ur_blocks_match_rotation(n):
 def test_cx_zero_detect_defining_cases():
     n = 2
     circ = cx_zero_detect(n)
-    matrix, residual = data_register_action(circ, list(range(n + 2)))
+    matrix, residual = data_register_action(circ)
     assert residual < 1e-12
     c_bit = 1 << (n + 1)
     # c=1, y=0, b=0 -> b flips
@@ -129,8 +124,8 @@ def test_cx_variants_identical(n):
     # the or-tree detector against one MCX on c and the negated y wires
     flips = [Gate("X", targets=(q,)) for q in range(1, n + 1)]
     mcx = Circuit(n + 2, flips + [Gate("MCX", (n + 1, *range(1, n + 1)), (0,))] + flips)
-    a, _ = data_register_action(mcx, list(range(n + 2)))
-    b, rb = data_register_action(cx_zero_detect(n), list(range(n + 2)))
+    a, _ = data_register_action(mcx)
+    b, rb = data_register_action(cx_zero_detect(n))
     assert rb < 1e-12
     np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -146,48 +141,48 @@ def test_qht_recursive_base_case():
 
 
 def test_qht_lcu_n2_matches_frozen_matrix():
-    matrix, residual = data_matrix(build_qht_lcu(2), 2)
+    matrix, residual = data_register_action(build_qht_lcu(2))
     assert residual < 1e-10
     np.testing.assert_allclose(matrix, H4, atol=1e-10)
 
 
 def test_qht_recursive_n2_matches_frozen_matrix():
-    matrix, residual = data_matrix(build_qht_recursive(2), 2)
+    matrix, residual = data_register_action(build_qht_recursive(2))
     assert residual < 1e-10
     np.testing.assert_allclose(matrix, H4, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_qht_lcu_matches_oracle(n):
-    matrix, residual = data_matrix(build_qht_lcu(n), n)
+    matrix, residual = data_register_action(build_qht_lcu(n))
     assert residual < 1e-10
     np.testing.assert_allclose(matrix, dht(1 << n), atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_qht_recursive_matches_oracle(n):
-    matrix, residual = data_matrix(build_qht_recursive(n), n)
+    matrix, residual = data_register_action(build_qht_recursive(n))
     assert residual < 1e-10
     np.testing.assert_allclose(matrix, dht(1 << n), atol=1e-10)
 
 
 def test_qht_uniform_column():
     for n in (2, 3, 4):
-        matrix, _ = data_matrix(build_qht_lcu(n), n)
+        matrix, _ = data_register_action(build_qht_lcu(n))
         np.testing.assert_allclose(matrix[:, 0], np.full(1 << n, (1 << n) ** -0.5),
                                    atol=1e-10)
 
 
 def test_qht_involution_on_data():
     for n in (2, 3, 4):
-        matrix, _ = data_matrix(build_qht_lcu(n), n)
+        matrix, _ = data_register_action(build_qht_lcu(n))
         np.testing.assert_allclose(matrix @ matrix, np.eye(1 << n), atol=1e-10)
 
 
 def test_qht_builders_agree():
     for n in (2, 3, 4):
-        a, _ = data_matrix(build_qht_lcu(n), n)
-        b, _ = data_matrix(build_qht_recursive(n), n)
+        a, _ = data_register_action(build_qht_lcu(n))
+        b, _ = data_register_action(build_qht_recursive(n))
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 

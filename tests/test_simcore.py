@@ -1,4 +1,4 @@
-"""Simulator, circuit IR, adjoint, gate counting and the textual format."""
+"""Simulator, circuit IR, inverse, gate counting and the textual format."""
 import math
 import time
 
@@ -7,6 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import helpers
+import test_golden_builders as golden_builders
+from qrt_kit import cli
 from qrt_kit.simcore import (
     _KINDS,
     MAX_WIDTH,
@@ -18,6 +21,7 @@ from qrt_kit.simcore import (
     count_gates,
     data_register_action,
     export_circuit,
+    inverse,
     parse_circuit,
 )
 
@@ -27,32 +31,21 @@ RNG = np.random.default_rng(1234)
 
 
 def random_circuit(width, n_gates, rng, allow_relabel=False):
+    """Gates of every kind of ``_KINDS``, each with the controls, targets and
+    angle its row asks for (an MCX with two controls); a gate wider than
+    the circuit is skipped."""
     gates = []
     for _ in range(n_gates):
-        kind = rng.choice(["X", "Y", "Z", "H", "S", "Sdg", "Phase", "Rz", "CPhase",
-                           "CNOT", "CH", "CS", "CSdg", "Toffoli", "SWAP",
-                           "GlobalPhase", "MCX"])
+        kind = rng.choice(list(_KINDS))
+        n_ctrl, n_tgt, takes_angle, _, _ = _KINDS[kind]
+        n_ctrl = 2 if n_ctrl is None else n_ctrl
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-        if kind == "GlobalPhase":
-            gates.append(Gate("GlobalPhase", angle=theta))
-            continue
-        need = {"CPhase": 2, "CNOT": 2, "CH": 2, "CS": 2, "CSdg": 2,
-                "Toffoli": 3, "SWAP": 2, "MCX": 3}.get(kind, 1)
+        need = n_ctrl + n_tgt
         if need > width:
             continue
-        wires = rng.choice(width, size=need, replace=False).tolist()
-        if kind in ("Phase", "Rz"):
-            gates.append(Gate(kind, targets=(wires[0],), angle=theta))
-        elif kind == "CPhase":
-            gates.append(Gate(kind, (wires[0],), (wires[1],), theta))
-        elif kind == "SWAP":
-            gates.append(Gate(kind, targets=(wires[0], wires[1])))
-        elif kind in ("Toffoli", "MCX"):
-            gates.append(Gate(kind, tuple(wires[:-1]), (wires[-1],)))
-        elif need == 2:
-            gates.append(Gate(kind, (wires[0],), (wires[1],)))
-        else:
-            gates.append(Gate(kind, targets=(wires[0],)))
+        wires = rng.choice(width, size=need, replace=False).tolist() if need else []
+        gates.append(Gate(kind, tuple(wires[:n_ctrl]), tuple(wires[n_ctrl:]),
+                          theta if takes_angle else None))
     relab = None
     if allow_relabel:
         relab = tuple(rng.permutation(width).tolist())
@@ -183,38 +176,37 @@ def test_batched_columns_agree_with_single_runs():
 def test_data_register_action_agrees_with_unitary_block():
     rng = np.random.default_rng(78)
     circ = random_circuit(3, 10, rng)  # no ancillas: action = full unitary
-    matrix, residual = data_register_action(circ, [0, 1, 2])
+    matrix, residual = data_register_action(circ)
     np.testing.assert_allclose(matrix, brute_unitary(circ), atol=1e-12)
     assert residual == 0.0
 
 
 # ---------------------------------------------------------------------------
-# adjoint
+# adjoint: the inverse of a gate fragment
 # ---------------------------------------------------------------------------
 
 
 def test_adjoint_s_gate():
-    assert Circuit(1, [Gate("S", targets=(0,))]).adjoint().gates[0].kind == "Sdg"
+    assert inverse([Gate("S", targets=(0,))])[0].kind == "Sdg"
 
 
 def test_adjoint_h_self_inverse():
-    assert Circuit(1, [Gate("H", targets=(0,))]).adjoint().gates[0].kind == "H"
+    assert inverse([Gate("H", targets=(0,))])[0].kind == "H"
 
 
 def test_adjoint_involution():
     rng = np.random.default_rng(11)
     for _ in range(5):
-        circ = random_circuit(3, 10, rng, allow_relabel=True)
-        assert circ.adjoint().adjoint().gates == circ.gates
-        assert circ.adjoint().adjoint().relabeling == circ.relabeling
+        circ = random_circuit(3, 10, rng)
+        assert tuple(inverse(inverse(circ.gates))) == circ.gates
 
 
 def test_adjoint_inverts_unitary():
     rng = np.random.default_rng(21)
     for _ in range(5):
-        circ = random_circuit(4, 12, rng, allow_relabel=True)
+        circ = random_circuit(4, 12, rng)
         U = unitary(circ)
-        Ud = unitary(circ.adjoint())
+        Ud = unitary(Circuit(4, inverse(circ.gates)))
         np.testing.assert_allclose(Ud @ U, np.eye(16), atol=1e-10)
 
 
@@ -298,6 +290,26 @@ def test_circuit_validation():
             Circuit(**bad)
 
 
+def test_ancillas_must_be_the_top_wires():
+    for ancillas in ([0], [1], [-1], [3]):
+        with pytest.raises(ValueError, match="top wires"):
+            Circuit(3, (), ancillas=ancillas)
+    assert Circuit(3, (), ancillas=[1, 2]).data_wires == range(1)
+    # every CLI transform and every stage of tests/helpers.py builds under
+    # the rule, from the smallest n it accepts
+    for name in cli.TRANSFORMS:
+        for n in range(1, 9):
+            for incorrect_d2 in (False, True) if name in ("qct4", "qst4") else (False,):
+                try:
+                    cli.build_transform(name, n, incorrect_d2)
+                except ValueError as exc:
+                    assert "needs at least" in str(exc), (name, n)
+    helpers.or_gate()
+    for first, build in golden_builders._STAGES.values():
+        for n in range(first, 9):
+            build(n)
+
+
 def test_numpy_integer_wires_still_build():
     w = np.int64(1)
     circ = Circuit(np.int64(3), [Gate("CNOT", (np.int32(0),), (w,))], ancillas=[np.int64(2)],
@@ -314,14 +326,14 @@ def test_numpy_integer_wires_still_build():
 
 def test_data_register_action_reports_dirty_ancilla():
     # ancilla wire left in |1>
-    matrix, residual = data_register_action(Circuit(2, [Gate("X", targets=(1,))]), [0])
+    matrix, residual = data_register_action(Circuit(2, [Gate("X", targets=(1,))], ancillas=[1]))
     assert residual == pytest.approx(1.0)
     assert np.all(matrix == 0)
 
 
 def test_data_register_action_identity_on_clean_ancilla():
     gates = [Gate("H", targets=(0,)), Gate("CNOT", (0,), (1,))]
-    matrix, residual = data_register_action(Circuit(3, gates, ancillas=[2]), [0, 1])
+    matrix, residual = data_register_action(Circuit(3, gates, ancillas=[2]))
     assert residual < 1e-15
     want = unitary(Circuit(2, gates))
     np.testing.assert_allclose(matrix, want, atol=1e-12)
@@ -372,6 +384,10 @@ def test_parse_rejects_garbage():
         parse_circuit("frobnicate q[0]\n")
     with pytest.raises(ValueError):
         parse_circuit("h qubit0\n")
+    with pytest.raises(ValueError):
+        parse_circuit("phase(1.57 q[0]\n")
+    with pytest.raises(ValueError):
+        parse_circuit("phase(0.5] q[0]\n")
 
 
 def test_parse_rejects_a_huge_relabel_at_once():

@@ -15,6 +15,8 @@ import test_verify_reports as golden
 from qrt_kit import cli, simcore
 from qrt_kit.simcore import Circuit, Gate
 
+from helpers import sparse_action
+
 
 def _chunk_bits(monkeypatch, bits):
     """Run the sparse engine 2^bits columns at a time (all at once on a
@@ -39,15 +41,15 @@ def test_small_chunks_give_the_golden_reports(small_chunks):
 @pytest.mark.parametrize("n", [3, 5])
 def test_sparse_chunks_match_one_chunk_exactly(name, n, monkeypatch):
     circuit = cli.build_transform(name, n)
-    data = circuit.data_wires
-    assert len(data) < circuit.width  # the sparse engine runs
-    _chunk_bits(monkeypatch, len(data))
-    whole, residual = simcore._sparse_register_action(circuit, data)
+    d = len(circuit.data_wires)
+    assert d < circuit.width  # the sparse engine runs
+    _chunk_bits(monkeypatch, d)
+    whole, residual = sparse_action(circuit)
     for bits in (1, 2):
         _chunk_bits(monkeypatch, bits)
-        starts = [start for start, _, _ in simcore._sparse_chunks(circuit, len(data))]
-        assert starts == list(range(0, 1 << len(data), 1 << bits))
-        chunked, chunked_residual = simcore._sparse_register_action(circuit, data)
+        starts = [start for start, _, _ in simcore._sparse_chunks(circuit, d)]
+        assert starts == list(range(0, 1 << d, 1 << bits))
+        chunked, chunked_residual = sparse_action(circuit)
         assert np.array_equal(chunked, whole)
         assert chunked_residual == residual
 
@@ -56,16 +58,16 @@ def test_sparse_chunks_match_one_chunk_exactly(name, n, monkeypatch):
 @pytest.mark.parametrize("n", [3, 5])
 def test_folded_chunks_match_one_chunk_exactly(name, n, monkeypatch):
     circuit = cli.build_transform(name, n)
-    data = circuit.data_wires
-    assert simcore._layers(circuit, len(data)) is not None  # the folded route runs
-    monkeypatch.setattr(simcore, "_DENSE_BATCH", 1 << len(data))
-    whole, residual = simcore.data_register_action(circuit, data)
+    d = len(circuit.data_wires)
+    assert simcore._layers(circuit, d) is not None  # the folded route runs
+    monkeypatch.setattr(simcore, "_DENSE_BATCH", 1 << d)
+    whole, residual = simcore.data_register_action(circuit)
     assert residual == 0.0
     for batch in (1, 3, 32):
         monkeypatch.setattr(simcore, "_DENSE_BATCH", batch)
-        starts = [start for start, _, _ in simcore.data_register_chunks(circuit, data)]
-        assert starts == list(range(0, 1 << len(data), batch))
-        chunked, chunked_residual = simcore.data_register_action(circuit, data)
+        starts = [start for start, _, _ in simcore.data_register_chunks(circuit)]
+        assert starts == list(range(0, 1 << d, batch))
+        chunked, chunked_residual = simcore.data_register_action(circuit)
         assert np.array_equal(chunked, whole)
         assert chunked_residual == residual
 
@@ -77,9 +79,9 @@ def test_a_leak_in_the_first_chunk_alone_sets_the_residual(eps, monkeypatch):
     # amplitude is pruned and reaches the residual through the pruning bound.
     x1, ch = Gate("X", targets=(1,)), Gate("CH", (1,), (2,))
     circuit = Circuit(3, [x1, ch, Gate("CPhase", (1,), (2,), eps), ch, x1], ancillas=[2])
-    _, whole = simcore.data_register_action(circuit, [0, 1])
+    _, whole = simcore.data_register_action(circuit)
     _chunk_bits(monkeypatch, 1)
-    residuals = [residual for _, _, residual in simcore.data_register_chunks(circuit, [0, 1])]
+    residuals = [residual for _, _, residual in simcore.data_register_chunks(circuit)]
     assert residuals[-1] == whole >= eps / 4
     assert residuals == sorted(residuals)
 
@@ -96,8 +98,8 @@ def _rising_leak() -> Circuit:
 
 
 def test_chunks_finishing_out_of_order_are_yielded_in_column_order(monkeypatch):
-    circuit, data = _rising_leak(), [0, 1, 2, 3]
-    whole, _ = simcore.data_register_action(circuit, data)
+    circuit = _rising_leak()
+    whole, _ = simcore.data_register_action(circuit)
     _chunk_bits(monkeypatch, 1)
     finished = []
 
@@ -106,7 +108,7 @@ def test_chunks_finishing_out_of_order_are_yielded_in_column_order(monkeypatch):
         finished.append(start)
         return block
 
-    stream = list(simcore.data_register_chunks(circuit, data, slow_on_even_chunks))
+    stream = list(simcore.data_register_chunks(circuit, slow_on_even_chunks))
     assert finished != sorted(finished)  # the workers did finish out of order
     assert [start for start, _, _ in stream] == list(range(0, 16, 2))
     residuals = [residual for _, _, residual in stream]
@@ -121,12 +123,12 @@ def test_chunks_run_on_two_threads_and_a_single_chunk_runs_inline():
         return threading.current_thread()
 
     qft = cli.build_transform("qft", 7)  # 4 dense chunks
-    threads = {t for _, t, _ in simcore.data_register_chunks(qft, None, thread_of)}
+    threads = {t for _, t, _ in simcore.data_register_chunks(qft, thread_of)}
     assert len(threads) == simcore._WORKERS == 2
     assert threading.main_thread() not in threads
     qht = cli.build_transform("qht-lcu", 5)  # d = 5: one sparse chunk
     before = threading.active_count()
-    [(_, thread, _)] = simcore.data_register_chunks(qht, list(range(5)), thread_of)
+    [(_, thread, _)] = simcore.data_register_chunks(qht, thread_of)
     assert thread is threading.main_thread()
     assert threading.active_count() == before
 
@@ -142,7 +144,7 @@ def test_closing_the_stream_cancels_the_queued_chunks():
         return start
 
     before = threading.active_count()
-    stream = simcore.data_register_chunks(circuit, None, check)
+    stream = simcore.data_register_chunks(circuit, check)
     assert next(stream)[1] == 0
     stream.close()
     assert threading.active_count() == before

@@ -68,13 +68,13 @@ def case_matrix_g(N):
 @pytest.mark.parametrize("n", [2, 3])
 def test_t_gate_matches_case_matrix(n):
     N = 1 << n
-    matrix, residual = data_register_action(t_gate(n), list(range(n + 1)))
+    matrix, residual = data_register_action(t_gate(n))
     assert residual < 1e-12
     np.testing.assert_allclose(matrix, case_matrix_t(N), atol=1e-12)
 
 
 def test_t_gate_zero_value_cases():
-    matrix, _ = data_register_action(t_gate(2), [0, 1, 2])
+    matrix, _ = data_register_action(t_gate(2))
     assert abs(matrix[0, 0] - 1) < 1e-12      # |00> fixed
     assert abs(matrix[4, 4] - 1) < 1e-12      # |1,0> fixed
     # |0,x> -> (|0,x> + |1,N-x>)/sqrt(2)
@@ -103,7 +103,7 @@ def test_type1_cosine_zero_column():
     # input |0>|0>: amplitudes proportional to the boundary weights k_y
     n = 2
     N = 1 << n
-    matrix, _ = data_register_action(build_qcst_type1(n), list(range(n + 1)))
+    matrix, _ = data_register_action(build_qcst_type1(n))
     col = matrix[:, 0]
     k = np.array([1 / math.sqrt(2), 1, 1, 1, 1 / math.sqrt(2)])
     np.testing.assert_allclose(col[:N + 1], k / math.sqrt(N), atol=1e-12)
@@ -113,7 +113,7 @@ def test_type1_cosine_zero_column():
 def test_type1_sine_columns_match_oracle():
     n = 3
     N = 1 << n
-    matrix, _ = data_register_action(build_qcst_type1(n), list(range(n + 1)))
+    matrix, _ = data_register_action(build_qcst_type1(n))
     S1 = oracle.reference_matrix(spec("DST1", N))
     for a in range(1, N):
         col = matrix[:, N + a]
@@ -137,7 +137,7 @@ def test_type1_embedding_puts_extra_cosine_index_on_control_one():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_qst1_optimized_on_sine_domain(n):
     N = 1 << n
-    matrix, _ = data_register_action(build_qst1_optimized(n), list(range(n + 1)))
+    matrix, _ = data_register_action(build_qst1_optimized(n))
     S1 = oracle.reference_matrix(spec("DST1", N))
     np.testing.assert_allclose(matrix[1:N, 1:N], S1, atol=1e-10)
     # ancilla stays clean over the domain
@@ -148,7 +148,7 @@ def test_qst1_optimized_half_point_column():
     # a = N/2: output sqrt(2/N) sin(pi y / 2), odd y only, alternating signs
     n = 3
     N = 1 << n
-    matrix, _ = data_register_action(build_qst1_optimized(n), list(range(n + 1)))
+    matrix, _ = data_register_action(build_qst1_optimized(n))
     want = np.array([math.sqrt(2 / N) * math.sin(math.pi * y / 2) for y in range(1, N)])
     np.testing.assert_allclose(matrix[1:N, N // 2], want, atol=1e-12)
 
@@ -156,7 +156,7 @@ def test_qst1_optimized_half_point_column():
 def test_qst1_optimized_involution():
     n = 3
     N = 1 << n
-    matrix, _ = data_register_action(build_qst1_optimized(n), list(range(n + 1)))
+    matrix, _ = data_register_action(build_qst1_optimized(n))
     block = matrix[1:N, 1:N]
     np.testing.assert_allclose(block @ block, np.eye(N - 1), atol=1e-10)
 
@@ -185,8 +185,8 @@ def test_qst1_optimized_intermediate_state():
     # keep gates through the full QFT block (ends after the swap layer)
     qft_gate_count = count_gates(build_qft(n + 1)).total
     start = 2 + (4 * n - 4)  # X, H, then the first negation gadget
-    prefix = Circuit(full.width, full.gates[:start + qft_gate_count])
-    matrix, _ = data_register_action(prefix, list(range(n + 1)))
+    prefix = Circuit(full.width, full.gates[:start + qft_gate_count], full.ancillas)
+    matrix, _ = data_register_action(prefix)
     for a in range(1, N):
         want = np.array([1j / math.sqrt(N) * math.sin(math.pi * a * y / N)
                          for y in range(2 * N)])
@@ -238,7 +238,7 @@ def test_d2_corrected_and_incorrect_diagonals(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_g_gate_matches_case_matrix(n):
-    matrix, residual = data_register_action(g_gate(n), list(range(n + 1)))
+    matrix, residual = data_register_action(g_gate(n))
     assert residual < 1e-12
     np.testing.assert_allclose(matrix, case_matrix_g(1 << n), atol=1e-12)
 
@@ -267,7 +267,7 @@ def test_type2_eq5_phase_without_final_z():
 def test_type2_constant_column():
     n = 2
     N = 1 << n
-    matrix, _ = data_register_action(build_qcst_type2(n), list(range(n + 1)))
+    matrix, _ = data_register_action(build_qcst_type2(n))
     C2 = oracle.reference_matrix(spec("DCT2", N))
     np.testing.assert_allclose(matrix[:N, 0], C2[:, 0], atol=1e-10)
     assert abs(C2[0, 0] - 1 / math.sqrt(N) / math.sqrt(2) * math.sqrt(2)) < 1e-12
@@ -277,7 +277,7 @@ def test_type2_sine_row_weight_at_top_frequency():
     # the m=N sine row lands on register value N-1 with weight k_N = 1/sqrt(2)
     n = 2
     N = 1 << n
-    matrix, _ = data_register_action(build_qcst_type2(n), list(range(n + 1)))
+    matrix, _ = data_register_action(build_qcst_type2(n))
     S2 = oracle.reference_matrix(spec("DST2", N))
     np.testing.assert_allclose(matrix[N + N - 1, N:], S2[N - 1, :], atol=1e-10)
     assert abs(abs(S2[N - 1, 0]) - math.sqrt(2 / N) / math.sqrt(2)) < 1e-12
@@ -297,8 +297,8 @@ def test_type3_block_identity(n):
 
 def test_type3_composes_with_type2_to_identity():
     n = 2
-    m2, _ = data_register_action(build_qcst_type2(n), list(range(n + 1)))
-    m3, _ = data_register_action(build_qcst_type3(n), list(range(n + 1)))
+    m2, _ = data_register_action(build_qcst_type2(n))
+    m3, _ = data_register_action(build_qcst_type3(n))
     np.testing.assert_allclose(m3 @ m2, np.eye(2 << n), atol=1e-10)
 
 
@@ -314,7 +314,7 @@ def test_type4_corrected_block_identity(n):
 
 
 def test_type4_n1_blocks_match_formula():
-    matrix, _ = data_register_action(build_qcst_type4(1), [0, 1])
+    matrix, _ = data_register_action(build_qcst_type4(1))
     want_cos = np.array([[math.cos((m + .5) * (a + .5) * math.pi / 2)
                           for a in range(2)] for m in range(2)])
     want_sin = np.array([[math.sin((m + .5) * (a + .5) * math.pi / 2)
@@ -352,7 +352,7 @@ def test_ancilla_cleanliness_all_builders():
         for build in (build_qcst_type1, build_qcst_type2, build_qcst_type3,
                       build_qcst_type4, t_gate, g_gate):
             circ = build(n)
-            _, residual = data_register_action(circ, circ.data_wires)
+            _, residual = data_register_action(circ)
             assert residual < 1e-10, build.__name__
 
 
