@@ -1,5 +1,5 @@
 """Elementary gate set, circuit IR, and the simulation of a circuit's action on
-a data register, streamed in column chunks.
+a data register, streamed in column chunks by one of three routes.
 
 Conventions used throughout the package:
 
@@ -380,31 +380,32 @@ def data_register_chunks(circuit: Circuit, check=None):
 
     The data register is ``circuit.data_wires``, wires 0..d-1, at most
     ``STATEVECTOR_WIDTH_CAP`` of them, checked before anything is compiled;
-    the ancillas above it start in |0>.  The dense statevector engine runs
-    on 2^d rows, ``_DENSE_BATCH`` columns at a time, whenever its compile
-    (``_layers``) can prove in integers that the ancillas only ever hold
-    classical functions of the data: then each row stands for one basis
-    label, and a row left with an ancilla bit set is leak, so a clean
-    circuit reports a residual of exactly 0.0.  Every circuit without
-    ancillas and every cosine and sine circuit runs there.  A circuit that
-    puts an ancilla in superposition (H or CH on it, as the Hartley pair
-    does) or breaks another rule of ``_layers`` runs the support-sparse
-    engine instead, ``2^_sparse_chunk_bits(d)`` columns at a time (see
-    ``_sparse_chunks``).  That engine drops amplitudes below 1e-14 and adds
-    the largest per-column L2 norm it dropped to ``residual``, so the
-    residual bounds the true leak and the pruning error of every entry:
-    every caller already fails a run whose residual reaches its tolerance,
-    so pruning can never hide a leak.  Both engines compile the circuit
-    once, before any chunk, and the threads share that program read-only.
+    the ancillas above it start in |0>.  The first route whose compile, run
+    once before any chunk, takes the circuit runs it, and the threads share
+    its program read-only: the product route (``_product_program``) when
+    each column stays a sum of at most ``_MAX_TERMS`` product states and
+    every ancilla classical (the QFT, Types III and IV); the dense
+    statevector engine on 2^d rows, ``_DENSE_BATCH`` columns at a time,
+    when ``_layers`` proves in integers that the ancillas only ever hold
+    classical functions of the data (the other cosine and sine circuits);
+    else the support-sparse engine, ``2^_sparse_chunk_bits(d)`` columns at
+    a time (``_sparse_chunks``), as for the Hartley pair, whose ancillas go
+    into superposition.  On the first two, a label left with an ancilla bit
+    set is leak, so a clean circuit reports a residual of exactly 0.0.  The
+    sparse engine drops amplitudes below 1e-14 and adds the largest
+    per-column L2 norm it dropped to ``residual``, so the residual bounds
+    the true leak and the pruning error of every entry: every caller fails
+    a run whose residual reaches its tolerance, so pruning hides no leak.
     """
     d = len(circuit.data_wires)
     if d > STATEVECTOR_WIDTH_CAP:
         raise ValueError(f"data registers are capped at {STATEVECTOR_WIDTH_CAP} qubits, "
                          f"got {d}")
-    program = _layers(circuit, d)
-    if program is None:
-        return _sparse_chunks(circuit, d, check)
-    return _dense_chunks(program, d, check)
+    if (program := _product_program(circuit, d)) is not None:
+        return _product_chunks(program, d, check)
+    if (program := _layers(circuit, d)) is not None:
+        return _dense_chunks(program, d, check)
+    return _sparse_chunks(circuit, d, check)
 
 
 def _assemble(chunks):
@@ -415,27 +416,27 @@ def _assemble(chunks):
     return np.concatenate(blocks, axis=1), residual
 
 
-def _in_order(starts, simulate, check):
-    """``(start, result, extra)`` for each chunk start, in the order of
-    ``starts``: ``simulate(start)`` gives ``(block, extra)``, and ``result``
-    is ``check(start, block)`` run on the same thread, or the block when
+def _in_order(items, simulate, check):
+    """``(start, result, extra)`` per item of ``items``, taken lazily, in
+    order: ``simulate(item)`` gives ``(start, block, extra)``, and ``result``
+    is ``check(start, block)`` on the same thread, or the block when
     ``check`` is None.  The threading is that of ``data_register_chunks``."""
-    def run(start):
-        block, extra = simulate(start)
+    def run(item):
+        start, block, extra = simulate(item)
         return start, block if check is None else check(start, block), extra
 
-    if len(starts) == 1:
-        yield run(starts[0])
+    head = list(islice(queue := iter(items), _WORKERS + 1))
+    if len(head) == 1:
+        yield run(head[0])
         return
     # imported here: a single-chunk run never pays for the import
     from concurrent.futures import ThreadPoolExecutor
     pool = ThreadPoolExecutor(_WORKERS)
     try:
-        queue = iter(starts)
-        pending = deque(pool.submit(run, start) for start in islice(queue, _WORKERS + 1))
+        pending = deque(pool.submit(run, item) for item in head)
         while pending:
             done = pending.popleft().result()
-            pending.extend(pool.submit(run, start) for start in islice(queue, 1))
+            pending.extend(pool.submit(run, item) for item in islice(queue, 1))
             yield done
     finally:
         pool.shutdown(cancel_futures=True)
@@ -457,7 +458,7 @@ def _dense_chunks(program, d: int, check=None):
         block = _run_flat(_basis_columns(dim, cols), layers)
         out = float(np.max(np.abs(block[leak]), initial=0.0))
         block[leak] = 0.0
-        return block, out
+        return start, block, out
 
     residual = 0.0
     for start, result, out in _in_order(range(0, dim, _DENSE_BATCH), simulate, check):
@@ -470,6 +471,153 @@ def _basis_columns(dim: int, labels) -> np.ndarray:
     block = np.zeros((dim, len(labels)), dtype=complex)
     block[labels, np.arange(len(labels))] = 1.0
     return block
+
+
+_MAX_TERMS = 8  # most product states the product route holds a column as
+_PRODUCT_BLOCKS = 32  # blocks per run of the product route's terms; see _product_chunks
+_CH = np.array([np.eye(2), SQRT2_INV * np.array([[1, 1], [1, -1]])])  # off, on
+
+
+def _product_program(circuit: Circuit, d: int):
+    """The product route's ``(steps, terms)`` for ``circuit`` on data wires
+    0..d-1, or None when a column would need more than ``_MAX_TERMS``
+    terms, an ancilla would be superposed, or the circuit has a final
+    relabeling.  A term is an int64 label of the classical wires, a 2-vector
+    per superposed wire and an amplitude (Griffiths & Niu,
+    arXiv:quant-ph/9511007); which wires are superposed follows from the
+    gate list alone.  A gate splits every term on its superposed controls
+    (a diagonal gate on all its superposed operands but the last), one term
+    per value; H or CH makes a classical wire superposed; any other gate
+    acts on one factor (``_local``) or on the labels (``_monomial``)."""
+    if circuit.width > _KEY_BITS or circuit.relabeling is not None:
+        return None
+    sup, terms, plan, probes = set(), 1, [], {}
+    for gate in circuit.gates:  # a step's argument is built once the plan passes
+        action, ops = _action(gate), gate.operands
+        splits = ([w for w in ops if w in sup][:-1] if callable(action)
+                  else [w for w in gate.controls if w in sup])
+        terms <<= len(splits)
+        plan += [("split", w, None) for w in splits]
+        sup.difference_update(splits)
+        if action == "H" and gate.targets[0] not in sup:
+            plan.append(("promote", gate.targets[0], None))
+            sup.add(gate.targets[0])
+        live, mask = [w for w in ops if w in sup], sum(1 << w for w in ops if w not in sup)
+        if action == "SWAP":
+            plan.append(("swap", gate.targets, lambda g=gate: _key_permutation(g, 0)))
+            sup = {sum(gate.targets) - w if w in gate.targets else w for w in sup}
+        elif action == "H":
+            plan.append(("local", gate.targets[0], lambda m=mask: (m, _CH)))
+        elif live:
+            if live[0] not in gate.targets and len(ops) > 2:
+                return None  # "all the classical operands are 1" is not its condition
+            plan.append(("local", live[0], lambda a=(gate, live[0], mask, probes): _local(*a)))
+        else:
+            plan.append(("classical", None, lambda g=gate: _monomial(g, 0)))
+        if terms > _MAX_TERMS or max(sup, default=0) >= d:
+            return None
+    plan += [("promote", w, None) for w in range(d) if w not in sup]
+    return [(op, w, make and make()) for op, w, make in plan], terms
+
+
+def _local(gate: Gate, w: int, mask: int, probes: dict):
+    """``(mask, u)``: the gate is ``u[1]`` on its one superposed operand
+    ``w`` where the wires of ``mask`` are all 1, ``u[0]`` elsewhere, read
+    off ``_monomial`` on four labels; a diagonal ``u`` as its diagonals."""
+    key = (gate.kind, gate.angle, gate.operands.index(w), len(gate.operands))
+    if key not in probes:  # all that u depends on
+        keys = np.array([0, 1 << w, mask, mask | 1 << w], dtype=np.int64)
+        phase = np.ones(4, dtype=complex)
+        for sel, factor in _monomial(gate, 0)(keys):
+            phase[sel] *= factor
+        u = np.zeros((2, 2, 2), dtype=complex)
+        u[[0, 0, 1, 1], (keys >> w) & 1, [0, 1, 0, 1]] = phase
+        probes[key] = u if u[:, 0, 1].any() or u[:, 1, 0].any() else u[:, [0, 1], [0, 1]]
+    return mask, probes[key]
+
+
+def _run_terms(steps, labels, amps, f):
+    """Run ``_product_program``'s steps on the terms of B columns: labels
+    and amplitudes (B, terms), factors (d, 2, B, terms).  No product is
+    in place, as in ``_monomial_step``, so no column depends on B."""
+    for op, w, arg in steps:
+        if op == "split":
+            labels = np.concatenate((labels, labels | 1 << w), axis=1)
+            amps = np.concatenate((amps * f[w, 0], amps * f[w, 1]), axis=1)
+            f = np.concatenate((f, f), axis=3)
+        elif op == "promote":
+            bit = (labels >> w) & 1
+            f[w, 0], f[w, 1] = 1 - bit, bit
+            labels &= ~(1 << w)
+        elif op == "local":
+            mask, u = arg
+            on = labels & mask == mask
+            if u.ndim == 2:  # diagonal: a multiply per component it moves
+                for v in (0, 1):
+                    if u[0, v] != 1 or u[1, v] != 1:
+                        f[w, v] = f[w, v] * (np.where(on, u[1, v], u[0, v]) if mask else u[1, v])
+            else:  # u[1] @ f[w] where on, u[0] @ f[w] elsewhere, entry by entry
+                f[w] = np.where(on, *(v[:, :1, None] * f[w, 0] + v[:, 1:, None] * f[w, 1]
+                                      for v in u[::-1]))
+        elif op == "swap":
+            arg(labels)
+            if max(w) < len(f):
+                f[list(w)] = f[list(w[::-1])]
+        else:
+            for sel, factor in arg(labels):
+                amps[sel] = amps[sel] * factor
+    return labels, amps, f
+
+
+def _product_chunks(program, d: int, check=None):
+    """Product route of ``data_register_chunks``: the terms run on the
+    calling thread, ``_PRODUCT_BLOCKS`` blocks of ``_DENSE_BATCH`` columns
+    at a time (in 10 alternating rounds of verify-dense's verifies on a
+    2-core Xeon, 16, 32 and 64 blocks took 108.8, 101.3 and 101.1 ms, all at
+    36 MB; at qct4 n=13, 64 and 128 peaked 8 and 22 MB above 32).  A block
+    is a batched matmul over the terms of half-products over the low and
+    the high data wires, into the buffer of a finished check."""
+    steps, _ = program
+    dim, batch, spare = 1 << d, _DENSE_BATCH, []
+
+    def blocks():
+        for start in range(0, dim, run := batch * _PRODUCT_BLOCKS):
+            labels = np.arange(start, min(start + run, dim), dtype=np.int64)[:, None]
+            labels, amps, f = _run_terms(steps, labels, np.ones(labels.shape, dtype=complex),
+                                         np.empty((d, 2) + labels.shape, dtype=complex))
+            for cols in (slice(i, i + batch) for i in range(0, len(labels), batch)):
+                yield start + cols.start, f[:, :, cols], labels[cols], amps[cols]
+
+    def simulate(item):
+        start, f, labels, amps = item
+        halves = [np.ones(labels.shape + (1,), dtype=complex)] * 2
+        for w in range(d):
+            halves[w >= d // 2] = (f[w].transpose(1, 2, 0)[..., None]
+                                   * halves[w >= d // 2][..., None, :]).reshape(*labels.shape, -1)
+        lo, hi = halves[0], halves[1].transpose(0, 2, 1)
+
+        def expand(weights, out=None):
+            return np.matmul(hi, lo * weights[..., None], out=out).reshape(len(labels), -1).T
+
+        bad, leak = labels != 0, 0.0  # leaked terms are summed per ancilla label
+        for s in np.flatnonzero(bad.any(axis=0)):
+            group = np.where((labels == labels[:, s:s + 1]) & bad[:, s:s + 1], amps, 0)
+            leak = max(leak, float(np.max(np.abs(expand(group)))))
+        try:
+            out = spare.pop()
+        except IndexError:  # no check has finished, or none is run
+            out = np.empty((batch, dim), dtype=complex)
+        block = expand(np.where(bad, 0, amps), out[:len(labels)].reshape(hi.shape[:2] + (-1,)))
+        if check is None:  # the caller keeps the block
+            return start, block, leak
+        result = check(start, block)
+        spare.append(out)
+        return start, result, leak
+
+    residual = 0.0
+    for start, result, leak in _in_order(blocks(), simulate, None):
+        residual = max(residual, leak)
+        yield start, result, residual
 
 
 _PRUNE_BELOW = 1e-14
@@ -515,7 +663,7 @@ def _sparse_chunks(circuit: Circuit, d: int, check=None):
         block = np.zeros((1 << d, 1 << c), dtype=complex)
         block.reshape(-1)[keys[on]] = amps[on]
         leak = float(np.max(np.abs(amps[~on]), initial=0.0))
-        return block, (leak, float(np.max(pruned)))
+        return start, block, (leak, float(np.max(pruned)))
 
     leak = pruned_max = 0.0
     for start, result, (chunk_leak, chunk_pruned) in _in_order(

@@ -242,7 +242,9 @@ def _block_error(start: int, chunk: np.ndarray, spec: oracle.TransformSpec,
     target = oracle.reference_columns(spec, first - lo, stop - lo)
     if phase != 1:
         target = phase * target
-    inside = np.max(np.abs(cols[lo:hi] - target))
+    real = not np.iscomplexobj(target)  # |a - b| = |b - a| goes into the fresh oracle
+    diff = cols[lo:hi] - target if real else np.subtract(target, cols[lo:hi], out=target)
+    inside = np.max(np.abs(diff, out=target if real else None))
     outside = max(np.max(np.abs(cols[:lo]), initial=0.0),
                   np.max(np.abs(cols[hi:]), initial=0.0))
     return float(max(inside, outside))

@@ -64,6 +64,14 @@ def sparse_action(circuit):
     return simcore._assemble(simcore._sparse_chunks(circuit, len(circuit.data_wires)))
 
 
+def product_action(circuit):
+    """The product route's ``data_register_action``, or None where its
+    compile refuses the circuit."""
+    d = len(circuit.data_wires)
+    program = simcore._product_program(circuit, d)
+    return None if program is None else simcore._assemble(simcore._product_chunks(program, d))
+
+
 def folded_action(circuit):
     """The dense engine's ``data_register_action``, or None where its
     compile refuses the circuit."""

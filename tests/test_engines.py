@@ -1,22 +1,31 @@
-"""The two engines behind ``data_register_action``: the support-sparse one,
-the dense one on the full register, and the dense one folded onto a data
-register narrower than the circuit, against each other and against the
-brute-force unitary, on random circuits; the circuits the folded compile
-must refuse; the sparse engine's split/merge tags, checked on the live
-keys; and ``classical_image`` against the brute-force unitary on random
-classical circuits."""
+"""The three routes behind ``data_register_action``: the product route,
+which holds each column as a few product states, the support-sparse
+engine, the dense one on the full register, and the dense one folded onto
+a data register narrower than the circuit, against each other and against
+the brute-force unitary, on random circuits; the circuits the folded
+compile must refuse; the route and term count of every oracle transform;
+the sparse engine's split/merge tags, checked on the live keys; and
+``classical_image`` against the brute-force unitary on random classical
+circuits."""
 import contextlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qrt_kit import cli, simcore
 from qrt_kit.simcore import _KINDS, Circuit, Gate, classical_image, data_register_action
 
-from helpers import brute_unitary, folded_action, full_register, sparse_action, unitary
+from helpers import (
+    brute_unitary,
+    folded_action,
+    full_register,
+    product_action,
+    sparse_action,
+    unitary,
+)
 
 # The gate set as the random circuits draw it, read off the rows of _KINDS.
 KINDS = tuple(_KINDS)
@@ -132,6 +141,16 @@ def assert_folded_agrees(circuit, matrix, residual):
     return folded is not None
 
 
+def assert_product_agrees(circuit, matrix, residual):
+    """The product route, where its compile takes the circuit, against
+    ``(matrix, residual)``; returns whether it ran."""
+    product = product_action(circuit)
+    if product is not None:
+        np.testing.assert_allclose(product[0], matrix, rtol=0, atol=1e-12)
+        assert abs(product[1] - residual) < 1e-12
+    return product is not None
+
+
 SETTINGS = dict(derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -148,6 +167,7 @@ def test_sparse_dense_and_brute_force_agree(circuit):
     assert abs(r_sparse - r_brute) < 1e-12
     assert abs(r_dense - r_brute) < 1e-12
     assert_folded_agrees(circuit, m_brute, r_brute)
+    assert_product_agrees(circuit, m_brute, r_brute)
 
 
 @settings(max_examples=150, **SETTINGS)
@@ -159,6 +179,122 @@ def test_sparse_and_dense_agree_on_longer_circuits(circuit):
     np.testing.assert_allclose(m_sparse, m_dense, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_dense) < 1e-12
     assert_folded_agrees(circuit, m_dense, r_dense)
+    assert_product_agrees(circuit, m_dense, r_dense)
+
+
+# The product route holds each column as at most simcore._MAX_TERMS product
+# states.  Its compile refuses a circuit that would need more, or that puts
+# an ancilla in superposition; every circuit below that it takes must agree
+# with the brute-force unitary and with the dense engine on every wire.
+
+def assert_product_route_is_right(circuit):
+    m_brute, r_brute = brute_action(circuit)
+    assert assert_product_agrees(circuit, m_brute, r_brute)
+    m_dense, r_dense = dense_action(circuit)
+    np.testing.assert_allclose(m_dense, m_brute, rtol=0, atol=1e-12)
+    assert abs(r_dense - r_brute) < 1e-12
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(cases(max_width=7, max_gates=16))
+def test_product_route_agrees_with_brute_force_and_dense(circuit):
+    assume(simcore._product_program(circuit, len(circuit.data_wires)) is not None)
+    assert_product_route_is_right(circuit)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=10, **SETTINGS)
+@given(data=st.data())
+def test_product_route_runs_every_kind_on_superposed_and_classical_wires(kind, data):
+    # H makes a drawn set of wires superposed, X sets some of the others;
+    # the gate then splits on at most its three controls (8 terms), and a
+    # closing layer of H mixes what it left classical
+    width = data.draw(st.integers(max(1, sum(arity(kind))), 4))
+    superposed = data.draw(st.sets(st.sampled_from(range(width))))
+    flipped = data.draw(st.sets(st.sampled_from(range(width))))
+    closing = data.draw(st.sets(st.sampled_from(range(width))))
+    body = ([Gate("H", targets=(w,)) for w in sorted(superposed)]
+            + [Gate("X", targets=(w,)) for w in sorted(flipped - superposed)]
+            + [data.draw(gates(range(width), (kind,)))]
+            + [Gate("H", targets=(w,)) for w in sorted(closing)])
+    assert_product_route_is_right(Circuit(width, body))
+
+
+H = {w: Gate("H", targets=(w,)) for w in range(4)}
+PRODUCT_CASES = {
+    "ch-with-a-superposed-control": Circuit(2, [H[0], Gate("CH", (0,), (1,))]),
+    "ch-with-both-superposed": Circuit(2, [H[0], H[1], Gate("CH", (0,), (1,))]),
+    "cphase-with-both-superposed": Circuit(2, [H[0], H[1], Gate("CPhase", (0,), (1,), 0.7)]),
+    "cs-with-both-superposed": Circuit(2, [H[0], H[1], Gate("CS", (1,), (0,))]),
+    "csdg-with-both-superposed": Circuit(2, [H[0], H[1], Gate("CSdg", (0,), (1,))]),
+    # wire 1 then holds the factor, wire 0 the bit wire 1 had
+    "swap-of-a-superposed-and-a-classical-wire": Circuit(3, [
+        H[0], Gate("SWAP", targets=(0, 1)), Gate("S", targets=(1,)),
+        Gate("CNOT", (0,), (2,)), Gate("CPhase", (0,), (1,), 0.3)]),
+    "y-on-a-superposed-wire": Circuit(2, [H[0], Gate("Y", targets=(0,)), Gate("CH", (1,), (0,))]),
+    # wire 0 holds x0 ^ x1 when the H comes
+    "h-on-a-wire-that-differs-per-column": Circuit(2, [Gate("CNOT", (1,), (0,)), H[0]]),
+    "mcx-with-superposed-controls": Circuit(4, [H[0], H[1], Gate("MCX", (0, 1, 2), (3,)), H[2]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+def test_product_route_on_each_split_and_factor_rule(name):
+    assert_product_route_is_right(PRODUCT_CASES[name])
+
+
+def test_product_route_reports_the_dense_engines_leak():
+    # ancilla 2 ends at x0: set in half the columns, with data wire 1 mixed
+    circuit = Circuit(3, [H[1], Gate("CNOT", (0,), (2,)), Gate("S", targets=(1,))], ancillas=[2])
+    product, dense = product_action(circuit), folded_action(circuit)
+    np.testing.assert_allclose(product[0], dense[0], rtol=0, atol=1e-12)
+    assert dense[1] > 0.5
+    assert abs(product[1] - dense[1]) < 1e-12
+    assert_product_route_is_right(circuit)
+
+
+def test_product_route_sums_the_leak_of_terms_that_meet():
+    # the split on wire 1 leaves ancilla 2 set in one of two terms, and the
+    # last H spreads each term over both values of wire 1
+    circuit = Circuit(3, [H[1], Gate("CNOT", (1,), (2,)), H[1]], ancillas=[2])
+    assert route(circuit) == ("product", 2)
+    assert_product_route_is_right(circuit)
+    assert abs(product_action(circuit)[1] - 0.5) < 1e-12
+
+
+LEAKS = {
+    # four terms whose ancilla labels 0, 4, 8 and 12 differ: leak rows apart
+    "distinct-ancilla-labels": Circuit(4, [H[0], H[1], Gate("CNOT", (0,), (2,)),
+                                           Gate("CNOT", (1,), (3,)), H[0], H[1]], ancillas=[2, 3]),
+    # two terms that both leave ancilla 2 set and meet on the same rows
+    "shared-ancilla-label": Circuit(3, [Gate("X", targets=(2,)), H[0], Gate("CNOT", (0,), (1,)),
+                                        H[0], H[1]], ancillas=[2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAKS))
+def test_product_route_groups_the_leak_by_ancilla_label(name):
+    circuit = LEAKS[name]
+    assert route(circuit)[0] == "product"
+    assert_product_route_is_right(circuit)
+
+
+@pytest.mark.parametrize("name", ["qft", "qct3", "qct4"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_product_chunks_match_one_chunk_exactly(name, n):
+    circuit = cli.build_transform(name, n)
+    dim = 1 << len(circuit.data_wires)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simcore, "_DENSE_BATCH", dim)
+        whole, residual = product_action(circuit)
+        for batch, blocks in ((1, 1), (3, 2), (32, 16)):
+            patch.setattr(simcore, "_DENSE_BATCH", batch)
+            patch.setattr(simcore, "_PRODUCT_BLOCKS", blocks)
+            starts = [start for start, _, _ in simcore.data_register_chunks(circuit)]
+            assert starts == list(range(0, dim, batch))
+            chunked, chunked_residual = product_action(circuit)
+            assert np.array_equal(chunked, whole)
+            assert chunked_residual == residual == 0.0
 
 
 # The folded route: the dense engine on 2^d rows, one per data-register
@@ -268,14 +404,39 @@ def test_rule_breakers_fall_back_and_agree_with_brute_force(pattern, data):
     assert abs(residual - r_brute) < 1e-12
 
 
+# The route of every oracle transform, with the term count of the product
+# route: the QFT holds each column as one product state, and the Type III
+# and IV circuits split it once on the control before the QFT and once
+# after.  The other cosine and sine circuits need more than _MAX_TERMS
+# terms (qst1-opt from n = 3 on: at n = 2 its 8 terms fit) and run dense;
+# the Hartley pair puts its ancillas in superposition and stays sparse.
+ROUTES = {"qft": ("product", 1), "qct3": ("product", 4), "qst3": ("product", 4),
+          "qct4": ("product", 4), "qst4": ("product", 4), "qct1": ("dense", None),
+          "qst1": ("dense", None), "qct2": ("dense", None), "qst2": ("dense", None),
+          "qst1-opt": ("dense", None), "qht-lcu": ("sparse", None), "qht-rec": ("sparse", None)}
+
+
+def route(circuit):
+    """The route ``data_register_chunks`` takes, and the product route's
+    term count."""
+    d = len(circuit.data_wires)
+    program = simcore._product_program(circuit, d)
+    if program is not None:
+        return "product", program[1]
+    return ("dense" if simcore._layers(circuit, d) is not None else "sparse"), None
+
+
 @pytest.mark.parametrize("name", cli.TRANSFORMS[:12])
 def test_engine_choice_on_every_oracle_transform(name):
-    # the Hartley pair puts its ancillas in superposition and stays sparse;
-    # every cosine and sine transform (and the QFT) runs on 2^d rows
+    assert sorted(ROUTES) == sorted(cli.TRANSFORMS[:12])
     for n in range(2, 8):
         circuit = cli.build_transform(name, n)
-        folded = simcore._layers(circuit, len(circuit.data_wires)) is not None
-        assert folded == (name not in ("qht-lcu", "qht-rec")), n
+        want = ("product", 8) if (name, n) == ("qst1-opt", 2) else ROUTES[name]
+        assert route(circuit) == want, n
+        if name in cli._INCORRECT_D2:
+            assert route(cli.build_transform(name, n, incorrect_d2=True)) == want, n
+        if want[0] == "product" and n <= 5:
+            assert data_register_action(circuit)[1] == 0.0
 
 
 # The sparse engine tags each H and CH, once per circuit, a split (no entry
