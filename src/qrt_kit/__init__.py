@@ -9,7 +9,6 @@ from .simcore import (
     Circuit,
     Gate,
     GateCountReport,
-    classical_image,
     count_gates,
     data_register_action,
     data_register_chunks,

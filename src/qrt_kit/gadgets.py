@@ -3,14 +3,15 @@
 Fragments for the conditional increment, one's and two's complement, the
 or-gate and the or-gate tree; builders for the increment, the two's
 complement and the or-tree; and the exhaustive check of their classical
-maps.  Standard layout of the builders: data wires 0..n-1, control wire n,
-scratch ancillas above the control.
+maps, which runs the gates on int64 labels through the simulator's own
+label rule.  Standard layout of the builders: data wires 0..n-1, control
+wire n, scratch ancillas above the control.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .simcore import Circuit, Gate, classical_image
+from .simcore import _KEY_BITS, _PERMUTATIONS, Circuit, Gate, _monomial, _relabel_keys
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +172,23 @@ def classical_map_error(circuit: Circuit, inputs: int, want, dirty: int = 0):
     state.  Returns ``(max_error, ancilla_residual)``: the error is 1.0 if
     any output label differs from the expected one off the mask, the
     residual is 1.0 if any wire at or above ``inputs`` does, and each is
-    0.0 otherwise.  The circuit is first run on no labels, so that a width
-    ``classical_image`` refuses allocates nothing.
+    0.0 otherwise.  Only X, CNOT, Toffoli, MCX and SWAP gates (and a final
+    relabeling) are taken, each run by ``simcore._monomial`` as a bit
+    operation on an int64 copy of the labels; another kind, or a width
+    above one int64 label, is refused before anything 2^inputs-sized.
     """
-    classical_image(circuit, ())
+    if circuit.width > _KEY_BITS:
+        raise ValueError(
+            f"classical evaluation packs {circuit.width} wires into one int64 "
+            f"label, above the {_KEY_BITS}-bit cap")
+    other = sorted({g.kind for g in circuit.gates} - _PERMUTATIONS)
+    if other:
+        raise ValueError(f"not a classical circuit: it holds {', '.join(other)} gates")
     labels = np.arange(1 << inputs, dtype=np.int64)
-    wrong = (classical_image(circuit, labels) ^ want(labels)) & ~dirty
+    image = labels.copy()
+    for gate in circuit.gates:
+        _monomial(gate, 0)(image)
+    if circuit.relabeling is not None:
+        image = _relabel_keys(image, circuit.relabeling, 0)
+    wrong = (image ^ want(labels)) & ~dirty
     return float(wrong.any()), float((wrong >> inputs).any())

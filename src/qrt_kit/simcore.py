@@ -1,5 +1,6 @@
 """Elementary gate set, circuit IR, and the simulation of a circuit's action on
-a data register, streamed in column chunks by one of three routes.
+a data register: one stream of column chunks, each checked as it is made,
+from the first of three routes (``_route``) whose compile takes the circuit.
 
 Conventions used throughout the package:
 
@@ -322,27 +323,30 @@ def _run_flat(flat: np.ndarray, layers) -> np.ndarray:
 STATEVECTOR_WIDTH_CAP = 20
 
 _DENSE_BATCH = 32
-"""Columns the dense engine pushes through the statevector at a time: a
-1024-row batch is 0.5 MB, and ``_WORKERS`` batches run at once.  Under
-the two-thread pool, in ten alternating runs of verify-dense on a 2-core
-Xeon, 64 columns were faster than 32 (median ``wall_s`` 0.287 against
-0.333 s) but peaked at 45.2 MB against 41.2 MB, 10% above the 41.0 MB of
-one thread at 64 columns; 32 stays within 1%."""
+"""Columns per chunk of the dense route, and the product route's block
+width: a 1024-row batch is 0.5 MB, and ``_WORKERS`` run at once.  In ten
+alternating runs of verify-dense on the dense route at 858c7b1 (its
+verifies take the product route since 5dcf35b), on a 2-core Xeon, 64
+columns were faster than 32 (median ``wall_s`` 0.287 against 0.333 s) but
+peaked at 45.2 MB against 41.2 MB, 10% above the 41.0 MB of one thread at
+64 columns; 32 stays within 1%."""
 
 _WORKERS = 2
 """Threads that run the column chunks of a register with more than one
-chunk, one per core of a 2-core host; never sized from the input.  The
-pool pays on both engines: in fresh processes, qct4 n=11 (dense) took
-1.33 s against 2.27 s on one thread, and qct2 n=11 (sparse) 7.5 s against
-12.5 s."""
+chunk, one per core of a 2-core host; never sized from the input.  At
+858c7b1, in fresh processes, qct4 n=11 (dense then, product since 5dcf35b)
+took 1.33 s against 2.27 s on one thread, and qct2 n=11 (sparse then,
+dense since afa766a) 7.5 s against 12.5 s."""
 
 
 def _sparse_chunk_bits(d: int) -> int:
-    """log2 of the columns the sparse engine runs at a time on a d-wire data
+    """log2 of the columns the sparse route runs at a time on a d-wire data
     register.  Up to d = 8 all 2^d columns run as one chunk, where one pass
     over the gate list costs least; a wider register runs 2^6 columns at a
-    time, which was faster than 2^8 at every d from 9 to 12 that was timed,
-    at half the peak memory or less."""
+    time, which at d4cddef was faster than 2^8 at every d from 9 to 12 that
+    was timed, at half the peak memory or less: mostly on qct1/2/3 and
+    qst1-opt, dense since afa766a, so the route's traffic is now the
+    Hartley pair alone (qht-rec n=10 and 11 were timed too)."""
     return d if d <= 8 else 6
 
 
@@ -353,23 +357,22 @@ def data_register_action(circuit: Circuit):
     data basis state r given input c, and ``residual`` bounds the output
     amplitude outside the all-ancillas-zero subspace.  A residual at
     rounding level certifies that the ancillas are returned clean and that
-    ``matrix`` is the whole story.  This is the concatenation of
-    ``data_register_chunks``, which holds one column chunk at a time; see
-    there for the engines and the residual.
+    ``matrix`` is the whole story.  This is ``data_register_chunks``
+    concatenated, under a check that copies each block (a route may reuse
+    its buffer); see there for the routes and the residual.
     """
-    return _assemble(data_register_chunks(circuit))
+    return _assemble(data_register_chunks(circuit, lambda _, block: block.copy()))
 
 
-def data_register_chunks(circuit: Circuit, check=None):
-    """``data_register_action`` as a stream of column chunks.
+def data_register_chunks(circuit: Circuit, check):
+    """``data_register_action`` as a stream of checked column chunks.
 
-    Yields ``(start, result, residual)`` in increasing ``start``, one per
-    chunk of matrix columns ``start..start+k-1`` (all 2^d rows).  With
-    ``check`` None, ``result`` is that (2^d, k) block; otherwise it is
-    ``check(start, block)``, called on the thread that simulated the chunk,
-    so the block need never reach the caller.  ``residual`` is the bound for
-    every column yielded so far, so it never decreases and the last one
-    covers the whole matrix.
+    Yields ``(start, check(start, block), residual)`` in increasing
+    ``start``, one per (2^d, k) block of matrix columns
+    ``start..start+k-1``; ``check`` runs on the thread that simulated the
+    chunk, and the block is only valid until it returns.  ``residual`` is
+    the bound for every column yielded so far, so it never decreases and
+    the last one covers the whole matrix.
 
     A register of one chunk runs on the calling thread.  More chunks run on
     ``_WORKERS`` threads, at most ``_WORKERS + 1`` chunks in flight, and are
@@ -380,32 +383,38 @@ def data_register_chunks(circuit: Circuit, check=None):
 
     The data register is ``circuit.data_wires``, wires 0..d-1, at most
     ``STATEVECTOR_WIDTH_CAP`` of them, checked before anything is compiled;
-    the ancillas above it start in |0>.  The first route whose compile, run
-    once before any chunk, takes the circuit runs it, and the threads share
-    its program read-only: the product route (``_product_program``) when
-    each column stays a sum of at most ``_MAX_TERMS`` product states and
-    every ancilla classical (the QFT, Types III and IV); the dense
-    statevector engine on 2^d rows, ``_DENSE_BATCH`` columns at a time,
-    when ``_layers`` proves in integers that the ancillas only ever hold
-    classical functions of the data (the other cosine and sine circuits);
-    else the support-sparse engine, ``2^_sparse_chunk_bits(d)`` columns at
-    a time (``_sparse_chunks``), as for the Hartley pair, whose ancillas go
-    into superposition.  On the first two, a label left with an ancilla bit
-    set is leak, so a clean circuit reports a residual of exactly 0.0.  The
-    sparse engine drops amplitudes below 1e-14 and adds the largest
-    per-column L2 norm it dropped to ``residual``, so the residual bounds
-    the true leak and the pruning error of every entry: every caller fails
-    a run whose residual reaches its tolerance, so pruning hides no leak.
+    the ancillas above it start in |0>.  ``_route`` compiles the circuit
+    once, before any chunk, and the threads share its program read-only.
+    The residual is the largest leak plus the largest pruned norm of any
+    chunk, as if all columns ran at once.  On the product and dense routes
+    a label left with an ancilla bit set is leak and nothing is pruned, so
+    a clean circuit reports exactly 0.0.  The sparse route drops amplitudes
+    below 1e-14 and reports the per-column L2 norm it dropped, so the
+    residual bounds the true leak and the pruning error of every entry:
+    every caller fails a run whose residual reaches its tolerance, so
+    pruning hides no leak.
     """
     d = len(circuit.data_wires)
     if d > STATEVECTOR_WIDTH_CAP:
         raise ValueError(f"data registers are capped at {STATEVECTOR_WIDTH_CAP} qubits, "
                          f"got {d}")
-    if (program := _product_program(circuit, d)) is not None:
-        return _product_chunks(program, d, check)
-    if (program := _layers(circuit, d)) is not None:
-        return _dense_chunks(program, d, check)
-    return _sparse_chunks(circuit, d, check)
+    _, items, simulate = _route(circuit, d)
+    return _in_order(items, simulate, check)
+
+
+def _route(circuit: Circuit, d: int):
+    """``(name, items, simulate)`` of the first route whose compile takes
+    the circuit on data wires 0..d-1, where ``simulate(item, check)`` gives
+    ``(start, check's result, leak, pruned)``: "product" when each column
+    stays a sum of at most ``_MAX_TERMS`` product states and every ancilla
+    classical (the QFT, Types III and IV); "dense" on 2^d rows when
+    ``_layers`` proves in integers that the ancillas only ever hold
+    classical functions of the data (the other cosine and sine circuits);
+    else "sparse" (the Hartley pair, whose ancillas go superposed)."""
+    for name, compile_route in (("product", _product_chunks), ("dense", _dense_chunks),
+                                ("sparse", _sparse_chunks)):
+        if (route := compile_route(circuit, d)) is not None:
+            return name, *route
 
 
 def _assemble(chunks):
@@ -417,53 +426,52 @@ def _assemble(chunks):
 
 
 def _in_order(items, simulate, check):
-    """``(start, result, extra)`` per item of ``items``, taken lazily, in
-    order: ``simulate(item)`` gives ``(start, block, extra)``, and ``result``
-    is ``check(start, block)`` on the same thread, or the block when
-    ``check`` is None.  The threading is that of ``data_register_chunks``."""
-    def run(item):
-        start, block, extra = simulate(item)
-        return start, block if check is None else check(start, block), extra
+    """The stream of ``data_register_chunks`` over ``items``, taken lazily,
+    from ``simulate(item, check)`` on one thread per item."""
+    leak = pruned = 0.0
+
+    def fold(start, result, chunk_leak, chunk_pruned):
+        nonlocal leak, pruned
+        leak, pruned = max(leak, chunk_leak), max(pruned, chunk_pruned)
+        return start, result, leak + pruned
 
     head = list(islice(queue := iter(items), _WORKERS + 1))
     if len(head) == 1:
-        yield run(head[0])
+        yield fold(*simulate(head[0], check))
         return
     # imported here: a single-chunk run never pays for the import
     from concurrent.futures import ThreadPoolExecutor
     pool = ThreadPoolExecutor(_WORKERS)
     try:
-        pending = deque(pool.submit(run, item) for item in head)
+        pending = deque(pool.submit(simulate, item, check) for item in head)
         while pending:
             done = pending.popleft().result()
-            pending.extend(pool.submit(run, item) for item in islice(queue, 1))
-            yield done
+            pending.extend(pool.submit(simulate, item, check) for item in islice(queue, 1))
+            yield fold(*done)
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _dense_chunks(program, d: int, check=None):
-    """Statevector engine of ``data_register_chunks``: every column runs
-    through the 2^d rows of the compiled ``_layers`` program, which the
-    chunks share read-only.  The leak rows are zeroed, and their largest
-    amplitude is the residual, so a circuit whose ancillas come back clean
-    reports exactly 0.0."""
+def _dense_chunks(circuit: Circuit, d: int):
+    """Dense route of ``_route``, or None where ``_layers`` refuses the
+    circuit: ``_DENSE_BATCH`` columns per item run through the 2^d rows of
+    its program.  The leak rows are zeroed; their largest amplitude is the
+    chunk's leak."""
+    if (program := _layers(circuit, d)) is None:
+        return None
     layers, leak = program
-    dim = 1 << d
+    dim, batch = 1 << d, _DENSE_BATCH
 
-    def simulate(start):
-        cols = np.arange(start, min(start + _DENSE_BATCH, dim))
+    def simulate(start, check):
+        cols = np.arange(start, min(start + batch, dim))
         # the basis block is passed as a temporary, so that _run_flat's
         # first gather frees it
         block = _run_flat(_basis_columns(dim, cols), layers)
         out = float(np.max(np.abs(block[leak]), initial=0.0))
         block[leak] = 0.0
-        return start, block, out
+        return start, check(start, block), out, 0.0
 
-    residual = 0.0
-    for start, result, out in _in_order(range(0, dim, _DENSE_BATCH), simulate, check):
-        residual = max(residual, out)
-        yield start, result, residual
+    return range(0, dim, batch), simulate
 
 
 def _basis_columns(dim: int, labels) -> np.ndarray:
@@ -569,14 +577,17 @@ def _run_terms(steps, labels, amps, f):
     return labels, amps, f
 
 
-def _product_chunks(program, d: int, check=None):
-    """Product route of ``data_register_chunks``: the terms run on the
-    calling thread, ``_PRODUCT_BLOCKS`` blocks of ``_DENSE_BATCH`` columns
-    at a time (in 10 alternating rounds of verify-dense's verifies on a
-    2-core Xeon, 16, 32 and 64 blocks took 108.8, 101.3 and 101.1 ms, all at
-    36 MB; at qct4 n=13, 64 and 128 peaked 8 and 22 MB above 32).  A block
-    is a batched matmul over the terms of half-products over the low and
-    the high data wires, into the buffer of a finished check."""
+def _product_chunks(circuit: Circuit, d: int):
+    """Product route of ``_route``, or None where ``_product_program``
+    refuses the circuit.  The terms run on the calling thread as items are
+    drawn, ``_PRODUCT_BLOCKS`` blocks of ``_DENSE_BATCH`` columns at a time
+    (in 10 alternating rounds of verify-dense's verifies on a 2-core Xeon,
+    16, 32 and 64 blocks took 108.8, 101.3 and 101.1 ms, all at 36 MB; at
+    qct4 n=13, 64 and 128 peaked 8 and 22 MB above 32).  An item is one
+    block: a batched matmul over the terms of half-products over the low
+    and the high data wires, into the buffer of a finished check."""
+    if (program := _product_program(circuit, d)) is None:
+        return None
     steps, _ = program
     dim, batch, spare = 1 << d, _DENSE_BATCH, []
 
@@ -588,7 +599,7 @@ def _product_chunks(program, d: int, check=None):
             for cols in (slice(i, i + batch) for i in range(0, len(labels), batch)):
                 yield start + cols.start, f[:, :, cols], labels[cols], amps[cols]
 
-    def simulate(item):
+    def simulate(item, check):
         start, f, labels, amps = item
         halves = [np.ones(labels.shape + (1,), dtype=complex)] * 2
         for w in range(d):
@@ -605,27 +616,22 @@ def _product_chunks(program, d: int, check=None):
             leak = max(leak, float(np.max(np.abs(expand(group)))))
         try:
             out = spare.pop()
-        except IndexError:  # no check has finished, or none is run
+        except IndexError:  # no check has finished yet
             out = np.empty((batch, dim), dtype=complex)
         block = expand(np.where(bad, 0, amps), out[:len(labels)].reshape(hi.shape[:2] + (-1,)))
-        if check is None:  # the caller keeps the block
-            return start, block, leak
         result = check(start, block)
-        spare.append(out)
-        return start, result, leak
+        spare.append(out)  # the check is done with the block
+        return start, result, leak, 0.0
 
-    residual = 0.0
-    for start, result, leak in _in_order(blocks(), simulate, None):
-        residual = max(residual, leak)
-        yield start, result, residual
+    return blocks(), simulate
 
 
 _PRUNE_BELOW = 1e-14
 _KEY_BITS = 62
 
 
-def _sparse_chunks(circuit: Circuit, d: int, check=None):
-    """Support-sparse engine of ``data_register_chunks``, on data wires 0..d-1.
+def _sparse_chunks(circuit: Circuit, d: int):
+    """Support-sparse route of ``_route``, on data wires 0..d-1.
 
     A chunk of 2^c columns runs in one pass, each nonzero amplitude of each
     of its columns one entry: an int64 key ``(label << c) | column`` (the
@@ -638,10 +644,7 @@ def _sparse_chunks(circuit: Circuit, d: int, check=None):
     differ in the target bit and sums each pair; the rule is in
     ``_sparse_program``.  Entries below ``_PRUNE_BELOW`` are dropped after
     each butterfly and the per-column L2 norm dropped is summed over the
-    run.  Chunks run on the threads of ``data_register_chunks``, at most
-    ``_WORKERS + 1`` in flight; each reports its largest leak and pruned
-    sum, and these are folded in column order, kept apart across chunks and
-    added for the residual, as if all columns ran at once.
+    run; a chunk reports the largest of these sums as its pruned norm.
     """
     c = _sparse_chunk_bits(d)
     if circuit.width + c > _KEY_BITS:
@@ -651,7 +654,7 @@ def _sparse_chunks(circuit: Circuit, d: int, check=None):
     in_chunk = np.arange(1 << c, dtype=np.int64)
     program = _sparse_program(circuit, c)
 
-    def simulate(start):
+    def simulate(start, check):
         keys = ((in_chunk + start) << c) | in_chunk
         amps = np.ones(1 << c, dtype=complex)
         pruned = np.zeros(1 << c)
@@ -662,15 +665,11 @@ def _sparse_chunks(circuit: Circuit, d: int, check=None):
         on = keys >> (d + c) == 0
         block = np.zeros((1 << d, 1 << c), dtype=complex)
         block.reshape(-1)[keys[on]] = amps[on]
-        leak = float(np.max(np.abs(amps[~on]), initial=0.0))
-        return start, block, (leak, float(np.max(pruned)))
+        leak, pruned = float(np.max(np.abs(amps[~on]), initial=0.0)), float(np.max(pruned))
+        del keys, amps, on  # the entries are freed before the check runs
+        return start, check(start, block), leak, pruned
 
-    leak = pruned_max = 0.0
-    for start, result, (chunk_leak, chunk_pruned) in _in_order(
-            range(0, 1 << d, 1 << c), simulate, check):
-        leak = max(leak, chunk_leak)
-        pruned_max = max(pruned_max, chunk_pruned)
-        yield start, result, leak + pruned_max
+    return range(0, 1 << d, 1 << c), simulate
 
 
 def _sparse_program(circuit: Circuit, c: int) -> list:
@@ -858,8 +857,9 @@ def _monomial(gate: Gate, shift: int):
 def _key_permutation(gate: Gate, shift: int):
     """A gate of ``_PERMUTATIONS`` compiled for int64 keys that hold wire
     ``w`` in bit ``w + shift``: returns ``permute(keys)``, which applies it
-    in place.  The bit semantics shared by both engines and
-    ``classical_image``."""
+    in place.  The one bit semantics of classical gates: every route and
+    ``gadgets.classical_map_error`` reach it through ``_monomial`` (the
+    product route's SWAP directly, to move its factors as well)."""
     if _action(gate) == "SWAP":
         a, b = gate.targets[0] + shift, gate.targets[1] + shift
         both = (1 << a) | (1 << b)
@@ -899,28 +899,6 @@ def _relabel_keys(keys, relabeling, shift: int):
     for w, dest in enumerate(relabeling):
         moved |= ((keys >> (w + shift)) & 1) << (dest + shift)
     return moved
-
-
-def classical_image(circuit: Circuit, labels) -> np.ndarray:
-    """Output basis label of each input basis label.
-
-    The circuit may hold only X, CNOT, Toffoli, MCX and SWAP gates (plus a
-    final relabeling), so it permutes basis labels; each gate is evaluated
-    as a bit operation on an int64 array, with no statevector.
-    """
-    if circuit.width > _KEY_BITS:
-        raise ValueError(
-            f"classical evaluation packs {circuit.width} wires into one int64 "
-            f"label, above the {_KEY_BITS}-bit cap")
-    other = sorted({g.kind for g in circuit.gates} - _PERMUTATIONS)
-    if other:
-        raise ValueError(f"not a classical circuit: it holds {', '.join(other)} gates")
-    labels = np.array(labels, dtype=np.int64)
-    for gate in circuit.gates:
-        _key_permutation(gate, 0)(labels)
-    if circuit.relabeling is not None:
-        labels = _relabel_keys(labels, circuit.relabeling, 0)
-    return labels
 
 
 def _prune(keys, amps, small, c: int, pruned):

@@ -59,25 +59,38 @@ def unitary(circuit) -> np.ndarray:
     return data_register_action(full_register(circuit))[0]
 
 
+def no_check(start, block):
+    """A check that keeps nothing, where only the chunk starts and
+    residuals count."""
+
+
+def _copy(start, block):
+    """A check that keeps each block: a route may reuse a block's buffer
+    once its check returns."""
+    return block.copy()
+
+
+def _route_action(route):
+    """``data_register_action`` on one route's ``(items, simulate)``, or
+    None where the route's compile refused the circuit."""
+    return None if route is None else simcore._assemble(simcore._in_order(*route, _copy))
+
+
 def sparse_action(circuit):
     """The support-sparse engine's ``data_register_action``."""
-    return simcore._assemble(simcore._sparse_chunks(circuit, len(circuit.data_wires)))
+    return _route_action(simcore._sparse_chunks(circuit, len(circuit.data_wires)))
 
 
 def product_action(circuit):
     """The product route's ``data_register_action``, or None where its
     compile refuses the circuit."""
-    d = len(circuit.data_wires)
-    program = simcore._product_program(circuit, d)
-    return None if program is None else simcore._assemble(simcore._product_chunks(program, d))
+    return _route_action(simcore._product_chunks(circuit, len(circuit.data_wires)))
 
 
 def folded_action(circuit):
     """The dense engine's ``data_register_action``, or None where its
     compile refuses the circuit."""
-    d = len(circuit.data_wires)
-    program = simcore._layers(circuit, d)
-    return None if program is None else simcore._assemble(simcore._dense_chunks(program, d))
+    return _route_action(simcore._dense_chunks(circuit, len(circuit.data_wires)))
 
 
 _X = [[0, 1], [1, 0]]

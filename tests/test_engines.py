@@ -5,8 +5,8 @@ a data register narrower than the circuit, against each other and against
 the brute-force unitary, on random circuits; the circuits the folded
 compile must refuse; the route and term count of every oracle transform;
 the sparse engine's split/merge tags, checked on the live keys; and
-``classical_image`` against the brute-force unitary on random classical
-circuits."""
+``gadgets.classical_map_error`` against the brute-force unitary on random
+classical circuits."""
 import contextlib
 import math
 
@@ -16,12 +16,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qrt_kit import cli, simcore
-from qrt_kit.simcore import _KINDS, Circuit, Gate, classical_image, data_register_action
+from qrt_kit.gadgets import classical_map_error
+from qrt_kit.simcore import _KINDS, Circuit, Gate, data_register_action
 
 from helpers import (
     brute_unitary,
     folded_action,
     full_register,
+    no_check,
     product_action,
     sparse_action,
     unitary,
@@ -290,7 +292,7 @@ def test_product_chunks_match_one_chunk_exactly(name, n):
         for batch, blocks in ((1, 1), (3, 2), (32, 16)):
             patch.setattr(simcore, "_DENSE_BATCH", batch)
             patch.setattr(simcore, "_PRODUCT_BLOCKS", blocks)
-            starts = [start for start, _, _ in simcore.data_register_chunks(circuit)]
+            starts = [start for start, _, _ in simcore.data_register_chunks(circuit, no_check)]
             assert starts == list(range(0, dim, batch))
             chunked, chunked_residual = product_action(circuit)
             assert np.array_equal(chunked, whole)
@@ -360,7 +362,7 @@ def test_folded_chunks_of_random_circuits_match_one_chunk_exactly(circuit):
         whole, residual = folded_action(circuit)
         for batch in (1, 3, 32):
             patch.setattr(simcore, "_DENSE_BATCH", batch)
-            starts = [start for start, _, _ in simcore.data_register_chunks(circuit)]
+            starts = [start for start, _, _ in simcore.data_register_chunks(circuit, no_check)]
             assert starts == list(range(0, dim, batch))
             chunked, chunked_residual = folded_action(circuit)
             assert np.array_equal(chunked, whole)
@@ -417,13 +419,11 @@ ROUTES = {"qft": ("product", 1), "qct3": ("product", 4), "qst3": ("product", 4),
 
 
 def route(circuit):
-    """The route ``data_register_chunks`` takes, and the product route's
-    term count."""
+    """The route ``data_register_chunks`` takes, as ``simcore._route``
+    names it, and the product route's term count."""
     d = len(circuit.data_wires)
-    program = simcore._product_program(circuit, d)
-    if program is not None:
-        return "product", program[1]
-    return ("dense" if simcore._layers(circuit, d) is not None else "sparse"), None
+    name, _, _ = simcore._route(circuit, d)
+    return name, simcore._product_program(circuit, d)[1] if name == "product" else None
 
 
 @pytest.mark.parametrize("name", cli.TRANSFORMS[:12])
@@ -662,22 +662,28 @@ def classical_cases(draw, max_width=10, max_gates=12):
 
 
 @settings(max_examples=40, **SETTINGS)
-@given(classical_cases())
-def test_classical_image_agrees_with_brute_force(case):
+@given(classical_cases(), st.data())
+def test_classical_map_error_agrees_with_brute_force(case, data):
     circuit, extra = case
-    labels = np.arange(1 << circuit.width)
     if extra:
         with pytest.raises(ValueError, match="classical"):
-            classical_image(circuit, labels)
+            classical_map_error(circuit, circuit.width, lambda labels: labels)
         return
-    # column j of the unitary is the basis vector at the predicted label
-    image = classical_image(circuit, labels)
+    # the brute-force unitary is a permutation matrix: column j is the
+    # basis vector at the image of label j
+    labels, brute = np.arange(1 << circuit.width), brute_unitary(circuit)
+    image = np.argmax(np.abs(brute), axis=0)
     want = np.zeros((1 << circuit.width,) * 2)
     want[image, labels] = 1.0
-    np.testing.assert_array_equal(brute_unitary(circuit), want)
+    np.testing.assert_array_equal(brute, want)
+    assert classical_map_error(circuit, circuit.width, lambda x: image[x]) == (0.0, 0.0)
+    perturbed = image.copy()
+    perturbed[data.draw(st.sampled_from(labels))] ^= 1 << data.draw(st.integers(0, circuit.width - 1))
+    assert classical_map_error(circuit, circuit.width, lambda x: perturbed[x])[0] == 1.0
 
 
-def test_classical_image_refuses_a_width_above_the_key_cap():
+def test_classical_map_error_refuses_a_width_above_the_key_cap():
+    # refused before the 2^63 labels of its inputs are allocated
     circuit = Circuit(63, (Gate("X", targets=(62,)),))
     with pytest.raises(ValueError, match="cap"):
-        classical_image(circuit, [0])
+        classical_map_error(circuit, 63, lambda labels: labels)

@@ -4,6 +4,10 @@ running maxima, so no N x N array is built on its path.  A register of
 more than one chunk runs on a pool of two threads, each chunk checked on
 the thread that simulated it."""
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -15,7 +19,7 @@ import test_verify_reports as golden
 from qrt_kit import cli, simcore
 from qrt_kit.simcore import Circuit, Gate
 
-from helpers import sparse_action
+from helpers import no_check, sparse_action
 
 
 def _chunk_bits(monkeypatch, bits):
@@ -47,7 +51,7 @@ def test_sparse_chunks_match_one_chunk_exactly(name, n, monkeypatch):
     whole, residual = sparse_action(circuit)
     for bits in (1, 2):
         _chunk_bits(monkeypatch, bits)
-        starts = [start for start, _, _ in simcore._sparse_chunks(circuit, d)]
+        starts = list(simcore._sparse_chunks(circuit, d)[0])
         assert starts == list(range(0, 1 << d, 1 << bits))
         chunked, chunked_residual = sparse_action(circuit)
         assert np.array_equal(chunked, whole)
@@ -65,7 +69,7 @@ def test_folded_chunks_match_one_chunk_exactly(name, n, monkeypatch):
     assert residual == 0.0
     for batch in (1, 3, 32):
         monkeypatch.setattr(simcore, "_DENSE_BATCH", batch)
-        starts = [start for start, _, _ in simcore.data_register_chunks(circuit)]
+        starts = [start for start, _, _ in simcore.data_register_chunks(circuit, no_check)]
         assert starts == list(range(0, 1 << d, batch))
         chunked, chunked_residual = simcore.data_register_action(circuit)
         assert np.array_equal(chunked, whole)
@@ -81,7 +85,7 @@ def test_a_leak_in_the_first_chunk_alone_sets_the_residual(eps, monkeypatch):
     circuit = Circuit(3, [x1, ch, Gate("CPhase", (1,), (2,), eps), ch, x1], ancillas=[2])
     _, whole = simcore.data_register_action(circuit)
     _chunk_bits(monkeypatch, 1)
-    residuals = [residual for _, _, residual in simcore.data_register_chunks(circuit)]
+    residuals = [residual for _, _, residual in simcore.data_register_chunks(circuit, no_check)]
     assert residuals[-1] == whole >= eps / 4
     assert residuals == sorted(residuals)
 
@@ -122,7 +126,7 @@ def test_chunks_run_on_two_threads_and_a_single_chunk_runs_inline():
         time.sleep(0.01)
         return threading.current_thread()
 
-    qft = cli.build_transform("qft", 7)  # 4 dense chunks
+    qft = cli.build_transform("qft", 7)  # 4 blocks of the product route
     threads = {t for _, t, _ in simcore.data_register_chunks(qft, thread_of)}
     assert len(threads) == simcore._WORKERS == 2
     assert threading.main_thread() not in threads
@@ -131,6 +135,20 @@ def test_chunks_run_on_two_threads_and_a_single_chunk_runs_inline():
     [(_, thread, _)] = simcore.data_register_chunks(qht, thread_of)
     assert thread is threading.main_thread()
     assert threading.active_count() == before
+
+
+def test_a_one_chunk_verify_in_a_fresh_process_never_imports_the_thread_pool():
+    # the benchmark's set-up time is this path: import the CLI, then its
+    # warm-up verify, whose register is one chunk
+    code = ("import sys\n"
+            "from qrt_kit import cli\n"
+            "code = cli.main(['verify', '--transform', 'qft', '--n', '2'])\n"
+            "print(code, 'concurrent.futures' in sys.modules)\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_closing_the_stream_cancels_the_queued_chunks():
