@@ -8,7 +8,6 @@ checks every circuit against its oracle.
 from .simcore import (
     Circuit,
     Gate,
-    GateCountReport,
     count_gates,
     data_register_action,
     data_register_chunks,

@@ -172,12 +172,8 @@ def cmd_counts(args) -> int:
     lo, hi = args.n_range if args.n_range else (args.n, args.n)
     rows = []
     for n in range(lo, hi + 1):
-        rep = count_gates(build_transform(args.transform, n, args.incorrect_d2))
-        rows.append({
-            "transform": args.transform, "n": n, "total": rep.total,
-            "width": rep.width, "ancillas": rep.ancilla_count,
-            "counts": dict(sorted(rep.counts.items())), "notes": rep.notes,
-        })
+        rows.append({"transform": args.transform, "n": n,
+                     **count_gates(build_transform(args.transform, n, args.incorrect_d2))})
     if args.format == "json":
         _write_output(_json_line({"schema": SCHEMA_VERSION, "rows": rows}), args.output)
     else:
@@ -197,8 +193,8 @@ def cmd_table1(args) -> int:
     if hi - lo + 1 < 3:
         raise ValueError("table1 needs at least three points to fit")
     ns = list(range(lo, hi + 1))
-    rec = [count_gates(hartley.build_qht_recursive(n)).total for n in ns]
-    lcu = [count_gates(hartley.build_qht_lcu(n)).total for n in ns]
+    rec = [count_gates(hartley.build_qht_recursive(n))["total"] for n in ns]
+    lcu = [count_gates(hartley.build_qht_lcu(n))["total"] for n in ns]
     fit_rec = quadratic_fit(ns, rec)
     fit_lcu = quadratic_fit(ns, lcu)
     ratio = fit_rec[0] / fit_lcu[0]

@@ -1,17 +1,17 @@
 """Reversible arithmetic and logic subcircuits.
 
 Fragments for the conditional increment, one's and two's complement, the
-or-gate and the or-gate tree; builders for the increment, the two's
-complement and the or-tree; and the exhaustive check of their classical
-maps, which runs the gates on int64 labels through the simulator's own
-label rule.  Standard layout of the builders: data wires 0..n-1, control
+or-gate, the or-gate tree and a payload around it; builders for the
+increment, the two's complement and the or-tree; and the exhaustive check
+of their classical maps, which runs the gates on int64 labels through the
+simulator's own label rule.  Standard layout of the builders: data wires 0..n-1, control
 wire n, scratch ancillas above the control.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .simcore import _KEY_BITS, _PERMUTATIONS, Circuit, Gate, _monomial, _relabel_keys
+from .simcore import _KEY_BITS, _PERMUTATIONS, Circuit, Gate, _monomial, _relabel_keys, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,14 @@ def or_tree_gates(data, ancillas):
     return gates, layer[0]
 
 
+def _or_tree_around(data, ancillas, payload) -> list[Gate]:
+    """Or-tree compute, ``payload(root)`` gates, or-tree uncompute: the
+    payload acts while the root holds [data != 0], and the tree costs
+    6(len(data)-1) gates, evaluated once and reversed once."""
+    tree, root = or_tree_gates(data, ancillas)
+    return tree + payload(root) + inverse(tree)
+
+
 # ---------------------------------------------------------------------------
 # public builders with the standard layout
 # ---------------------------------------------------------------------------
@@ -172,7 +180,7 @@ def classical_map_error(circuit: Circuit, inputs: int, want, dirty: int = 0):
     state.  Returns ``(max_error, ancilla_residual)``: the error is 1.0 if
     any output label differs from the expected one off the mask, the
     residual is 1.0 if any wire at or above ``inputs`` does, and each is
-    0.0 otherwise.  Only X, CNOT, Toffoli, MCX and SWAP gates (and a final
+    0.0 otherwise.  Only X, CNOT, Toffoli and SWAP gates (and a final
     relabeling) are taken, each run by ``simcore._monomial`` as a bit
     operation on an int64 copy of the labels; another kind, or a width
     above one int64 label, is refused before anything 2^inputs-sized.

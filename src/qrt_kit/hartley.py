@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .gadgets import cond_twos_complement_gates, or_tree_gates
+from .gadgets import _or_tree_around, cond_twos_complement_gates
 from .qft import qft_gates
 from .simcore import Circuit, Gate, inverse
 
@@ -58,9 +58,9 @@ def ur_gates(c: int, y_wires, b: int, N: int) -> list[Gate]:
 
 def flip_if_zero_gates(control: int, y_wires, target: int, tree_ancillas) -> list[Gate]:
     """Flip ``target`` iff control=1 and the y register is all-zero."""
-    tree, root = or_tree_gates(y_wires, tree_ancillas)
-    return (tree + [_x(root), Gate("Toffoli", (control, root), (target,)), _x(root)]
-            + inverse(tree))
+    def payload(root):
+        return [_x(root), Gate("Toffoli", (control, root), (target,)), _x(root)]
+    return _or_tree_around(y_wires, tree_ancillas, payload)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
@@ -29,11 +29,11 @@ SQRT2_INV = 1.0 / math.sqrt(2.0)
 class _Kind(NamedTuple):
     """What a gate kind is.  ``action`` is what the gate does to its
     targets where every control is 1: "X" or "SWAP" (a basis permutation),
-    "H" (the butterfly), "Y", "GlobalPhase" (e^{i angle} on every label), or
-    for a diagonal gate the function of the angle that gives its phases on
-    |0> and |1>."""
+    "H" (the butterfly), "GlobalPhase" (e^{i angle} on every label), or for
+    a diagonal gate the function of the angle that gives its phases on |0>
+    and |1>."""
 
-    controls: int | None  # None: MCX's one or more
+    controls: int
     targets: int
     takes_angle: bool
     inverse: str  # of the same operands; an angle is negated
@@ -54,7 +54,6 @@ _S, _SDG = _diagonal(1, 1j), _diagonal(1, -1j)
 # its name in lower case.
 _KINDS = {
     "X": _Kind(0, 1, False, "X", "X"),
-    "Y": _Kind(0, 1, False, "Y", "Y"),
     "Z": _Kind(0, 1, False, "Z", _diagonal(1, -1)),
     "H": _Kind(0, 1, False, "H", "H"),
     "S": _Kind(0, 1, False, "Sdg", _S),
@@ -69,7 +68,6 @@ _KINDS = {
     "Toffoli": _Kind(2, 1, False, "Toffoli", "X"),
     "SWAP": _Kind(0, 2, False, "SWAP", "SWAP"),
     "GlobalPhase": _Kind(0, 0, True, "GlobalPhase", "GlobalPhase"),
-    "MCX": _Kind(None, 1, False, "MCX", "X"),
 }
 _BUTTERFLIES = frozenset(k for k, row in _KINDS.items() if row.action == "H")
 _PERMUTATIONS = frozenset(k for k, row in _KINDS.items() if row.action in ("X", "SWAP"))
@@ -96,10 +94,7 @@ class Gate:
         if row is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         n_ctrl, n_tgt, takes_angle, _, _ = row
-        if n_ctrl is None:
-            if not self.controls:
-                raise ValueError(f"{self.kind} requires at least one control")
-        elif len(self.controls) != n_ctrl:
+        if len(self.controls) != n_ctrl:
             raise ValueError(f"{self.kind} takes {n_ctrl} controls, got {len(self.controls)}")
         if len(self.targets) != n_tgt:
             raise ValueError(f"{self.kind} takes {n_tgt} targets, got {len(self.targets)}")
@@ -172,21 +167,6 @@ class Circuit:
     def data_wires(self) -> range:
         """The data register: every wire below the ancillas."""
         return range(self.width - len(self.ancillas))
-
-
-@dataclass(frozen=True)
-class GateCountReport:
-    """Per-kind and total elementary gate counts for one circuit."""
-
-    counts: dict
-    total: int
-    width: int
-    ancilla_count: int
-    notes: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.total != sum(self.counts.values()):
-            raise ValueError("total does not match per-kind counts")
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +497,6 @@ def _product_program(circuit: Circuit, d: int):
         elif action == "H":
             plan.append(("local", gate.targets[0], lambda m=mask: (m, _CH)))
         elif live:
-            if live[0] not in gate.targets and len(ops) > 2:
-                return None  # "all the classical operands are 1" is not its condition
             plan.append(("local", live[0], lambda a=(gate, live[0], mask, probes): _local(*a)))
         else:
             plan.append(("classical", None, lambda g=gate: _monomial(g, 0)))
@@ -532,7 +510,7 @@ def _local(gate: Gate, w: int, mask: int, probes: dict):
     """``(mask, u)``: the gate is ``u[1]`` on its one superposed operand
     ``w`` where the wires of ``mask`` are all 1, ``u[0]`` elsewhere, read
     off ``_monomial`` on four labels; a diagonal ``u`` as its diagonals."""
-    key = (gate.kind, gate.angle, gate.operands.index(w), len(gate.operands))
+    key = (gate.kind, gate.angle, gate.operands.index(w))
     if key not in probes:  # all that u depends on
         keys = np.array([0, 1 << w, mask, mask | 1 << w], dtype=np.int64)
         phase = np.ones(4, dtype=complex)
@@ -683,13 +661,13 @@ def _sparse_program(circuit: Circuit, c: int) -> list:
     the same for every live key of a chunk.  Each wire starts with one:
     ``e_{w+c}`` for a wire ``w >= c``, which is constant in a chunk, and
     ``e_{w+c} ^ e_w`` for a wire ``w < c``, which pairs with column bit
-    ``w``.  X, Y, GlobalPhase and the diagonal gates keep the constraints;
-    an X on ``t`` with one control ``x`` (CNOT) maps each ``y`` to
-    ``y ^ (y_t << x)``; SWAP swaps two bits; a butterfly, or an X with two
-    or more controls, on ``t`` eliminates bit ``t``.  A butterfly
-    on ``t`` is a split when some constraint holds bit ``t``: then no two
-    live keys differ in bit ``t`` alone, no entry meets its partner, and
-    each entry becomes two with no sort.  Any other butterfly is a merge.
+    ``w``.  X, GlobalPhase and the diagonal gates keep the constraints; a
+    CNOT from ``x`` to ``t`` maps each ``y`` to ``y ^ (y_t << x)``; SWAP
+    swaps two bits; a butterfly or a Toffoli on ``t`` eliminates bit ``t``.
+    A butterfly on ``t`` is a split when some constraint holds bit ``t``:
+    then no two live keys differ in bit ``t`` alone, no entry meets its
+    partner, and each entry becomes two with no sort.  Any other butterfly
+    is a merge.
 
     The constraints are held by column: ``cols[b]`` is the set of
     constraints (one bit each) that hold key bit ``b``."""
@@ -837,12 +815,6 @@ def _monomial(gate: Gate, shift: int):
             return []
         return rule
     ctrl, bit = _masks(gate, shift)
-    if action == "Y":  # |0> -> i |1> and |1> -> -i |0>
-        def rule(keys):
-            phase = np.where(keys & bit, -1j, 1j)
-            keys ^= bit
-            return [(slice(None), phase)]
-        return rule
     if callable(action):  # diagonal
         factors = [(ctrl | bit * value, complex(factor))
                    for value, factor in enumerate(action(gate.angle)) if factor != 1]
@@ -921,33 +893,15 @@ def inverse(gates) -> list[Gate]:
     return [g.inverse() for g in reversed(gates)]
 
 
-def count_gates(circuit: Circuit) -> GateCountReport:
-    """Count elementary gates: every instance counts one, except MCX(k>=3)
-    which is charged 2k-3 (ancilla-free decomposition estimate).  Per-kind
-    counts carry the same weighting so they always sum to the total; the raw
-    MCX instance count goes into the notes."""
-    counts = Counter()
-    swaps = 0
-    mcx_instances = 0
-    for g in circuit.gates:
-        if g.kind == "MCX":
-            mcx_instances += 1
-            counts["MCX"] += max(2 * len(g.controls) - 3, 1)
-        else:
-            counts[g.kind] += 1
-        if g.kind == "SWAP":
-            swaps += 1
-    total = sum(counts.values())
-    notes = {"swap_gates": swaps, "total_without_swaps": total - swaps}
-    if mcx_instances:
-        notes["mcx_instances"] = mcx_instances
-    return GateCountReport(
-        counts=dict(counts),
-        total=total,
-        width=circuit.width,
-        ancilla_count=len(circuit.ancillas),
-        notes=notes,
-    )
+def count_gates(circuit: Circuit) -> dict:
+    """Elementary gate counts, one per instance: ``total``, ``width``,
+    ``ancillas``, per-kind ``counts`` in name order, and ``notes`` on the
+    SWAPs, which a relabeling could absorb."""
+    counts = Counter(g.kind for g in circuit.gates)
+    total, swaps = len(circuit.gates), counts["SWAP"]
+    return {"total": total, "width": circuit.width, "ancillas": len(circuit.ancillas),
+            "counts": dict(sorted(counts.items())),
+            "notes": {"swap_gates": swaps, "total_without_swaps": total - swaps}}
 
 
 # ---------------------------------------------------------------------------
@@ -1018,8 +972,6 @@ def parse_circuit(text: str, width: int | None = None, label: str = "") -> Circu
                     raise ValueError(f"bad operand {item!r}")
                 wires.append(int(item[2:-1]))
         n_ctrl = _KINDS[kind].controls
-        if n_ctrl is None:
-            n_ctrl = len(wires) - 1
         gates.append(Gate(kind, tuple(wires[:n_ctrl]), tuple(wires[n_ctrl:]), angle))
         if wires:
             max_wire = max(max_wire, max(wires))

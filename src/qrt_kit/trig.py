@@ -16,10 +16,10 @@ import numpy as np
 from . import oracle
 from .gadgets import (
     _carry_wires,
+    _or_tree_around,
     cond_increment_gates,
     cond_ones_complement_gates,
     cond_twos_complement_gates,
-    or_tree_gates,
 )
 from .qft import qft_gates
 from .simcore import Circuit, Gate, data_register_chunks, inverse
@@ -30,21 +30,11 @@ from .simcore import Circuit, Gate, data_register_chunks, inverse
 # ---------------------------------------------------------------------------
 
 
-def _conditioned_rotation(data, pool, payload) -> list[Gate]:
-    """Or-tree compute, ``payload(root)`` gates, or-tree uncompute.
-
-    This is the 6(n-1)-gate pattern: the tree is evaluated once and reversed
-    once, and the payload acts while the root holds [register != 0].
-    """
-    tree, root = or_tree_gates(data, pool)
-    return tree + payload(root) + inverse(tree)
-
-
 def _d_gates(n: int, c: int, pool) -> list[Gate]:
     """D: apply S then H to the control, conditioned on the data being nonzero."""
     def payload(root):
         return [Gate("CS", (root,), (c,)), Gate("CH", (root,), (c,))]
-    return _conditioned_rotation(range(n), pool, payload)
+    return _or_tree_around(range(n), pool, payload)
 
 
 def _t_gates(n: int, c: int, pool) -> list[Gate]:
@@ -81,7 +71,7 @@ def build_qcst_type1(n: int) -> Circuit:
 
     gates = (_t_gates(n, c, pool) + qft_gates(range(n + 1))
              + inverse(cond_twos_complement_gates(c, range(n), pool))
-             + _conditioned_rotation(range(n), pool, payload))
+             + _or_tree_around(range(n), pool, payload))
     return Circuit(2 * n, gates, pool, None, f"qcst1_{n}")
 
 
@@ -169,7 +159,7 @@ def _g_gates(n: int, c: int, pool) -> list[Gate]:
                 Gate("CSdg", (root,), (c,)),
                 Gate("X", targets=(root,))]
     return [Gate("H", targets=(c,)), Gate("S", targets=(c,))] + \
-        _conditioned_rotation(range(n), pool, payload)
+        _or_tree_around(range(n), pool, payload)
 
 
 def build_qcst_type2(n: int) -> Circuit:

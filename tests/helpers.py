@@ -109,7 +109,6 @@ def _phase(angle):
 # applied where every control is 1.
 REFERENCE_MATRICES = {
     "X": lambda angle: _X,
-    "Y": lambda angle: [[0, -1j], [1j, 0]],
     "Z": lambda angle: [[1, 0], [0, -1]],
     "H": lambda angle: _H,
     "S": lambda angle: _S,
@@ -124,7 +123,6 @@ REFERENCE_MATRICES = {
     "Toffoli": lambda angle: _X,
     "SWAP": lambda angle: [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
     "GlobalPhase": lambda angle: [[cmath.exp(1j * angle)]],
-    "MCX": lambda angle: _X,
 }
 
 

@@ -47,7 +47,7 @@ def test_public_names():
     names = sorted(name for name, value in vars(qrt_kit).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == [
-        "Circuit", "Gate", "GateCountReport", "TransformSpec",
+        "Circuit", "Gate", "TransformSpec",
         "build_cond_increment", "build_cond_twos_complement", "build_or_tree",
         "build_qcst_type1", "build_qcst_type2", "build_qcst_type3",
         "build_qcst_type4", "build_qft", "build_qht_lcu", "build_qht_recursive",

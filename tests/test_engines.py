@@ -36,13 +36,12 @@ MONOMIAL = tuple(k for k in KINDS if k not in BUTTERFLY)
 CLASSICAL = tuple(k for k in KINDS if _KINDS[k].action in ("X", "SWAP"))
 DIAGONAL = tuple(k for k in KINDS if callable(_KINDS[k].action)
                  or _KINDS[k].action == "GlobalPhase")
-FLIPS = tuple(k for k in KINDS if _KINDS[k].action in ("X", "Y", "H"))
+FLIPS = tuple(k for k in KINDS if _KINDS[k].action in ("X", "H"))
 
 
 def arity(kind):
-    """(controls, targets) of the smallest gate of the kind."""
-    row = _KINDS[kind]
-    return 1 if row.controls is None else row.controls, row.targets
+    """(controls, targets) of a gate of the kind."""
+    return _KINDS[kind].controls, _KINDS[kind].targets
 
 
 @st.composite
@@ -51,8 +50,6 @@ def gates(draw, wires, kinds=KINDS):
     kind = draw(st.sampled_from(
         [k for k in kinds if sum(arity(k)) <= len(wires)]))
     n_ctrl, n_tgt = arity(kind)
-    if _KINDS[kind].controls is None:
-        n_ctrl = draw(st.integers(1, len(wires) - 1))
     ops = draw(st.permutations(wires))[:n_ctrl + n_tgt]
     angle = None
     if _KINDS[kind].takes_angle:
@@ -209,7 +206,7 @@ def test_product_route_agrees_with_brute_force_and_dense(circuit):
 @given(data=st.data())
 def test_product_route_runs_every_kind_on_superposed_and_classical_wires(kind, data):
     # H makes a drawn set of wires superposed, X sets some of the others;
-    # the gate then splits on at most its three controls (8 terms), and a
+    # the gate then splits on at most its two controls (4 terms), and a
     # closing layer of H mixes what it left classical
     width = data.draw(st.integers(max(1, sum(arity(kind))), 4))
     superposed = data.draw(st.sets(st.sampled_from(range(width))))
@@ -233,10 +230,10 @@ PRODUCT_CASES = {
     "swap-of-a-superposed-and-a-classical-wire": Circuit(3, [
         H[0], Gate("SWAP", targets=(0, 1)), Gate("S", targets=(1,)),
         Gate("CNOT", (0,), (2,)), Gate("CPhase", (0,), (1,), 0.3)]),
-    "y-on-a-superposed-wire": Circuit(2, [H[0], Gate("Y", targets=(0,)), Gate("CH", (1,), (0,))]),
+    "x-on-a-superposed-wire": Circuit(2, [H[0], Gate("X", targets=(0,)), Gate("CH", (1,), (0,))]),
     # wire 0 holds x0 ^ x1 when the H comes
     "h-on-a-wire-that-differs-per-column": Circuit(2, [Gate("CNOT", (1,), (0,)), H[0]]),
-    "mcx-with-superposed-controls": Circuit(4, [H[0], H[1], Gate("MCX", (0, 1, 2), (3,)), H[2]]),
+    "toffoli-with-superposed-controls": Circuit(3, [H[0], H[1], Gate("Toffoli", (0, 1), (2,)), H[2]]),
 }
 
 
@@ -309,13 +306,11 @@ def test_product_chunks_match_one_chunk_exactly(name, n):
 @st.composite
 def gate_onto(draw, targets, controls):
     """A flip or butterfly onto one of ``targets``, controlled by wires of
-    ``controls`` (MCX by at least one); X when there are too few controls."""
+    ``controls``; X when there are too few controls."""
     target = draw(st.sampled_from(targets))
     pool = [w for w in controls if w != target]
     kind = draw(st.sampled_from(FLIPS))
     k = _KINDS[kind].controls
-    if k is None:  # MCX
-        k = draw(st.integers(1, max(len(pool), 1)))
     if k > len(pool):
         kind, k = "X", 0
     wires = draw(st.permutations(pool))[:k]
@@ -647,7 +642,7 @@ def test_unknown_kind_is_refused_by_both_engines():
 
 @st.composite
 def classical_cases(draw, max_width=10, max_gates=12):
-    """A random X/CNOT/Toffoli/MCX/SWAP circuit with an optional relabeling;
+    """A random X/CNOT/Toffoli/SWAP circuit with an optional relabeling;
     when ``extra`` is drawn, one gate of another kind is inserted."""
     width = draw(st.integers(1, max_width))
     body = draw(st.lists(gates(range(width), CLASSICAL), max_size=max_gates))

@@ -92,7 +92,7 @@ def test_twos_complement_fixed_point_and_negation():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_twos_complement_gate_count(n):
-    assert count_gates(build_cond_twos_complement(n)).total == 4 * n - 4
+    assert count_gates(build_cond_twos_complement(n))["total"] == 4 * n - 4
 
 
 def test_gadget_size_errors():
@@ -128,8 +128,8 @@ def test_or_gate_truth_table():
 
 def test_or_gate_count():
     report = count_gates(or_gate())
-    assert report.total == 3
-    assert report.counts == {"CNOT": 2, "Toffoli": 1}
+    assert report["total"] == 3
+    assert report["counts"] == {"CNOT": 2, "Toffoli": 1}
 
 
 def test_or_tree_root_exhaustive_n4():
@@ -147,9 +147,9 @@ def test_or_tree_root_exhaustive_n4():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_or_tree_gate_tiers(n):
-    assert count_gates(build_or_tree(n)).total == 3 * (n - 1)
-    assert count_gates(or_tree_rounds(n, 1)).total == 6 * (n - 1)
-    assert count_gates(or_tree_rounds(n, 2)).total == 12 * (n - 1)
+    assert count_gates(build_or_tree(n))["total"] == 3 * (n - 1)
+    assert count_gates(or_tree_rounds(n, 1))["total"] == 6 * (n - 1)
+    assert count_gates(or_tree_rounds(n, 2))["total"] == 12 * (n - 1)
 
 
 def test_or_tree_uncompute_restores_all_ancillas():

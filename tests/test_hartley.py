@@ -7,7 +7,7 @@ import pytest
 from qrt_kit import oracle
 from qrt_kit.hartley import build_qht_lcu, build_qht_recursive
 from qrt_kit.qft import build_qft
-from qrt_kit.simcore import Circuit, Gate, count_gates, data_register_action
+from qrt_kit.simcore import count_gates, data_register_action
 
 from helpers import (
     amplification_overlap,
@@ -121,13 +121,15 @@ def test_cx_zero_detect_defining_cases():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_cx_variants_identical(n):
-    # the or-tree detector against one MCX on c and the negated y wires
-    flips = [Gate("X", targets=(q,)) for q in range(1, n + 1)]
-    mcx = Circuit(n + 2, flips + [Gate("MCX", (n + 1, *range(1, n + 1)), (0,))] + flips)
-    a, _ = data_register_action(mcx)
-    b, rb = data_register_action(cx_zero_detect(n))
-    assert rb < 1e-12
-    np.testing.assert_allclose(a, b, atol=1e-12)
+    # the or-tree detector against its permutation matrix on wires (b=0,
+    # y=1..n, c=n+1): b flips iff c=1 and y=0
+    labels = np.arange(1 << (n + 2))
+    flip = (labels >> (n + 1) == 1) & ((labels >> 1) & ((1 << n) - 1) == 0)
+    want = np.zeros((len(labels), len(labels)))
+    want[labels ^ flip, labels] = 1.0
+    got, residual = data_register_action(cx_zero_detect(n))
+    assert residual < 1e-12
+    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +215,8 @@ def test_amplification_independent_of_state_seed():
 
 def test_lcu_overhead_over_qft_is_linear():
     ns = np.arange(4, 15)
-    extra = np.array([count_gates(build_qht_lcu(n)).total
-                      - count_gates(build_qft(n)).total for n in ns])
+    extra = np.array([count_gates(build_qht_lcu(n))["total"]
+                      - count_gates(build_qft(n))["total"] for n in ns])
     slope, intercept = np.polyfit(ns, extra, 1)
     fit = slope * ns + intercept
     assert np.max(np.abs(fit - extra)) < 1.0  # linear up to rounding

@@ -45,7 +45,7 @@ def test_qft_inverse_undoes_qft():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_qft_gate_count(n):
-    assert count_gates(build_qft(n)).total == n * (n + 1) // 2 + n // 2
+    assert count_gates(build_qft(n))["total"] == n * (n + 1) // 2 + n // 2
 
 
 def test_qft_size_error():

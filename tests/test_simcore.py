@@ -32,13 +32,11 @@ RNG = np.random.default_rng(1234)
 
 def random_circuit(width, n_gates, rng, allow_relabel=False):
     """Gates of every kind of ``_KINDS``, each with the controls, targets and
-    angle its row asks for (an MCX with two controls); a gate wider than
-    the circuit is skipped."""
+    angle its row asks for; a gate wider than the circuit is skipped."""
     gates = []
     for _ in range(n_gates):
         kind = rng.choice(list(_KINDS))
         n_ctrl, n_tgt, takes_angle, _, _ = _KINDS[kind]
-        n_ctrl = 2 if n_ctrl is None else n_ctrl
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         need = n_ctrl + n_tgt
         if need > width:
@@ -69,6 +67,21 @@ def test_engine_matches_brute_force(width):
 def test_reference_matrices_name_every_kind():
     # a kind enters the gate set only with a reference matrix of its own
     assert sorted(REFERENCE_MATRICES) == sorted(_KINDS)
+
+
+def test_every_kind_is_one_a_builder_emits():
+    # the gate set is what the transforms use: a kind no builder emits at
+    # n = 1..8, with or without the incorrect D2, has no row
+    emitted = set()
+    for name, incorrect_d2 in [(name, False) for name in cli.TRANSFORMS] + [("qct4", True)]:
+        for n in range(1, 9):
+            try:
+                circuit = cli.build_transform(name, n, incorrect_d2)
+            except ValueError as exc:
+                assert "needs at least" in str(exc), (name, n)
+                continue
+            emitted.update(g.kind for g in circuit.gates)
+    assert emitted == set(_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -217,41 +230,35 @@ def test_adjoint_inverts_unitary():
 
 def test_count_or_gate_total():
     from qrt_kit.gadgets import or_gate_gates
-    assert count_gates(Circuit(3, or_gate_gates(0, 1, 2))).total == 3
+    assert count_gates(Circuit(3, or_gate_gates(0, 1, 2)))["total"] == 3
 
 
 def test_count_empty():
     report = count_gates(Circuit(4))
-    assert report.total == 0 and report.counts == {}
+    assert report["total"] == 0 and report["counts"] == {}
 
 
 def test_count_twos_complement_n5():
     from qrt_kit.gadgets import build_cond_twos_complement
-    assert count_gates(build_cond_twos_complement(5)).total == 16
-
-
-def test_count_mcx_penalty():
-    report = count_gates(Circuit(6, [
-        Gate("MCX", (0, 1, 2, 3, 4), (5,)),  # 5 controls -> 2*5-3
-        Gate("MCX", (0, 1), (5,)),           # Toffoli-sized, counts 1
-    ]))
-    assert report.total == 7 + 1
-    assert report.counts == {"MCX": 8}
-    assert report.notes["mcx_instances"] == 2
+    assert count_gates(build_cond_twos_complement(5))["total"] == 16
 
 
 def test_count_notes_track_swaps():
     from qrt_kit.qft import build_qft
     report = count_gates(build_qft(4))
-    assert report.notes["swap_gates"] == 2
-    assert report.notes["total_without_swaps"] == report.total - 2
-    assert report.total == 4 * 5 // 2 + 2
+    assert report["notes"]["swap_gates"] == 2
+    assert report["notes"]["total_without_swaps"] == report["total"] - 2
+    assert report["total"] == 4 * 5 // 2 + 2
 
 
 def test_count_report_total_invariant():
-    with pytest.raises(ValueError):
-        from qrt_kit.simcore import GateCountReport
-        GateCountReport(counts={"H": 2}, total=3, width=1, ancilla_count=0)
+    # every gate counts one, under its own kind, in name order
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        circ = random_circuit(4, 20, rng)
+        report = count_gates(circ)
+        assert report["total"] == len(circ.gates) == sum(report["counts"].values())
+        assert list(report["counts"]) == sorted({g.kind for g in circ.gates})
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +395,10 @@ def test_parse_rejects_garbage():
         parse_circuit("phase(1.57 q[0]\n")
     with pytest.raises(ValueError):
         parse_circuit("phase(0.5] q[0]\n")
+    # kinds outside the gate set: no multi-controlled X, no Y
+    for text in ("mcx q[0],q[1],q[2]\n", "y q[0]\n"):
+        with pytest.raises(ValueError, match="unknown gate name"):
+            parse_circuit(text)
 
 
 def test_parse_rejects_a_huge_relabel_at_once():
