@@ -323,10 +323,12 @@ def _sparse_chunk_bits(d: int) -> int:
     """log2 of the columns the sparse route runs at a time on a d-wire data
     register.  Up to d = 8 all 2^d columns run as one chunk, where one pass
     over the gate list costs least; a wider register runs 2^6 columns at a
-    time, which at d4cddef was faster than 2^8 at every d from 9 to 12 that
-    was timed, at half the peak memory or less: mostly on qct1/2/3 and
-    qst1-opt, dense since afa766a, so the route's traffic is now the
-    Hartley pair alone (qht-rec n=10 and 11 were timed too)."""
+    time.  Timed on the route's traffic, the Hartley pair, in ten
+    alternating in-process runs on a 2-core Xeon: 2^6 columns from d = 7 on
+    were slower at d = 7 (qht-lcu 7 plus qht-rec 7: 0.0315 against 0.0519 s)
+    and d = 8 (qht-lcu 8 plus qht-rec 8: 0.0999 against 0.117 s), losing
+    all ten; 2^8 columns at d = 10-11 (qht-lcu 11 plus qht-rec 10) were
+    slower too, 1.55 against 1.71 s, losing eight of ten."""
     return d if d <= 8 else 6
 
 
@@ -617,12 +619,11 @@ def _sparse_chunks(circuit: Circuit, d: int):
     is key bit ``w + c``; a key left with no ancilla bit is its entry's
     flat index in the chunk's (2^d, 2^c) block.  The circuit is compiled
     once, before any chunk, by ``_sparse_program``; the chunks share that
-    program read-only.  Each H or CH is compiled as a split, which doubles
-    the entries with no sort, or as a merge, which pairs the entries that
-    differ in the target bit and sums each pair; the rule is in
-    ``_sparse_program``.  Entries below ``_PRUNE_BELOW`` are dropped after
-    each butterfly and the per-column L2 norm dropped is summed over the
-    run; a chunk reports the largest of these sums as its pruned norm.
+    program read-only.  Each H or CH is a merge (``_merge``), which pairs
+    the entries that differ in the target bit and sums each pair.  Entries
+    below ``_PRUNE_BELOW`` are dropped after each butterfly and the
+    per-column L2 norm dropped is summed over the run; a chunk reports the
+    largest of these sums as its pruned norm.
     """
     c = _sparse_chunk_bits(d)
     if circuit.width + c > _KEY_BITS:
@@ -654,53 +655,9 @@ def _sparse_program(circuit: Circuit, c: int) -> list:
     """The sparse engine's program for ``circuit`` run 2^c columns at a
     time on a data register of wires 0..d-1, c <= d: one ``step(keys,
     amps, pruned) -> (keys, amps)`` per gate, with its masks and factors
-    computed here, once, rather than per chunk.
-
-    Each H or CH is tagged a split or a merge from GF(2) parity
-    constraints: key masks ``y`` such that the parity of ``key & y`` is
-    the same for every live key of a chunk.  Each wire starts with one:
-    ``e_{w+c}`` for a wire ``w >= c``, which is constant in a chunk, and
-    ``e_{w+c} ^ e_w`` for a wire ``w < c``, which pairs with column bit
-    ``w``.  X, GlobalPhase and the diagonal gates keep the constraints; a
-    CNOT from ``x`` to ``t`` maps each ``y`` to ``y ^ (y_t << x)``; SWAP
-    swaps two bits; a butterfly or a Toffoli on ``t`` eliminates bit ``t``.
-    A butterfly on ``t`` is a split when some constraint holds bit ``t``:
-    then no two live keys differ in bit ``t`` alone, no entry meets its
-    partner, and each entry becomes two with no sort.  Any other butterfly
-    is a merge.
-
-    The constraints are held by column: ``cols[b]`` is the set of
-    constraints (one bit each) that hold key bit ``b``."""
-    cols = [1 << w for w in range(c)] + [1 << w for w in range(circuit.width)]
-    program = []
-    for gate in circuit.gates:
-        action, wires = _action(gate), [w + c for w in gate.operands]
-        if action == "H":
-            program.append(_butterfly_step(gate, c, split=cols[wires[-1]] != 0))
-        else:
-            program.append(_monomial_step(gate, c))
-        if action == "SWAP":
-            a, b = wires
-            cols[a], cols[b] = cols[b], cols[a]
-        elif action == "X" and len(gate.controls) == 1:
-            x, t = wires
-            cols[x] ^= cols[t]
-        elif action == "H" or action == "X" and gate.controls:
-            _eliminate(cols, wires[-1])
-    return program
-
-
-def _eliminate(cols: list, t: int) -> None:
-    """Drop key bit ``t`` from the constraints held by column in ``cols``:
-    the first constraint that holds it is XORed into the others that do,
-    then dropped."""
-    if not cols[t]:
-        return
-    pivot = cols[t] & -cols[t]
-    others = cols[t] ^ pivot
-    for b, col in enumerate(cols):
-        if col & pivot:
-            cols[b] = (col ^ others) & ~pivot
+    computed here, once, rather than per chunk."""
+    return [_butterfly_step(gate, c) if _action(gate) == "H" else _monomial_step(gate, c)
+            for gate in circuit.gates]
 
 
 def _monomial_step(gate: Gate, c: int):
@@ -717,15 +674,11 @@ def _monomial_step(gate: Gate, c: int):
     return step
 
 
-def _butterfly_step(gate: Gate, c: int, split: bool):
-    """Sparse step of an H or CH: each entry goes to both keys of its pair
-    ``(base, base | bit)``, times 1/sqrt(2), and times -1 more on
-    ``base | bit`` when the entry has the bit.  A split writes the two out
-    as they are; a merge (``_merge``) also sums the entries that meet.
-    Small results are then pruned, and entries whose controls are off pass
-    through unchanged."""
+def _butterfly_step(gate: Gate, c: int):
+    """Sparse step of an H or CH: ``_merge`` on the entries its controls
+    select, whose small results are then pruned; entries whose controls
+    are off pass through unchanged."""
     ctrl, bit = _masks(gate, c)
-    t = gate.targets[0] + c
 
     def step(keys, amps, pruned):
         if ctrl:
@@ -733,26 +686,7 @@ def _butterfly_step(gate: Gate, c: int, split: bool):
             k, a = keys[sel], amps[sel]
         else:
             k, a = keys, amps
-        if split:
-            n = len(k)
-            out_k = np.empty(2 * n, dtype=np.int64)
-            np.bitwise_and(k, ~bit, out=out_k[:n])
-            np.bitwise_or(k, bit, out=out_k[n:])
-            out_a = np.empty(2 * n, dtype=complex)
-            np.multiply(a, SQRT2_INV, out=out_a[:n])
-            # -1/sqrt(2) where the key has the bit, else 1/sqrt(2): a
-            # product, which is faster than a select on a mask
-            factor = ((k >> t) & 1) * (-2 * SQRT2_INV)
-            factor += SQRT2_INV
-            np.multiply(a, factor, out=out_a[n:])
-            k, a = out_k, out_a
-            # the halves differ by a sign at most, so their magnitudes agree
-            small = np.abs(a[:n]) < _PRUNE_BELOW
-            small = np.concatenate((small, small))
-        else:
-            k, a = _merge(k, a, bit)
-            small = np.abs(a) < _PRUNE_BELOW
-        k, a = _prune(k, a, small, c, pruned)
+        k, a = _prune(*_merge(k, a, bit), c, pruned)
         if ctrl:
             k = np.concatenate((keys[~sel], k))
             a = np.concatenate((amps[~sel], a))
@@ -765,7 +699,11 @@ def _merge(k, a, bit: int):
     meet: keys ``b`` and then ``b | bit`` for each base ``b`` present, in
     increasing ``b``.  The entries are sorted by ``(base, bit)``, which puts
     each pair's entry without the bit just before its partner, and laid out
-    as one ``(without, with)`` row per base, with 0 for a missing partner."""
+    as one ``(without, with)`` row per base, with 0 for a missing partner.
+    Where every entry met its partner the sorted entries are those rows
+    already: on qht-lcu 10 plus qht-rec 10, in ten alternating in-process
+    runs on a 2-core Xeon, that path took 1.33 s against 1.56 s without it
+    and won nine."""
     ranked = (k & ~bit) << 1
     ranked |= (k & bit) != 0
     order = np.argsort(ranked, kind="stable")
@@ -873,9 +811,10 @@ def _relabel_keys(keys, relabeling, shift: int):
     return moved
 
 
-def _prune(keys, amps, small, c: int, pruned):
-    """Drop the entries that ``small`` marks as below ``_PRUNE_BELOW``,
-    adding each column's dropped L2 norm to ``pruned``."""
+def _prune(keys, amps, c: int, pruned):
+    """Drop the entries below ``_PRUNE_BELOW``, adding each column's dropped
+    L2 norm to ``pruned``."""
+    small = np.abs(amps) < _PRUNE_BELOW
     if small.any():
         cols = keys[small] & ((1 << c) - 1)
         pruned += np.sqrt(np.bincount(cols, np.abs(amps[small]) ** 2, len(pruned)))

@@ -140,36 +140,34 @@ def operand_matrix(gate):
 def brute_unitary(circuit):
     """Full circuit unitary built by explicit basis-permutation embedding.
 
-    Independent of the simulator's slice arithmetic: each gate's operand
-    matrix is scattered entry by entry over the full 2^width space (a
-    gate with no operand, GlobalPhase, scales every label).
+    Independent of the simulator's slice arithmetic: each nonzero entry of
+    a gate's operand matrix maps the rows of the running product whose
+    operand bits are its input to the rows whose operand bits are its
+    output, over every value of the other wires (a gate with no operand,
+    GlobalPhase, scales every row); the relabeling then permutes the rows.
     """
     width = circuit.width
     dim = 1 << width
+    labels = np.arange(dim)
     total = np.eye(dim, dtype=complex)
     for gate in circuit.gates:
         ops = gate.operands
         mat = operand_matrix(gate)
         k = len(ops)
-        full = np.zeros((dim, dim), dtype=complex)
         rest = [w for w in range(width) if w not in ops]
-        for sub_out in range(1 << k):
-            for sub_in in range(1 << k):
-                if mat[sub_out, sub_in] == 0:
-                    continue
-                # operand bit i of the matrix index is wire ops[k-1-i]
-                base_out = sum(((sub_out >> (k - 1 - i)) & 1) << ops[i] for i in range(k))
-                base_in = sum(((sub_in >> (k - 1 - i)) & 1) << ops[i] for i in range(k))
-                for fill in range(1 << len(rest)):
-                    extra = sum(((fill >> j) & 1) << rest[j] for j in range(len(rest)))
-                    full[base_out | extra, base_in | extra] = mat[sub_out, sub_in]
-        total = full @ total
+        extras = sum(((labels[:1 << len(rest)] >> j) & 1) << w for j, w in enumerate(rest))
+        new = np.zeros_like(total)
+        for sub_out, sub_in in zip(*np.nonzero(mat)):
+            # operand bit i of the matrix index is wire ops[k-1-i]
+            base_out = sum(((sub_out >> (k - 1 - i)) & 1) << ops[i] for i in range(k))
+            base_in = sum(((sub_in >> (k - 1 - i)) & 1) << ops[i] for i in range(k))
+            new[base_out | extras] += mat[sub_out, sub_in] * total[base_in | extras]
+        total = new
     if circuit.relabeling is not None:
-        perm = np.zeros((dim, dim))
-        for lab in range(dim):
-            out = sum(((lab >> w) & 1) << circuit.relabeling[w] for w in range(width))
-            perm[out, lab] = 1.0
-        total = perm @ total
+        out = sum(((labels >> w) & 1) << dest for w, dest in enumerate(circuit.relabeling))
+        relabeled = np.empty_like(total)
+        relabeled[out] = total
+        total = relabeled
     return total
 
 

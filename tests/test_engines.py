@@ -4,10 +4,11 @@ engine, the dense one on the full register, and the dense one folded onto
 a data register narrower than the circuit, against each other and against
 the brute-force unitary, on random circuits; the circuits the folded
 compile must refuse; the route and term count of every oracle transform;
-the sparse engine's split/merge tags, checked on the live keys; and
+the sparse engine on every transform with ancillas, and on an H or CH
+whose ancilla target is fresh or was last set by an X, CNOT, Toffoli or
+SWAP; and
 ``gadgets.classical_map_error`` against the brute-force unitary on random
 classical circuits."""
-import contextlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from qrt_kit import cli, simcore
 from qrt_kit.gadgets import classical_map_error
+from qrt_kit.oracle import TransformSpec, reference_matrix
 from qrt_kit.simcore import _KINDS, Circuit, Gate, data_register_action
 
 from helpers import (
@@ -96,40 +98,6 @@ def dense_action(circuit):
     return restricted_action(unitary, len(circuit.data_wires))
 
 
-@contextlib.contextmanager
-def checked_splits(chunk_bits=None):
-    """Run the sparse engine with every butterfly it tags a split checked:
-    on the live keys its controls select, no two may differ in the target
-    bit alone, since the split sums nothing.  Yields a list that gets one
-    ``[split, met]`` per butterfly, in compile order, where ``met`` says
-    whether an entry met its partner in some chunk.  With ``chunk_bits``,
-    chunks hold at most 2^chunk_bits columns."""
-    tags = []
-    butterfly_step = simcore._butterfly_step
-
-    def checked_step(gate, c, split):
-        step = butterfly_step(gate, c, split)
-        ctrl = sum(1 << (w + c) for w in gate.controls)
-        bit = 1 << (gate.targets[0] + c)
-        tag = [split, False]
-        tags.append(tag)
-
-        def run(keys, amps, pruned):
-            live = keys[(keys & ctrl) == ctrl]
-            met = len(np.unique(live & ~bit)) < len(live)
-            assert not (split and met), f"{gate} is tagged a split, but entries meet"
-            if met:  # only ever set, so chunks on two threads lose no update
-                tag[1] = True
-            return step(keys, amps, pruned)
-        return run
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simcore, "_butterfly_step", checked_step)
-        if chunk_bits is not None:
-            patch.setattr(simcore, "_sparse_chunk_bits", lambda d: min(d, chunk_bits))
-        yield tags
-
-
 def assert_folded_agrees(circuit, matrix, residual):
     """The folded route, where its compile takes the circuit, against
     ``(matrix, residual)``; returns whether it ran."""
@@ -157,8 +125,7 @@ SETTINGS = dict(derandomize=True, database=None, deadline=None,
 @settings(max_examples=40, **SETTINGS)
 @given(cases())
 def test_sparse_dense_and_brute_force_agree(circuit):
-    with checked_splits():
-        m_sparse, r_sparse = sparse_action(circuit)
+    m_sparse, r_sparse = sparse_action(circuit)
     m_dense, r_dense = dense_action(circuit)
     m_brute, r_brute = brute_action(circuit)
     np.testing.assert_allclose(m_sparse, m_brute, rtol=0, atol=1e-12)
@@ -172,8 +139,7 @@ def test_sparse_dense_and_brute_force_agree(circuit):
 @settings(max_examples=150, **SETTINGS)
 @given(cases(max_gates=40))
 def test_sparse_and_dense_agree_on_longer_circuits(circuit):
-    with checked_splits():
-        m_sparse, r_sparse = sparse_action(circuit)
+    m_sparse, r_sparse = sparse_action(circuit)
     m_dense, r_dense = dense_action(circuit)
     np.testing.assert_allclose(m_sparse, m_dense, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_dense) < 1e-12
@@ -434,11 +400,13 @@ def test_engine_choice_on_every_oracle_transform(name):
             assert data_register_action(circuit)[1] == 0.0
 
 
-# The sparse engine tags each H and CH, once per circuit, a split (no entry
-# can meet its partner, so the step needs no sort) or a merge.  Each
-# pattern below puts an H or CH on ancilla ``a`` at the boundary of that
-# rule; wire ``x`` is a data wire, ``y`` any other wire, and the random
-# gates before the pattern leave all three alone.
+# The sparse engine runs each H and CH as a merge, which pairs the entries
+# that differ in the target bit and sums the pairs that meet.  Each pattern
+# below puts an H or CH on ancilla ``a`` in a different relation to the
+# chunk's keys: fresh, set, a copy of data wire ``x``, a function of ``x``
+# and ``y``, or swapped with ``x``; wire ``x`` is a data wire, ``y`` any
+# other wire, and the random gates before the pattern leave all three
+# alone.
 
 BOUNDARY = {
     "h-on-fresh": lambda a, x, y: [Gate("H", targets=(a,))],
@@ -454,8 +422,7 @@ BOUNDARY = {
 def boundary_cases(draw, pattern):
     """A circuit of width 3-7: random gates on the wires other than a, x
     and y, the pattern, random gates on any wires, and optionally all of
-    it undone; a data register that holds x and not a.  Also returns the
-    index of the pattern's butterfly among the circuit's H and CH."""
+    it undone; a data register that holds x and not a."""
     width = draw(st.integers(3, 7))
     d = draw(st.integers(1, width - 1))
     x, *low = draw(st.permutations(range(d)))
@@ -463,11 +430,10 @@ def boundary_cases(draw, pattern):
     y, *rest = draw(st.permutations(low + high))
     before = draw(st.lists(gates(rest), max_size=6)) if rest else []
     body = before + BOUNDARY[pattern](a, x, y)
-    index = sum(g.kind in BUTTERFLY for g in body) - 1
     body += draw(st.lists(gates(range(width)), max_size=6))
     if draw(st.booleans()):
         body += [g.inverse() for g in reversed(body)]
-    return Circuit(width, tuple(body), range(d, width)), index
+    return Circuit(width, tuple(body), range(d, width))
 
 
 @pytest.mark.parametrize("chunk_bits", [None, 1, 2], ids=["one-chunk", "chunks-of-2", "chunks-of-4"])
@@ -475,10 +441,11 @@ def boundary_cases(draw, pattern):
 @settings(max_examples=12, **SETTINGS)
 @given(data=st.data())
 def test_split_boundary_agrees_with_dense_and_brute_force(pattern, chunk_bits, data):
-    circuit, index = data.draw(boundary_cases(pattern))
-    with checked_splits(chunk_bits) as tags:
+    circuit = data.draw(boundary_cases(pattern))
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_bits is not None:  # chunks of at most 2^chunk_bits columns
+            patch.setattr(simcore, "_sparse_chunk_bits", lambda d: min(d, chunk_bits))
         m_sparse, r_sparse = sparse_action(circuit)
-    assert tags[index][0] == (pattern != "toffoli-then-h")
     m_dense, r_dense = dense_action(circuit)
     m_brute, r_brute = brute_action(circuit)
     np.testing.assert_allclose(m_sparse, m_brute, rtol=0, atol=1e-12)
@@ -487,6 +454,10 @@ def test_split_boundary_agrees_with_dense_and_brute_force(pattern, chunk_bits, d
     assert abs(r_dense - r_brute) < 1e-12
 
 
+# Every transform with ancillas, on the sparse engine against the route
+# data_register_action takes: the product or dense route for all but the
+# Hartley pair, which runs sparse there and is held to the DHT oracle at
+# the 1e-10 of tests/test_hartley.py instead.
 SPARSE_CIRCUITS = {f"{name}-{n}": circuit for name in cli.TRANSFORMS for n in range(2, 8)
                    if len((circuit := cli.build_transform(name, n)).data_wires) < circuit.width}
 
@@ -494,19 +465,16 @@ SPARSE_CIRCUITS = {f"{name}-{n}": circuit for name in cli.TRANSFORMS for n in ra
 @pytest.mark.parametrize("name", sorted(SPARSE_CIRCUITS))
 def test_split_tags_hold_on_every_sparse_transform(name):
     circuit = SPARSE_CIRCUITS[name]
-    with checked_splits():
-        sparse_action(circuit)
-
-
-def test_qct2_tags_exactly_its_splits():
-    # the QFT's eight H on the data register are its splits; in each of
-    # the other three butterflies some entries meet
-    circuit = cli.build_transform("qct2", 7)
-    with checked_splits() as tags:
-        sparse_action(circuit)
-    assert len(tags) == 11
-    assert sum(split for split, _ in tags) == 8
-    assert all(split != met for split, met in tags)
+    m_sparse, r_sparse = sparse_action(circuit)
+    d = len(circuit.data_wires)
+    if simcore._route(circuit, d)[0] == "sparse":
+        np.testing.assert_allclose(m_sparse, reference_matrix(TransformSpec("DHT", 1 << d)),
+                                   rtol=0, atol=1e-10)
+        assert r_sparse < 1e-10
+        return
+    matrix, residual = data_register_action(circuit)
+    np.testing.assert_allclose(m_sparse, matrix, rtol=0, atol=1e-12)
+    assert abs(r_sparse - residual) < 1e-12
 
 
 # The dense engine compiles a circuit into monomial layers (each maximal run
