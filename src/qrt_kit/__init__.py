@@ -9,7 +9,6 @@ from .simcore import (
     Circuit,
     Gate,
     count_gates,
-    data_register_action,
     data_register_chunks,
     export_circuit,
     parse_circuit,
@@ -21,12 +20,7 @@ from .gadgets import (
     classical_map_error,
 )
 from .qft import build_qft
-from .oracle import (
-    TransformSpec,
-    cas,
-    reference_columns,
-    reference_matrix,
-)
+from .oracle import TransformSpec, reference_columns
 from .hartley import (
     build_qht_lcu,
     build_qht_recursive,

@@ -33,7 +33,7 @@ def _blocks(first: int, *kinds: str):
         blocks, lo = [], first
         for kind in kinds:
             spec = oracle.TransformSpec(kind, 1 << n)
-            blocks.append((spec, lo, 1))
+            blocks.append((spec, lo))
             lo += spec.dim
         errors, residual = trig.check_blocks(circuit, blocks)
         return max(errors), residual, blocks

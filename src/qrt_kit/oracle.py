@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def cas(x):
+def _cas(x):
     """cos(x) + sin(x), the Hartley kernel."""
     return np.cos(x) + np.sin(x)
 
@@ -36,7 +36,7 @@ def _expi(x):
 # kind: (row a, b), (column g, h), M / N, kernel f, boundary-weighted
 _RULES = {
     "DFT": ((1, 0), (1, 0), 1, _expi, False),
-    "DHT": ((1, 0), (1, 0), 1, cas, False),
+    "DHT": ((1, 0), (1, 0), 1, _cas, False),
     "DCT1": ((1, 0), (1, 0), 2, np.cos, True),
     "DCT2": ((1, 0), (2, 1), 4, np.cos, True),
     "DCT3": ((2, 1), (1, 0), 4, np.cos, True),
@@ -105,8 +105,4 @@ def reference_columns(spec: TransformSpec, start: int, stop: int) -> np.ndarray:
         out[(u == 0) | (u == spec.N)] *= math.sqrt(0.5)
         out[:, (v == 0) | (v == spec.N)] *= math.sqrt(0.5)
     return out
-
-
-def reference_matrix(spec: TransformSpec) -> np.ndarray:
-    return reference_columns(spec, 0, spec.dim)
 

@@ -196,14 +196,16 @@ def _layers(circuit: Circuit, d: int):
     ``r``; its other (ancilla) bits start at 0 and then hold classical
     functions of the data.  Each maximal run of gates other than H and CH
     goes through ``_monomial`` on those 2^d keys and is one
-    ``_monomial_layer``, with the final relabeling folded into the last run.
-    An H is a butterfly on its row bit, the layer an ``int``; a CH is a
-    (2, m) array of the row pairs it mixes.  ``leak`` holds the rows whose
-    final label has an ancilla bit set.  The rules, all checked in integers:
-    each run maps the rows one to one, every butterfly targets a data wire,
-    and the two rows of every pair a butterfly mixes hold the same ancilla
-    bits.  With no ancilla the keys stay the row numbers."""
-    if circuit.width > _KEY_BITS or any(  # checked before anything 2^d-sized
+    ``_monomial_layer``.  An H is a butterfly on its row bit, the layer an
+    ``int``; a CH is a (2, m) array of the row pairs it mixes.  ``leak``
+    holds the rows whose final label has an ancilla bit set.  The rules, all
+    checked in integers: the circuit has no final relabeling (only the
+    sparse route relabels), each run maps the rows one to one, every
+    butterfly targets a data wire, and the two rows of every pair a
+    butterfly mixes hold the same ancilla bits.  With no ancilla the keys
+    stay the row numbers."""
+    # checked before anything 2^d-sized
+    if circuit.width > _KEY_BITS or circuit.relabeling is not None or any(
             g.kind in _BUTTERFLIES and g.targets[0] >= d for g in circuit.gates):
         return None
     rows = np.arange(1 << d, dtype=np.int64)
@@ -213,9 +215,8 @@ def _layers(circuit: Circuit, d: int):
         if not last and gate.kind not in _BUTTERFLIES:
             run.append(gate)
             continue
-        if run or (last and circuit.relabeling is not None):
-            relabeling = circuit.relabeling if last else None
-            step = _monomial_layer(run, relabeling, keys, rows)
+        if run:
+            step = _monomial_layer(run, keys, rows)
             if step is None:
                 return None
             keys, layer = step
@@ -234,7 +235,7 @@ def _layers(circuit: Circuit, d: int):
             layers.append(gate.targets[0])
 
 
-def _monomial_layer(run, relabeling, keys, rows):
+def _monomial_layer(run, keys, rows):
     """One run of ``_layers`` on ``keys``, which it consumes: the keys after
     it and its ``(inv, phase)`` layer, where output row ``i`` takes the
     amplitude of input row ``inv[i]`` times ``phase[i]``; None when the run
@@ -244,8 +245,6 @@ def _monomial_layer(run, relabeling, keys, rows):
     for gate in run:
         for sel, factor in _monomial(gate, 0)(keys):
             phase[sel] *= factor
-    if relabeling is not None:
-        keys = _relabel_keys(keys, relabeling, 0)
     phase = None if np.all(phase == 1) else phase
     dest = keys & (len(rows) - 1)
     if np.array_equal(dest, rows):
@@ -304,19 +303,24 @@ STATEVECTOR_WIDTH_CAP = 20
 
 _DENSE_BATCH = 32
 """Columns per chunk of the dense route, and the product route's block
-width: a 1024-row batch is 0.5 MB, and ``_WORKERS`` run at once.  In ten
-alternating runs of verify-dense on the dense route at 858c7b1 (its
-verifies take the product route since 5dcf35b), on a 2-core Xeon, 64
-columns were faster than 32 (median ``wall_s`` 0.287 against 0.333 s) but
-peaked at 45.2 MB against 41.2 MB, 10% above the 41.0 MB of one thread at
-64 columns; 32 stays within 1%."""
+width: a 1024-row batch is 0.5 MB, and ``_WORKERS`` run at once.  No
+width wins on every size, and 32 is never the slowest of three.  Medians of 12 alternating rounds of fresh
+in-process verifies on a 2-core Xeon, 32 against 16 and 64 columns:
+
+* dense route, qct2 7 plus qst1-opt 7 run 50 times: 0.65 s, 1.10 s and
+  0.54 s (64 faster in all 12), peaking at 31, 31 and 32 MB;
+* dense route, qct2 12: 2.65 s, 3.09 s and 2.67 s, at 59, 45 and 85 MB;
+* product route, qct4 9 plus qft 10 run 25 times: 0.84 s, 1.13 s and
+  0.74 s (64 faster in all 12), at 36, 34 and 39 MB;
+* product route, qct4 13: 4.12 s, 3.45 s (16 faster in 9 of 12) and
+  4.84 s, at 76, 52 and 117 MB."""
 
 _WORKERS = 2
 """Threads that run the column chunks of a register with more than one
-chunk, one per core of a 2-core host; never sized from the input.  At
-858c7b1, in fresh processes, qct4 n=11 (dense then, product since 5dcf35b)
-took 1.33 s against 2.27 s on one thread, and qct2 n=11 (sparse then,
-dense since afa766a) 7.5 s against 12.5 s."""
+chunk, one per core of a 2-core host; never sized from the input.  In the
+rounds of ``_DENSE_BATCH``, one thread took 5.06 s against 2.65 s on qct2
+12 (dense route), but 2.92 s against 4.12 s on qct4 13 (product route),
+faster in all 12 rounds there and peaking at 57 against 76 MB."""
 
 
 def _sparse_chunk_bits(d: int) -> int:
@@ -392,7 +396,8 @@ def _route(circuit: Circuit, d: int):
     classical (the QFT, Types III and IV); "dense" on 2^d rows when
     ``_layers`` proves in integers that the ancillas only ever hold
     classical functions of the data (the other cosine and sine circuits);
-    else "sparse" (the Hartley pair, whose ancillas go superposed)."""
+    else "sparse" (the Hartley pair, whose ancillas go superposed, and any
+    circuit with a final relabeling, which only the sparse route runs)."""
     for name, compile_route in (("product", _product_chunks), ("dense", _dense_chunks),
                                 ("sparse", _sparse_chunks)):
         if (route := compile_route(circuit, d)) is not None:
@@ -483,7 +488,7 @@ def _product_program(circuit: Circuit, d: int):
         return None
     sup, terms, plan, probes = set(), 1, [], {}
     for gate in circuit.gates:  # a step's argument is built once the plan passes
-        action, ops = _action(gate), gate.operands
+        action, ops = _KINDS[gate.kind].action, gate.operands
         splits = ([w for w in ops if w in sup][:-1] if callable(action)
                   else [w for w in gate.controls if w in sup])
         terms <<= len(splits)
@@ -656,7 +661,7 @@ def _sparse_program(circuit: Circuit, c: int) -> list:
     time on a data register of wires 0..d-1, c <= d: one ``step(keys,
     amps, pruned) -> (keys, amps)`` per gate, with its masks and factors
     computed here, once, rather than per chunk."""
-    return [_butterfly_step(gate, c) if _action(gate) == "H" else _monomial_step(gate, c)
+    return [_butterfly_step(gate, c) if gate.kind in _BUTTERFLIES else _monomial_step(gate, c)
             for gate in circuit.gates]
 
 
@@ -741,7 +746,7 @@ def _monomial(gate: Gate, shift: int):
     and returns the phases as ``(select, factor)`` pairs, where the entries
     ``select`` picks out (indexed like the keys before the gate) are
     multiplied by ``factor``."""
-    action = _action(gate)
+    action = _KINDS[gate.kind].action
     if action == "GlobalPhase":
         phases = [(slice(None), complex(np.exp(1j * gate.angle)))]
         return lambda keys: phases
@@ -752,16 +757,15 @@ def _monomial(gate: Gate, shift: int):
             permute(keys)
             return []
         return rule
+    # every other kind is diagonal
     ctrl, bit = _masks(gate, shift)
-    if callable(action):  # diagonal
-        factors = [(ctrl | bit * value, complex(factor))
-                   for value, factor in enumerate(action(gate.angle)) if factor != 1]
+    factors = [(ctrl | bit * value, complex(factor))
+               for value, factor in enumerate(action(gate.angle)) if factor != 1]
 
-        def rule(keys):
-            on = keys & (ctrl | bit)
-            return [(on == value, factor) for value, factor in factors]
-        return rule
-    raise ValueError(f"no simulation rule for gate kind {gate.kind!r}")
+    def rule(keys):
+        on = keys & (ctrl | bit)
+        return [(on == value, factor) for value, factor in factors]
+    return rule
 
 
 def _key_permutation(gate: Gate, shift: int):
@@ -770,7 +774,7 @@ def _key_permutation(gate: Gate, shift: int):
     in place.  The one bit semantics of classical gates: every route and
     ``gadgets.classical_map_error`` reach it through ``_monomial`` (the
     product route's SWAP directly, to move its factors as well)."""
-    if _action(gate) == "SWAP":
+    if _KINDS[gate.kind].action == "SWAP":
         a, b = gate.targets[0] + shift, gate.targets[1] + shift
         both = (1 << a) | (1 << b)
 
@@ -782,15 +786,6 @@ def _key_permutation(gate: Gate, shift: int):
     def permute(keys):
         keys ^= ((keys & ctrl) == ctrl) * bit if ctrl else bit
     return permute
-
-
-def _action(gate: Gate):
-    """The action of the gate's kind, from ``_KINDS``; a ValueError for a
-    kind outside it, which only a gate forged past its validation has."""
-    row = _KINDS.get(gate.kind)
-    if row is None:
-        raise ValueError(f"no simulation rule for gate kind {gate.kind!r}")
-    return row.action
 
 
 def _masks(gate: Gate, shift: int) -> tuple[int, int]:
@@ -862,7 +857,7 @@ def export_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_circuit(text: str, width: int | None = None, label: str = "") -> Circuit:
+def parse_circuit(text: str, width: int | None = None) -> Circuit:
     """Parse the export format back into a Circuit.
 
     Width defaults to one past the highest wire mentioned; pass it explicitly
@@ -923,4 +918,4 @@ def parse_circuit(text: str, width: int | None = None, label: str = "") -> Circu
         if max(relabeling) >= width:
             raise ValueError(f"relabel names a wire outside width {width}")
         relab_tuple = tuple(relabeling.get(w, w) for w in range(width))
-    return Circuit(width, tuple(gates), frozenset(), relab_tuple, label)
+    return Circuit(width, tuple(gates), frozenset(), relab_tuple)

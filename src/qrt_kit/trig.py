@@ -97,20 +97,21 @@ def build_qst1_optimized(n: int) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def _l_ladder(n: int, c: int, control_zero: bool, conjugate: bool) -> list[Gate]:
+def _l_ladder(n: int, c: int, conjugate: bool) -> list[Gate]:
     """Per-bit phase ladder diag(1, w_4N^{2^j}) on each data wire, applied on
-    the chosen control branch; ``conjugate`` negates the angles."""
+    the control-0 branch; with ``conjugate``, its conjugate on the control-1
+    branch."""
     N = 1 << n
     sign = -1.0 if conjugate else 1.0
     gates = []
     for j in range(n):
         theta = sign * 2.0 * math.pi * (1 << j) / (4 * N)
-        if control_zero:
+        if conjugate:
+            gates.append(Gate("CPhase", (c,), (j,), theta))
+        else:
             gates += [Gate("X", targets=(c,)),
                       Gate("CPhase", (c,), (j,), theta),
                       Gate("X", targets=(c,))]
-        else:
-            gates.append(Gate("CPhase", (c,), (j,), theta))
     return gates
 
 
@@ -128,7 +129,7 @@ def _k_ladder(n: int, c: int) -> list[Gate]:
 
 def _d1_gates(n: int, c: int) -> list[Gate]:
     N = 1 << n
-    gates = _l_ladder(n, c, control_zero=True, conjugate=False)
+    gates = _l_ladder(n, c, conjugate=False)
     gates += _k_ladder(n, c)
     gates.append(Gate("Phase", targets=(c,), angle=-2.0 * math.pi / (4 * N)))
     return gates
@@ -138,8 +139,8 @@ def _d2_gates(n: int, c: int, corrected: bool) -> list[Gate]:
     if not corrected:
         return _d1_gates(n, c)
     N = 1 << n
-    gates = _l_ladder(n, c, control_zero=True, conjugate=False)
-    gates += _l_ladder(n, c, control_zero=False, conjugate=True)
+    gates = _l_ladder(n, c, conjugate=False)
+    gates += _l_ladder(n, c, conjugate=True)
     gates.append(Gate("Phase", targets=(c,), angle=-2.0 * math.pi / (4 * N)))
     return gates
 
@@ -220,8 +221,7 @@ def build_qcst_type4(n: int, corrected: bool = True) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def _block_error(start: int, chunk: np.ndarray, spec: oracle.TransformSpec,
-                 lo: int, phase: complex) -> float:
+def _block_error(start: int, chunk: np.ndarray, spec: oracle.TransformSpec, lo: int) -> float:
     """Max deviation of one block of ``check_blocks`` over the columns of
     ``chunk`` (register columns ``start..``); 0.0 when it has none of them."""
     hi = lo + spec.dim
@@ -230,8 +230,6 @@ def _block_error(start: int, chunk: np.ndarray, spec: oracle.TransformSpec,
         return 0.0
     cols = chunk[:, first - start:stop - start]
     target = oracle.reference_columns(spec, first - lo, stop - lo)
-    if phase != 1:
-        target = phase * target
     real = not np.iscomplexobj(target)  # |a - b| = |b - a| goes into the fresh oracle
     diff = cols[lo:hi] - target if real else np.subtract(target, cols[lo:hi], out=target)
     inside = np.max(np.abs(diff, out=target if real else None))
@@ -244,19 +242,19 @@ def check_blocks(circuit: Circuit, blocks):
     """Check the circuit's data register against oracle blocks declared on
     it, and return the max error of each block and the ancilla residual.
 
-    Each block ``(spec, lo, phase)`` sits on register labels
-    ``lo..lo+spec.dim-1``: in each of its columns, those rows must carry
-    ``phase`` times the oracle's column and every other row must vanish.
-    Nothing is searched for, so a circuit that puts a block anywhere else
-    fails with a large error.  Columns no block declares are not checked,
-    and the register runs one column chunk at a time.
+    Each block ``(spec, lo)`` sits on register labels ``lo..lo+spec.dim-1``:
+    in each of its columns, those rows must carry the oracle's column and
+    every other row must vanish.  Nothing is searched for, so a circuit
+    that puts a block anywhere else fails with a large error.  Columns no
+    block declares are not checked, and the register runs one column chunk
+    at a time.
     """
     dim = 1 << len(circuit.data_wires)
-    if any(lo < 0 or lo + spec.dim > dim for spec, lo, _ in blocks):
+    if any(lo < 0 or lo + spec.dim > dim for spec, lo in blocks):
         raise ValueError("a declared block does not fit in the data register")
 
     def check(start, chunk):
-        return [_block_error(start, chunk, spec, lo, phase) for spec, lo, phase in blocks]
+        return [_block_error(start, chunk, spec, lo) for spec, lo in blocks]
 
     errors, residual = [0.0] * len(blocks), 0.0
     for _, chunk_errors, residual in data_register_chunks(circuit, check):

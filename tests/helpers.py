@@ -1,12 +1,12 @@
-"""Shared test utilities: the block check of a cosine/sine pair, the
-expected labels of a controlled classical map, the simulator's full unitary
-of a small circuit and each engine's action on its data register, textbook
-matrices of the gate set and an independent
-brute-force unitary builder on them, the stage
-circuits the transforms are assembled from, the amplification check of the
-LCU Hartley construction, reference matrices the circuits are compared
-against, and the float-angle oracle the library's angle table is
-cross-checked with."""
+"""Shared test utilities: the block check of a cosine/sine pair, with a
+phase on the sine block, the expected labels of a controlled classical
+map, the simulator's full unitary of a small circuit and each engine's
+action on its data register, textbook matrices of the gate set and an
+independent brute-force unitary builder on them, the stage circuits the
+transforms are assembled from, the amplification check of the LCU Hartley
+construction, reference matrices the circuits are compared against, and
+the float-angle oracle, with its own Hartley kernel, that the library's
+angle table is cross-checked with."""
 import cmath
 import dataclasses
 import math
@@ -20,18 +20,34 @@ from qrt_kit.gadgets import (
     or_gate_gates,
     or_tree_gates,
 )
-from qrt_kit.oracle import TransformSpec, cas, reference_matrix
+from qrt_kit.oracle import TransformSpec, reference_columns
 from qrt_kit.qft import qft_gates
 from qrt_kit.simcore import Circuit, Gate, data_register_action, inverse
 from qrt_kit.trig import check_blocks
 
 
+def phased_block_errors(circuit, blocks):
+    """``trig.check_blocks`` on blocks ``(spec, lo, phase)``, whose rows
+    must carry ``phase`` times the oracle's column.  Where a phase is not 1,
+    ``data_register_action`` is compared with the embedding of the phased
+    blocks, by the same max-abs measure over each block's columns."""
+    if all(phase == 1 for _, _, phase in blocks):
+        return check_blocks(circuit, [(spec, lo) for spec, lo, _ in blocks])
+    matrix, residual = data_register_action(circuit)
+    errors = []
+    for spec, lo, phase in blocks:
+        want = np.zeros((len(matrix), spec.dim), dtype=complex)
+        want[lo:lo + spec.dim] = phase * reference_matrix(spec)
+        errors.append(float(np.max(np.abs(matrix[:, lo:lo + spec.dim] - want))))
+    return errors, residual
+
+
 def block_errors(circuit, cos_kind: str, sin_kind: str, phase=1):
-    """``trig.check_blocks`` on the cosine block on the low register labels
-    and ``phase`` times the sine block above it: (max error, residual)."""
+    """The cosine block on the low register labels and ``phase`` times the
+    sine block above it: (max error, residual)."""
     N = 1 << (len(circuit.data_wires) - 1)
     cos = TransformSpec(cos_kind, N)
-    errors, residual = check_blocks(
+    errors, residual = phased_block_errors(
         circuit, [(cos, 0, 1), (TransformSpec(sin_kind, N), cos.dim, phase)])
     return max(errors), residual
 
@@ -317,6 +333,11 @@ def rotation_r(y, b, N):
                      [-math.sin(th), math.cos(th)]])
 
 
+def reference_matrix(spec: TransformSpec) -> np.ndarray:
+    """The whole oracle matrix of ``spec``."""
+    return reference_columns(spec, 0, spec.dim)
+
+
 def _checked_unitary(mat: np.ndarray) -> np.ndarray:
     defect = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
     assert defect < 1e-12, f"matrix is not unitary (defect {defect:.3e})"
@@ -353,6 +374,11 @@ def dump_csv(matrix, stream) -> None:
 # independent check of the library's integer-reduced angle table.
 # Boundary weights: k_j = 1/sqrt(2) when j is 0 or N (whichever occurs in
 # the transform's index range), else 1.
+
+
+def cas(x):
+    """cos(x) + sin(x), the Hartley kernel."""
+    return np.cos(x) + np.sin(x)
 
 
 def _boundary_weight(j, N: int):

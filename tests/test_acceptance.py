@@ -29,10 +29,12 @@ from qrt_kit.trig import (
 from helpers import (
     amplification_overlap,
     block_errors,
+    cas,
     cond_decrement,
     cond_ones_complement,
     controlled_map,
     or_tree_rounds,
+    reference_matrix,
     twos_complement_permutation,
     type1_core,
 )
@@ -56,7 +58,7 @@ def test_criterion_1_qht_both_variants():
     worst_err = 0.0
     worst_resid = 0.0
     for n in range(2, 7):
-        target = oracle.reference_matrix(spec("DHT", 1 << n))
+        target = reference_matrix(spec("DHT", 1 << n))
         for build in (build_qht_recursive, build_qht_lcu):
             matrix, resid = data_register_action(build(n))
             worst_err = max(worst_err, float(np.max(np.abs(matrix - target))))
@@ -92,7 +94,7 @@ def test_criterion_4_optimized_sine():
         circ = build_qst1_optimized(n)
         assert all(len(g.controls) < 3 for g in circ.gates)
         matrix, _ = data_register_action(circ)
-        S1 = oracle.reference_matrix(spec("DST1", N))
+        S1 = reference_matrix(spec("DST1", N))
         worst = max(worst, float(np.max(np.abs(matrix[1:N, 1:N] - S1))))
         worst = max(worst, float(np.max(np.abs(matrix[N:, 1:N]))))
     report("criterion 4: optimized QST-I error on 1..N-1 (n=2..5)", worst)
@@ -171,8 +173,8 @@ def test_criterion_9_identity_suite():
     """Eq.-style matrix identities at N <= 64 and their circuit versions."""
     worst = 0.0
     for N in (2, 4, 8, 16, 32, 64):
-        F = oracle.reference_matrix(spec("DFT", N))
-        H = oracle.reference_matrix(spec("DHT", N))
+        F = reference_matrix(spec("DFT", N))
+        H = reference_matrix(spec("DHT", N))
         T = twos_complement_permutation(N)
         worst = max(worst, float(np.max(np.abs(
             (1 - 1j) / 2 * F + (1 + 1j) / 2 * F.conj() - H))))
@@ -181,7 +183,7 @@ def test_criterion_9_identity_suite():
         x = np.arange(N)
         omega = np.exp(2j * np.pi * x / N)
         worst = max(worst, float(np.max(np.abs(
-            oracle.cas(2 * np.pi * x / N)
+            cas(2 * np.pi * x / N)
             - ((1 - 1j) / 2 * omega + (1 + 1j) / 2 * omega.conj())))))
     report("criterion 9: matrix identity suite (N<=64)", worst)
 
@@ -194,7 +196,7 @@ def test_criterion_9_identity_suite():
         circ = Circuit(base.width, [force, *base.gates, force, *qft_gates(range(n))],
                        ancillas=range(n, base.width))
         matrix, resid = data_register_action(circ)
-        want = oracle.reference_matrix(spec("DFT", N)).conj()
+        want = reference_matrix(spec("DFT", N)).conj()
         worst_circ = max(worst_circ, resid, float(np.max(np.abs(matrix - want))))
         hart, resid = data_register_action(build_qht_lcu(n))
         worst_circ = max(worst_circ, resid,

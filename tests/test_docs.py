@@ -51,9 +51,9 @@ def test_public_names():
         "build_cond_increment", "build_cond_twos_complement", "build_or_tree",
         "build_qcst_type1", "build_qcst_type2", "build_qcst_type3",
         "build_qcst_type4", "build_qft", "build_qht_lcu", "build_qht_recursive",
-        "build_qst1_optimized", "cas", "check_blocks", "classical_map_error",
-        "count_gates", "data_register_action", "data_register_chunks",
-        "export_circuit", "parse_circuit", "reference_columns", "reference_matrix",
+        "build_qst1_optimized", "check_blocks", "classical_map_error",
+        "count_gates", "data_register_chunks",
+        "export_circuit", "parse_circuit", "reference_columns",
     ]
 
 

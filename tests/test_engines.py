@@ -3,7 +3,8 @@ which holds each column as a few product states, the support-sparse
 engine, the dense one on the full register, and the dense one folded onto
 a data register narrower than the circuit, against each other and against
 the brute-force unitary, on random circuits; the circuits the folded
-compile must refuse; the route and term count of every oracle transform;
+compile must refuse, a relabeled one among them, since only the sparse
+route relabels; the route and term count of every oracle transform;
 the sparse engine on every transform with ancillas, and on an H or CH
 whose ancilla target is fresh or was last set by an X, CNOT, Toffoli or
 SWAP; and
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from qrt_kit import cli, simcore
 from qrt_kit.gadgets import classical_map_error
-from qrt_kit.oracle import TransformSpec, reference_matrix
+from qrt_kit.oracle import TransformSpec
 from qrt_kit.simcore import _KINDS, Circuit, Gate, data_register_action
 
 from helpers import (
@@ -27,6 +28,7 @@ from helpers import (
     full_register,
     no_check,
     product_action,
+    reference_matrix,
     sparse_action,
     unitary,
 )
@@ -92,10 +94,27 @@ def brute_action(circuit):
 
 def dense_action(circuit):
     """The same, read off the dense engine's run on every wire, which the
-    compile always takes."""
+    compile takes unless the circuit has a final relabeling."""
     unitary, residual = folded_action(full_register(circuit))
     assert residual == 0.0
     return restricted_action(unitary, len(circuit.data_wires))
+
+
+def assert_relabeled_runs_sparse(circuit, want=None):
+    """Only the sparse route relabels: the dense compile, on the data
+    register and on every wire, and the product compile refuse a circuit
+    with a final relabeling, and ``data_register_action``, which runs it
+    sparse, agrees with ``want`` (by default the brute-force action).
+    Returns that action."""
+    assert circuit.relabeling is not None
+    assert folded_action(circuit) is None
+    assert folded_action(full_register(circuit)) is None
+    assert product_action(circuit) is None
+    m_want, r_want = brute_action(circuit) if want is None else want
+    matrix, residual = data_register_action(circuit)
+    np.testing.assert_allclose(matrix, m_want, rtol=0, atol=1e-12)
+    assert abs(residual - r_want) < 1e-12
+    return matrix, residual
 
 
 def assert_folded_agrees(circuit, matrix, residual):
@@ -126,11 +145,14 @@ SETTINGS = dict(derandomize=True, database=None, deadline=None,
 @given(cases())
 def test_sparse_dense_and_brute_force_agree(circuit):
     m_sparse, r_sparse = sparse_action(circuit)
-    m_dense, r_dense = dense_action(circuit)
     m_brute, r_brute = brute_action(circuit)
     np.testing.assert_allclose(m_sparse, m_brute, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(m_dense, m_brute, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_brute) < 1e-12
+    if circuit.relabeling is not None:
+        assert_relabeled_runs_sparse(circuit, (m_brute, r_brute))
+        return
+    m_dense, r_dense = dense_action(circuit)
+    np.testing.assert_allclose(m_dense, m_brute, rtol=0, atol=1e-12)
     assert abs(r_dense - r_brute) < 1e-12
     assert_folded_agrees(circuit, m_brute, r_brute)
     assert_product_agrees(circuit, m_brute, r_brute)
@@ -140,6 +162,11 @@ def test_sparse_dense_and_brute_force_agree(circuit):
 @given(cases(max_gates=40))
 def test_sparse_and_dense_agree_on_longer_circuits(circuit):
     m_sparse, r_sparse = sparse_action(circuit)
+    if circuit.relabeling is not None:
+        matrix, residual = assert_relabeled_runs_sparse(circuit)
+        np.testing.assert_allclose(m_sparse, matrix, rtol=0, atol=1e-12)
+        assert abs(r_sparse - residual) < 1e-12
+        return
     m_dense, r_dense = dense_action(circuit)
     np.testing.assert_allclose(m_sparse, m_dense, rtol=0, atol=1e-12)
     assert abs(r_sparse - r_dense) < 1e-12
@@ -266,8 +293,8 @@ def test_product_chunks_match_one_chunk_exactly(name, n):
 # value, whose ancilla bits the compile tracks as classical functions of the
 # data.  The circuits below are built so that its three rules hold: the
 # ancillas are computed from a set of data wires that no later gate flips,
-# every H, CH and other flip targets one of the remaining data wires, and a
-# relabeling keeps the data wires among themselves.
+# and every H, CH and other flip targets one of the remaining data wires.
+# None has a final relabeling, which the compile refuses.
 
 @st.composite
 def gate_onto(draw, targets, controls):
@@ -298,10 +325,7 @@ def folded_cases(draw, max_width=8, max_gates=12):
     body = compute + middle
     if draw(st.booleans()):
         body += [g.inverse() for g in reversed(compute)]
-    relabeling = None
-    if draw(st.booleans()):
-        relabeling = tuple(draw(st.permutations(range(d))) + draw(st.permutations(ancillas)))
-    return Circuit(width, tuple(body), ancillas, relabeling)
+    return Circuit(width, tuple(body), ancillas)
 
 
 @settings(max_examples=60, **SETTINGS)
@@ -478,9 +502,10 @@ def test_split_tags_hold_on_every_sparse_transform(name):
 
 
 # The dense engine compiles a circuit into monomial layers (each maximal run
-# of gates other than H and CH, plus the final relabeling, as one gather and
-# one multiply) and H/CH butterflies.  The tests below pin the compiled
-# program against the brute-force unitary.
+# of gates other than H and CH as one gather and one multiply) and H/CH
+# butterflies.  The tests below pin the compiled program against the
+# brute-force unitary; a relabeled draw, which the compile refuses, runs
+# sparse.
 
 @settings(max_examples=10, **SETTINGS)
 @given(cases(min_width=8, max_gates=8))
@@ -488,6 +513,9 @@ def test_dense_engine_reuses_its_layers_across_batches(circuit):
     # width 8-10: 8-32 batches of _DENSE_BATCH (32) columns run through one
     # compiled program on two threads; the data register is every wire
     circuit = full_register(circuit)
+    if circuit.relabeling is not None:
+        assert_relabeled_runs_sparse(circuit)
+        return
     matrix, residual = folded_action(circuit)
     want, _ = brute_action(circuit)
     np.testing.assert_allclose(matrix, want, rtol=0, atol=1e-12)
@@ -499,13 +527,18 @@ def test_dense_engine_reuses_its_layers_across_batches(circuit):
 @given(data=st.data())
 def test_one_layer_kind_agrees_with_brute_force(kinds, data):
     # without H/CH the whole circuit is one monomial layer; with only H/CH
-    # it is butterflies and, at most, a relabeling
+    # it is butterflies; a relabeled draw runs sparse only
     circuit = data.draw(cases(max_width=7, kinds=kinds))
     want = brute_unitary(circuit)
     np.testing.assert_allclose(unitary(circuit), want, rtol=0, atol=1e-12)
-    for engine in (sparse_action, dense_action):
+    m_want, r_want = restricted_action(want, len(circuit.data_wires))
+    engines = [sparse_action]
+    if circuit.relabeling is None:
+        engines.append(dense_action)
+    else:
+        assert_relabeled_runs_sparse(circuit, (m_want, r_want))
+    for engine in engines:
         matrix, residual = engine(circuit)
-        m_want, r_want = restricted_action(want, len(circuit.data_wires))
         np.testing.assert_allclose(matrix, m_want, rtol=0, atol=1e-12)
         assert abs(residual - r_want) < 1e-12
 
@@ -515,7 +548,7 @@ def test_one_layer_kind_agrees_with_brute_force(kinds, data):
 def test_relabeling_only_circuit_agrees_with_brute_force(perm):
     circuit = Circuit(len(perm), relabeling=tuple(perm))
     want = brute_unitary(circuit)
-    matrix, _ = folded_action(circuit)
+    matrix, _ = assert_relabeled_runs_sparse(circuit, (want, 0.0))
     np.testing.assert_array_equal(matrix, want)
 
 
@@ -538,14 +571,14 @@ H0, H1, S1 = Gate("H", targets=(0,)), Gate("H", targets=(1,)), Gate("S", targets
     # the scale an uncontrolled H leaves for later is applied at the end
     Circuit(2, [Gate("X", targets=(1,)), H0]),
     # or after a gather that multiplies no phase
-    Circuit(3, [H0, H1], relabeling=(2, 0, 1)),
+    Circuit(3, [H0, H1, Gate("SWAP", targets=(0, 2))]),
     # CH scales itself, between H on the same wires whose scale waits
     Circuit(2, [H0, Gate("CH", (0,), (1,)), H1, S1, Gate("CH", (1,), (0,)), H0, H1]),
     # more H than may wait unscaled (2^1050 would overflow), with and
     # without a phase between
     Circuit(1, [H0] * 2101),
     Circuit(2, [H0] * 70 + [S1] + [H1] * 61),
-], ids=["ends-in-h", "h-then-relabel", "ch-among-h", "long-h-run", "long-h-runs-and-phase"])
+], ids=["ends-in-h", "h-then-swap", "ch-among-h", "long-h-run", "long-h-runs-and-phase"])
 def test_deferred_h_scale_agrees_with_brute_force(circuit):
     want = brute_unitary(circuit)
     matrix, _ = folded_action(circuit)
@@ -597,15 +630,6 @@ def test_key_overflow_is_refused():
     circuit = Circuit(60, (Gate("X", targets=(59,)),), range(3, 60))
     with pytest.raises(ValueError, match="int64"):
         sparse_action(circuit)
-
-
-def test_unknown_kind_is_refused_by_both_engines():
-    gate = Gate("X", targets=(0,))
-    object.__setattr__(gate, "kind", "Bogus")
-    circuit = Circuit(2, (gate,))
-    for engine in (sparse_action, folded_action):
-        with pytest.raises(ValueError, match="Bogus"):
-            engine(circuit)
 
 
 @st.composite

@@ -13,6 +13,7 @@ from helpers import (
     amplification_overlap,
     cx_zero_detect,
     lcu_target_v,
+    reference_matrix,
     rotation_r,
     unitary,
     unitary_ur,
@@ -29,7 +30,7 @@ H4 = 0.5 * np.array([
 
 
 def dht(N):
-    return oracle.reference_matrix(oracle.TransformSpec("DHT", N))
+    return reference_matrix(oracle.TransformSpec("DHT", N))
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +43,7 @@ def test_v_is_unitary_and_factors_hartley():
         N = 1 << n
         V = lcu_target_v(N)
         np.testing.assert_allclose(V.conj().T @ V, np.eye(N), atol=1e-12)
-        F = oracle.reference_matrix(oracle.TransformSpec("DFT", N))
+        F = reference_matrix(oracle.TransformSpec("DFT", N))
         np.testing.assert_allclose(F @ V, dht(N), atol=1e-12)
 
 

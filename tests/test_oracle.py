@@ -8,10 +8,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import (build_dht_from_dft, build_reference_matrix, compare_unitaries,
-                     dump_csv, naive_reference, twos_complement_permutation, unitary)
+from helpers import (build_dht_from_dft, build_reference_matrix, cas, compare_unitaries,
+                     dump_csv, naive_reference, reference_matrix, twos_complement_permutation,
+                     unitary)
 from qrt_kit import cli, oracle
-from qrt_kit.oracle import TransformSpec, cas
+from qrt_kit.oracle import TransformSpec
 
 SIZES = (2, 4, 8, 16, 32, 64)
 ALL_KINDS = oracle.KINDS
@@ -23,7 +24,7 @@ def test_all_matrices_orthogonal(kind, N):
     if kind == "DST1" and N == 2:
         spec = TransformSpec(kind, N)
         assert spec.dim == 1
-    mat = oracle.reference_matrix(TransformSpec(kind, N))
+    mat = reference_matrix(TransformSpec(kind, N))
     np.testing.assert_allclose(mat.conj().T @ mat, np.eye(mat.shape[0]), atol=1e-12)
     if kind != "DFT":
         assert np.abs(mat.imag).max() == 0  # real transforms stay real
@@ -33,7 +34,7 @@ def test_all_matrices_orthogonal(kind, N):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_columns_are_the_matrix_columns_bit_for_bit(kind, N):
     spec = TransformSpec(kind, N)
-    whole = oracle.reference_matrix(spec)
+    whole = reference_matrix(spec)
     for width in (1, 3, 7):  # uneven splits: edges fall anywhere in the matrix
         for start in range(0, spec.dim, width):
             stop = min(start + width, spec.dim)
@@ -47,7 +48,7 @@ def test_angle_table_agrees_with_float_angle_formulas(kind):
     # from the exactly reduced table by a few ulps of the largest angle
     for n in range(1, 11):
         spec = TransformSpec(kind, 1 << n)
-        got, want = oracle.reference_matrix(spec), naive_reference(spec)
+        got, want = reference_matrix(spec), naive_reference(spec)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-13, n
 
@@ -55,14 +56,14 @@ def test_angle_table_agrees_with_float_angle_formulas(kind):
 @pytest.mark.parametrize("n", (7, 8, 9))
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_large_matrices_unitary_to_1e_13(kind, n):
-    mat = oracle.reference_matrix(TransformSpec(kind, 1 << n))
+    mat = reference_matrix(TransformSpec(kind, 1 << n))
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= 1e-13
 
 
 def test_threads_sharing_a_fresh_spec_get_the_matrix_columns():
     # verify's worker threads share one spec, whose angle table is built on
     # its first use; eight threads race for that first use here
-    whole = oracle.reference_matrix(TransformSpec("DCT4", 256))
+    whole = reference_matrix(TransformSpec("DCT4", 256))
     spec = TransformSpec("DCT4", 256)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -108,13 +109,13 @@ def test_build_reference_matrix_validates():
 
 
 def test_dht_2_is_hadamard():
-    mat = oracle.reference_matrix(TransformSpec("DHT", 2))
+    mat = reference_matrix(TransformSpec("DHT", 2))
     np.testing.assert_allclose(mat, np.array([[1, 1], [1, -1]]) / math.sqrt(2),
                                atol=1e-15)
 
 
 def test_dst1_2_is_scalar_one():
-    mat = oracle.reference_matrix(TransformSpec("DST1", 2))
+    mat = reference_matrix(TransformSpec("DST1", 2))
     np.testing.assert_allclose(mat, [[1.0]], atol=1e-15)
 
 
@@ -122,7 +123,7 @@ def test_dct4_2_entries():
     # direct evaluation of cos((m+1/2)(n+1/2)pi/2)
     want = np.array([[math.cos(math.pi / 8), math.cos(3 * math.pi / 8)],
                      [math.cos(3 * math.pi / 8), math.cos(9 * math.pi / 8)]])
-    np.testing.assert_allclose(oracle.reference_matrix(TransformSpec("DCT4", 2)),
+    np.testing.assert_allclose(reference_matrix(TransformSpec("DCT4", 2)),
                                want, atol=1e-15)
 
 
@@ -132,7 +133,7 @@ def test_hartley_matrix_via_cas_loop():
         want = np.array([[cas(2 * math.pi * a * y / N) for y in range(N)]
                          for a in range(N)]) / math.sqrt(N)
         np.testing.assert_allclose(
-            oracle.reference_matrix(TransformSpec("DHT", N)), want, atol=1e-14)
+            reference_matrix(TransformSpec("DHT", N)), want, atol=1e-14)
 
 
 def test_dht_from_dft_4_matches_hand_matrix():
@@ -144,7 +145,7 @@ def test_dht_from_dft_4_matches_hand_matrix():
 
 @pytest.mark.parametrize("N", SIZES)
 def test_dht_from_dft_identity(N):
-    direct = oracle.reference_matrix(TransformSpec("DHT", N))
+    direct = reference_matrix(TransformSpec("DHT", N))
     assembled = build_dht_from_dft(N)
     np.testing.assert_allclose(assembled, direct, atol=1e-12)
     assert np.abs(assembled.imag).max() < 1e-12
@@ -162,16 +163,16 @@ def test_cas_identity(N):
 def test_type3_matrices_are_transposes():
     for N in (2, 4, 8, 16):
         np.testing.assert_array_equal(
-            oracle.reference_matrix(TransformSpec("DCT3", N)),
-            oracle.reference_matrix(TransformSpec("DCT2", N)).T)
+            reference_matrix(TransformSpec("DCT3", N)),
+            reference_matrix(TransformSpec("DCT2", N)).T)
         np.testing.assert_array_equal(
-            oracle.reference_matrix(TransformSpec("DST3", N)),
-            oracle.reference_matrix(TransformSpec("DST2", N)).T)
+            reference_matrix(TransformSpec("DST3", N)),
+            reference_matrix(TransformSpec("DST2", N)).T)
 
 
 def test_dht_involution():
     for N in SIZES:
-        mat = oracle.reference_matrix(TransformSpec("DHT", N))
+        mat = reference_matrix(TransformSpec("DHT", N))
         np.testing.assert_allclose(mat @ mat, np.eye(N), atol=1e-12)
 
 
@@ -211,7 +212,7 @@ def test_twos_complement_permutation():
 
 
 def test_csv_dump_round_trip():
-    mat = oracle.reference_matrix(TransformSpec("DFT", 4))
+    mat = reference_matrix(TransformSpec("DFT", 4))
     buf = io.StringIO()
     dump_csv(mat, buf)
     lines = buf.getvalue().strip().split("\n")

@@ -7,13 +7,13 @@ from qrt_kit.gadgets import build_cond_twos_complement
 from qrt_kit.qft import build_qft, qft_gates
 from qrt_kit.simcore import Circuit, Gate, count_gates, data_register_action, inverse
 
-from helpers import unitary
+from helpers import reference_matrix, unitary
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_qft_matches_fourier_matrix(n):
     got = unitary(build_qft(n))
-    want = oracle.reference_matrix(oracle.TransformSpec("DFT", 1 << n))
+    want = reference_matrix(oracle.TransformSpec("DFT", 1 << n))
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -32,7 +32,7 @@ def test_qft_on_zero_is_uniform(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_qft_inverse(n):
     got = unitary(Circuit(n, inverse(build_qft(n).gates)))
-    want = oracle.reference_matrix(oracle.TransformSpec("DFT", 1 << n)).conj().T
+    want = reference_matrix(oracle.TransformSpec("DFT", 1 << n)).conj().T
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -63,7 +63,7 @@ def test_fourier_times_negation_is_conjugate(n):
     circ = Circuit(base.width, [force, *base.gates, force, *qft_gates(range(n))],
                    ancillas=range(n, base.width))
     matrix, residual = data_register_action(circ)
-    want = oracle.reference_matrix(oracle.TransformSpec("DFT", N)).conj()
+    want = reference_matrix(oracle.TransformSpec("DFT", N)).conj()
     assert residual < 1e-12
     np.testing.assert_allclose(matrix, want, atol=1e-10)
 

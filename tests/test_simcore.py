@@ -17,6 +17,7 @@ from qrt_kit.simcore import (
     Gate,
     _basis_columns,
     _layers,
+    _product_program,
     _run_flat,
     count_gates,
     data_register_action,
@@ -178,7 +179,12 @@ def test_norm_preserved_on_random_circuits():
 def test_batched_columns_agree_with_single_runs():
     rng = np.random.default_rng(77)
     for _ in range(4):
-        circ = random_circuit(4, 12, rng, allow_relabel=True)
+        relabeled = random_circuit(4, 12, rng, allow_relabel=True)
+        # only the sparse route relabels: the dense and product compiles
+        # refuse the relabeled draw, which runs sparse against brute force
+        assert _layers(relabeled, 4) is None and _product_program(relabeled, 4) is None
+        np.testing.assert_allclose(unitary(relabeled), brute_unitary(relabeled), atol=1e-12)
+        circ = Circuit(4, relabeled.gates)  # its gates, which run dense
         U = unitary(circ)  # all 16 columns in one batch
         layers, _ = _layers(circ, 4)
         for value in range(16):

@@ -23,7 +23,8 @@ from qrt_kit.trig import (
     check_blocks,
 )
 
-from helpers import block_errors, d1, d2, g_gate, t_gate, type1_core, unitary
+from helpers import (block_errors, d1, d2, g_gate, phased_block_errors, reference_matrix,
+                     t_gate, type1_core, unitary)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -114,7 +115,7 @@ def test_type1_sine_columns_match_oracle():
     n = 3
     N = 1 << n
     matrix, _ = data_register_action(build_qcst_type1(n))
-    S1 = oracle.reference_matrix(spec("DST1", N))
+    S1 = reference_matrix(spec("DST1", N))
     for a in range(1, N):
         col = matrix[:, N + a]
         np.testing.assert_allclose(col[N + 1:], S1[:, a - 1], atol=1e-10)
@@ -122,7 +123,7 @@ def test_type1_sine_columns_match_oracle():
 
 def test_type1_embedding_puts_extra_cosine_index_on_control_one():
     # DCT1 has N+1 rows, so its last one is register label N: control 1, data 0
-    errors, _ = check_blocks(type1_core(3), [(spec("DCT1", 8), 0, 1)])
+    errors, _ = check_blocks(type1_core(3), [(spec("DCT1", 8), 0)])
     assert errors[0] < 1e-10
     embedding = cli.verify_transform("qct1", 3, 1e-10)["embedding"]
     assert embedding["cos_block"][-1] == [1, 0]
@@ -138,7 +139,7 @@ def test_type1_embedding_puts_extra_cosine_index_on_control_one():
 def test_qst1_optimized_on_sine_domain(n):
     N = 1 << n
     matrix, _ = data_register_action(build_qst1_optimized(n))
-    S1 = oracle.reference_matrix(spec("DST1", N))
+    S1 = reference_matrix(spec("DST1", N))
     np.testing.assert_allclose(matrix[1:N, 1:N], S1, atol=1e-10)
     # ancilla stays clean over the domain
     np.testing.assert_allclose(matrix[N:, 1:N], 0, atol=1e-10)
@@ -246,7 +247,7 @@ def test_g_gate_matches_case_matrix(n):
 def test_type2_block_identity(n):
     N = 1 << n
     (cos_error, sin_error), residual = check_blocks(
-        build_qcst_type2(n), [(spec("DCT2", N), 0, 1), (spec("DST2", N), N, 1)])
+        build_qcst_type2(n), [(spec("DCT2", N), 0), (spec("DST2", N), N)])
     assert cos_error < 1e-10
     assert sin_error < 1e-10
     assert residual < 1e-10
@@ -267,7 +268,7 @@ def test_type2_constant_column():
     n = 2
     N = 1 << n
     matrix, _ = data_register_action(build_qcst_type2(n))
-    C2 = oracle.reference_matrix(spec("DCT2", N))
+    C2 = reference_matrix(spec("DCT2", N))
     np.testing.assert_allclose(matrix[:N, 0], C2[:, 0], atol=1e-10)
     assert abs(C2[0, 0] - 1 / math.sqrt(N) / math.sqrt(2) * math.sqrt(2)) < 1e-12
 
@@ -277,7 +278,7 @@ def test_type2_sine_row_weight_at_top_frequency():
     n = 2
     N = 1 << n
     matrix, _ = data_register_action(build_qcst_type2(n))
-    S2 = oracle.reference_matrix(spec("DST2", N))
+    S2 = reference_matrix(spec("DST2", N))
     np.testing.assert_allclose(matrix[N + N - 1, N:], S2[N - 1, :], atol=1e-10)
     assert abs(abs(S2[N - 1, 0]) - math.sqrt(2 / N) / math.sqrt(2)) < 1e-12
 
@@ -324,7 +325,7 @@ def test_type4_n1_blocks_match_formula():
 
 def test_dct4_symmetric_involution():
     for N in (2, 4, 8, 16):
-        C4 = oracle.reference_matrix(spec("DCT4", N))
+        C4 = reference_matrix(spec("DCT4", N))
         np.testing.assert_array_equal(C4, C4.T)
         np.testing.assert_allclose(C4 @ C4, np.eye(N), atol=1e-12)
 
@@ -370,9 +371,9 @@ def test_verify_rejects_bad_phase():
 def test_verify_rejects_mismatched_blocks():
     # DCT1 on 4 points has 5 rows; DST1 on 8 points, 7, would end at label 12
     with pytest.raises(ValueError):
-        check_blocks(Circuit(3), [(spec("DCT1", 4), 0, 1), (spec("DST1", 8), 5, 1)])
+        check_blocks(Circuit(3), [(spec("DCT1", 4), 0), (spec("DST1", 8), 5)])
     with pytest.raises(ValueError):
-        check_blocks(Circuit(3), [(spec("DFT", 8), -1, 1)])
+        check_blocks(Circuit(3), [(spec("DFT", 8), -1)])
 
 
 def test_blocks_off_the_declared_embedding_fail(monkeypatch):
@@ -407,8 +408,9 @@ _GOLDEN_PHASES = {"1": 1, "i": 1j, "-1": -1, "-i": -1j}
                          ids=lambda p: p.stem)
 def test_golden_embeddings(path):
     """Each file's blocks, read back as register labels (control, data),
-    pass ``check_blocks`` on the circuit, and the CLI reports the same
-    embedding."""
+    pass ``check_blocks`` on the circuit (through
+    ``helpers.phased_block_errors``, for the phase of qct1-core's sine
+    block), and the CLI reports the same embedding."""
     frozen = json.loads(path.read_text())
     build, cos_kind, sin_kind = _GOLDEN_BUILDS[frozen["transform"]]
     n = frozen["n"]
@@ -418,7 +420,7 @@ def test_golden_embeddings(path):
         labels = [c << n | x for c, x in frozen[key]]
         assert labels == list(range(labels[0], labels[0] + len(labels)))
         blocks.append((spec(kind, 1 << n), labels[0], phase))
-    errors, residual = check_blocks(build(n), blocks)
+    errors, residual = phased_block_errors(build(n), blocks)
     assert max(errors) < 1e-10 and residual < 1e-10
     if frozen["transform"] != "qct1-core":
         assert cli.verify_transform(frozen["transform"], n, 1e-10)["embedding"] == frozen
