@@ -3,9 +3,9 @@
 Fragments for the conditional increment, one's and two's complement, the
 or-gate, the or-gate tree and a payload around it; builders for the
 increment, the two's complement and the or-tree; and the exhaustive check
-of their classical maps, which runs the gates on int64 labels through the
-simulator's own label rule.  Standard layout of the builders: data wires 0..n-1, control
-wire n, scratch ancillas above the control.
+of their classical maps on int64 labels through ``simcore._monomial``, the
+one label rule of the simulator's three routes.  Standard layout of the
+builders: data wires 0..n-1, control wire n, scratch ancillas above it.
 """
 from __future__ import annotations
 
@@ -195,7 +195,7 @@ def classical_map_error(circuit: Circuit, inputs: int, want, dirty: int = 0):
     labels = np.arange(1 << inputs, dtype=np.int64)
     image = labels.copy()
     for gate in circuit.gates:
-        _monomial(gate, 0)(image)
+        _monomial(gate, 0)(image, None)
     if circuit.relabeling is not None:
         image = _relabel_keys(image, circuit.relabeling, 0)
     wrong = (image ^ want(labels)) & ~dirty

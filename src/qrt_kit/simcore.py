@@ -243,8 +243,7 @@ def _monomial_layer(run, keys, rows):
     no row, ``phase`` None when it multiplies by no phase."""
     phase = np.ones(len(keys), dtype=complex)
     for gate in run:
-        for sel, factor in _monomial(gate, 0)(keys):
-            phase[sel] *= factor
+        phase = _monomial(gate, 0)(keys, phase)
     phase = None if np.all(phase == 1) else phase
     dest = keys & (len(rows) - 1)
     if np.array_equal(dest, rows):
@@ -272,7 +271,10 @@ def _run_flat(flat: np.ndarray, layers) -> np.ndarray:
 
     An H is an add and a subtract; its 1/sqrt(2) is folded into the next
     phase multiply, or applied once at the end, which saves a pass over the
-    block per H."""
+    block per H.  Against a butterfly that scales its own halves, medians
+    of 12 alternating pairs of in-process verifies on a 2-core Xeon: 0.678
+    against 0.722 s on qct2 7 plus qst1-opt 7 run 50 times (the plain
+    butterfly won 1 pair) and 2.86 against 3.23 s on qct2 12 (won none)."""
     scratch = np.empty(flat.size // 2, dtype=complex)
     deferred = 0
     for layer in layers:
@@ -498,15 +500,14 @@ def _product_program(circuit: Circuit, d: int):
             plan.append(("promote", gate.targets[0], None))
             sup.add(gate.targets[0])
         live, mask = [w for w in ops if w in sup], sum(1 << w for w in ops if w not in sup)
-        if action == "SWAP":
-            plan.append(("swap", gate.targets, lambda g=gate: _key_permutation(g, 0)))
-            sup = {sum(gate.targets) - w if w in gate.targets else w for w in sup}
-        elif action == "H":
+        if action == "H":
             plan.append(("local", gate.targets[0], lambda m=mask: (m, _CH)))
-        elif live:
+        elif live and action != "SWAP":
             plan.append(("local", live[0], lambda a=(gate, live[0], mask, probes): _local(*a)))
-        else:
-            plan.append(("classical", None, lambda g=gate: _monomial(g, 0)))
+        else:  # on the labels; a SWAP may move a superposed wire, and its factor row
+            rows = list(gate.targets) if live else []
+            plan.append(("label", rows, lambda g=gate: _monomial(g, 0)))
+            sup = {sum(rows) - w if w in rows else w for w in sup}
         if terms > _MAX_TERMS or max(sup, default=0) >= d:
             return None
     plan += [("promote", w, None) for w in range(d) if w not in sup]
@@ -520,9 +521,7 @@ def _local(gate: Gate, w: int, mask: int, probes: dict):
     key = (gate.kind, gate.angle, gate.operands.index(w))
     if key not in probes:  # all that u depends on
         keys = np.array([0, 1 << w, mask, mask | 1 << w], dtype=np.int64)
-        phase = np.ones(4, dtype=complex)
-        for sel, factor in _monomial(gate, 0)(keys):
-            phase[sel] *= factor
+        phase = _monomial(gate, 0)(keys, np.ones(4, dtype=complex))
         u = np.zeros((2, 2, 2), dtype=complex)
         u[[0, 0, 1, 1], (keys >> w) & 1, [0, 1, 0, 1]] = phase
         probes[key] = u if u[:, 0, 1].any() or u[:, 1, 0].any() else u[:, [0, 1], [0, 1]]
@@ -531,8 +530,9 @@ def _local(gate: Gate, w: int, mask: int, probes: dict):
 
 def _run_terms(steps, labels, amps, f):
     """Run ``_product_program``'s steps on the terms of B columns: labels
-    and amplitudes (B, terms), factors (d, 2, B, terms).  No product is
-    in place, as in ``_monomial_step``, so no column depends on B."""
+    and amplitudes (B, terms), factors (d, 2, B, terms).  A gate on the
+    labels runs the one rule of every route, ``_monomial``, and no product
+    is in place (see there), so no column depends on B."""
     for op, w, arg in steps:
         if op == "split":
             labels = np.concatenate((labels, labels | 1 << w), axis=1)
@@ -552,13 +552,10 @@ def _run_terms(steps, labels, amps, f):
             else:  # u[1] @ f[w] where on, u[0] @ f[w] elsewhere, entry by entry
                 f[w] = np.where(on, *(v[:, :1, None] * f[w, 0] + v[:, 1:, None] * f[w, 1]
                                       for v in u[::-1]))
-        elif op == "swap":
-            arg(labels)
-            if max(w) < len(f):
-                f[list(w)] = f[list(w[::-1])]
-        else:
-            for sel, factor in arg(labels):
-                amps[sel] = amps[sel] * factor
+        else:  # a gate on the labels; a SWAP also swaps the factor rows ``w``
+            amps = arg(labels, amps)
+            if w:
+                f[w] = f[w[::-1]]
     return labels, amps, f
 
 
@@ -629,6 +626,12 @@ def _sparse_chunks(circuit: Circuit, d: int):
     below ``_PRUNE_BELOW`` are dropped after each butterfly and the
     per-column L2 norm dropped is summed over the run; a chunk reports the
     largest of these sums as its pruned norm.
+
+    The column sits in the low key bits, so the entries of one label stay
+    2^c-long runs in the diagonal gates' boolean selections.  With it above
+    the wires (``label | column << width``, the same blocks bit for bit),
+    qht-lcu 7 verified 6.5% slower (in 279 of 300 runs interleaved in one
+    process on a 2-core Xeon), its CPhase steps 44% and Z steps 26% slower.
     """
     c = _sparse_chunk_bits(d)
     if circuit.width + c > _KEY_BITS:
@@ -666,17 +669,9 @@ def _sparse_program(circuit: Circuit, c: int) -> list:
 
 
 def _monomial_step(gate: Gate, c: int):
-    """Sparse step of a gate other than H and CH, from ``_monomial``."""
+    """Sparse step of a gate other than H and CH: its ``_monomial`` rule."""
     rule = _monomial(gate, c)
-
-    def step(keys, amps, pruned):
-        for sel, factor in rule(keys):
-            # not in place: numpy's in-place multiply of a one-entry array
-            # skips the fused multiply-add of its vector loop, and chunking
-            # decides which selections hold one entry
-            amps[sel] = amps[sel] * factor
-        return keys, amps
-    return step
+    return lambda keys, amps, pruned: (keys, rule(keys, amps))
 
 
 def _butterfly_step(gate: Gate, c: int):
@@ -740,52 +735,42 @@ def _merge(k, a, bit: int):
 
 
 def _monomial(gate: Gate, shift: int):
-    """The one label and phase rule of both engines, compiled for a gate
-    other than H and CH on int64 keys that hold wire ``w`` in bit
-    ``w + shift``: returns ``rule(keys)``, which permutes the keys in place
-    and returns the phases as ``(select, factor)`` pairs, where the entries
-    ``select`` picks out (indexed like the keys before the gate) are
-    multiplied by ``factor``."""
+    """The one label and phase rule of the three routes and of
+    ``gadgets.classical_map_error``, for a gate other than H and CH on int64
+    keys that hold wire ``w`` in bit ``w + shift``: ``rule(keys, amps)``
+    permutes the keys in place and returns ``amps`` (indexed like the keys,
+    and overwritten) times the gate's phases; a permutation takes None."""
     action = _KINDS[gate.kind].action
     if action == "GlobalPhase":
-        phases = [(slice(None), complex(np.exp(1j * gate.angle)))]
-        return lambda keys: phases
-    if gate.kind in _PERMUTATIONS:
-        permute = _key_permutation(gate, shift)
+        factor = complex(np.exp(1j * gate.angle))
+        return lambda keys, amps: amps * factor
+    if action == "SWAP":
+        a, b = gate.targets[0] + shift, gate.targets[1] + shift
 
-        def rule(keys):
-            permute(keys)
-            return []
+        def rule(keys, amps):
+            keys ^= (((keys >> a) ^ (keys >> b)) & 1) * ((1 << a) | (1 << b))
+            return amps
+        return rule
+    ctrl, bit = _masks(gate, shift)
+    if action == "X":
+        def rule(keys, amps):
+            keys ^= ((keys & ctrl) == ctrl) * bit if ctrl else bit
+            return amps
         return rule
     # every other kind is diagonal
-    ctrl, bit = _masks(gate, shift)
     factors = [(ctrl | bit * value, complex(factor))
                for value, factor in enumerate(action(gate.angle)) if factor != 1]
 
-    def rule(keys):
+    def rule(keys, amps):
         on = keys & (ctrl | bit)
-        return [(on == value, factor) for value, factor in factors]
+        for value, factor in factors:
+            sel = on == value
+            # not in place: numpy's in-place multiply of a one-entry array
+            # skips the fused multiply-add of its vector loop, and chunking
+            # decides which selections hold one entry
+            amps[sel] = amps[sel] * factor
+        return amps
     return rule
-
-
-def _key_permutation(gate: Gate, shift: int):
-    """A gate of ``_PERMUTATIONS`` compiled for int64 keys that hold wire
-    ``w`` in bit ``w + shift``: returns ``permute(keys)``, which applies it
-    in place.  The one bit semantics of classical gates: every route and
-    ``gadgets.classical_map_error`` reach it through ``_monomial`` (the
-    product route's SWAP directly, to move its factors as well)."""
-    if _KINDS[gate.kind].action == "SWAP":
-        a, b = gate.targets[0] + shift, gate.targets[1] + shift
-        both = (1 << a) | (1 << b)
-
-        def permute(keys):
-            keys ^= (((keys >> a) ^ (keys >> b)) & 1) * both
-        return permute
-    ctrl, bit = _masks(gate, shift)
-
-    def permute(keys):
-        keys ^= ((keys & ctrl) == ctrl) * bit if ctrl else bit
-    return permute
 
 
 def _masks(gate: Gate, shift: int) -> tuple[int, int]:

@@ -139,7 +139,8 @@ def test_verify_beyond_statevector_width(capsys):
 
 
 def test_verify_cap_exceeded_is_usage_error(capsys):
-    # width 57 plus the sparse engine's 8 column bits overflow its int64 key
+    # d = 20 > 8 runs 2^6 columns at a time: 57 wires plus 6 column bits is
+    # 63, above the sparse engine's 62-bit key cap
     assert cli.build_transform("qht-rec", 20).width == 57
     code, _, err = run_cli(["verify", "--transform", "qht-rec", "--n", "20"], capsys)
     assert code == 2

@@ -7,7 +7,7 @@ compile must refuse, a relabeled one among them, since only the sparse
 route relabels; the route and term count of every oracle transform;
 the sparse engine on every transform with ancillas, and on an H or CH
 whose ancilla target is fresh or was last set by an X, CNOT, Toffoli or
-SWAP; and
+SWAP; the sparse engine's key cap on both sides of its boundary; and
 ``gadgets.classical_map_error`` against the brute-force unitary on random
 classical circuits."""
 import math
@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from qrt_kit import cli, simcore
 from qrt_kit.gadgets import classical_map_error
 from qrt_kit.oracle import TransformSpec
+from qrt_kit.qft import qft_gates
 from qrt_kit.simcore import _KINDS, Circuit, Gate, data_register_action
+from qrt_kit.trig import check_blocks
 
 from helpers import (
     brute_unitary,
@@ -624,6 +626,25 @@ def test_narrow_data_register_runs_sparse_past_the_width_cap():
         assert residual < 1e-15
     with pytest.raises(ValueError, match="cap"):
         data_register_action(full_register(circuit))
+
+
+@pytest.mark.parametrize("width", [56, 57])
+def test_sparse_key_cap_at_its_boundary(width):
+    # a QFT on d = 6 data wires, with an identity on the top wire that
+    # superposes it, so the circuit routes sparse: c = 6 column bits, and
+    # the key holds width + c bits, 62 at width 56 (the cap) and 63 at 57
+    top = width - 1
+    circuit = Circuit(width, qft_gates(range(6)) + [
+        Gate("H", targets=(top,)), Gate("CNOT", (0,), (top,)), Gate("CNOT", (0,), (top,)),
+        Gate("H", targets=(top,))], ancillas=range(6, width))
+    assert simcore._sparse_chunk_bits(6) == 6
+    if width + 6 > simcore._KEY_BITS:
+        with pytest.raises(ValueError, match="62-bit cap"):
+            check_blocks(circuit, [(TransformSpec("DFT", 64), 0)])
+        return
+    assert route(circuit) == ("sparse", None)
+    errors, residual = check_blocks(circuit, [(TransformSpec("DFT", 64), 0)])
+    assert max(errors) < 1e-12 and residual < 1e-12
 
 
 def test_key_overflow_is_refused():
