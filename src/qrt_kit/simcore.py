@@ -305,9 +305,13 @@ STATEVECTOR_WIDTH_CAP = 20
 
 _DENSE_BATCH = 32
 """Columns per chunk of the dense route, and the product route's block
-width: a 1024-row batch is 0.5 MB, and ``_WORKERS`` run at once.  No
-width wins on every size, and 32 is never the slowest of three.  Medians of 12 alternating rounds of fresh
-in-process verifies on a 2-core Xeon, 32 against 16 and 64 columns:
+width: a 1024-row batch is 0.5 MB, and on a pooled register ``_WORKERS``
+run at once (a dense register of d <= ``_SMALL_D`` runs its at most 8
+chunks on the calling thread: qct2 7 took 10.5 ms pooled against 8.2 ms
+inline, see ``data_register_chunks``).  No width wins on every size, and 32 is
+never the slowest of three.  Medians of 12 alternating rounds of fresh
+in-process verifies on a 2-core Xeon, 32 against 16 and 64 columns (all
+rounds on the pool):
 
 * dense route, qct2 7 plus qst1-opt 7 run 50 times: 0.65 s, 1.10 s and
   0.54 s (64 faster in all 12), peaking at 31, 31 and 32 MB;
@@ -318,24 +322,34 @@ in-process verifies on a 2-core Xeon, 32 against 16 and 64 columns:
   4.84 s, at 76, 52 and 117 MB."""
 
 _WORKERS = 2
-"""Threads that run the column chunks of a register with more than one
-chunk, one per core of a 2-core host; never sized from the input.  In the
-rounds of ``_DENSE_BATCH``, one thread took 5.06 s against 2.65 s on qct2
-12 (dense route), but 2.92 s against 4.12 s on qct4 13 (product route),
-faster in all 12 rounds there and peaking at 57 against 76 MB."""
+"""Threads that run the column chunks of a register its route pools (see
+``data_register_chunks``), one per core of a 2-core host; never sized from
+the input.  Below the pool's boundary a worker does no work the calling
+thread would not: qft 8 spent 6.3 ms of CPU in 5.3 ms on the pool against
+3.8 ms in 3.8 ms inline.  Above it the pool pays: pool against inline,
+qct2 9 (d = 10) 55.4 against 78.1 ms and qft 11 50.9 against 62.7 ms
+(medians of 9 alternating in-process verifies on a 2-core Xeon).  In the rounds of
+``_DENSE_BATCH``, one thread took 5.06 s against 2.65 s on qct2 12 (dense
+route), but 2.92 s against 4.12 s on qct4 13 (product route), faster in
+all 12 rounds there and peaking at 57 against 76 MB."""
+
+_SMALL_D = 8
+"""Widest data register the dense and sparse routes run on the calling
+thread: the sparse route as one chunk of all 2^d columns
+(``_sparse_chunk_bits``), the dense route chunk after chunk."""
 
 
 def _sparse_chunk_bits(d: int) -> int:
     """log2 of the columns the sparse route runs at a time on a d-wire data
-    register.  Up to d = 8 all 2^d columns run as one chunk, where one pass
-    over the gate list costs least; a wider register runs 2^6 columns at a
-    time.  Timed on the route's traffic, the Hartley pair, in ten
-    alternating in-process runs on a 2-core Xeon: 2^6 columns from d = 7 on
-    were slower at d = 7 (qht-lcu 7 plus qht-rec 7: 0.0315 against 0.0519 s)
-    and d = 8 (qht-lcu 8 plus qht-rec 8: 0.0999 against 0.117 s), losing
-    all ten; 2^8 columns at d = 10-11 (qht-lcu 11 plus qht-rec 10) were
-    slower too, 1.55 against 1.71 s, losing eight of ten."""
-    return d if d <= 8 else 6
+    register.  Up to d = ``_SMALL_D`` all 2^d columns run as one chunk,
+    where one pass over the gate list costs least; a wider register runs
+    2^6 columns at a time.  Timed on the route's traffic, the Hartley pair,
+    in ten alternating in-process runs on a 2-core Xeon: 2^6 columns from
+    d = 7 on were slower at d = 7 (qht-lcu 7 plus qht-rec 7: 0.0315 against
+    0.0519 s) and d = 8 (qht-lcu 8 plus qht-rec 8: 0.0999 against 0.117 s),
+    losing all ten; 2^8 columns at d = 10-11 (qht-lcu 11 plus qht-rec 10)
+    were slower too, 1.55 against 1.71 s, losing eight of ten."""
+    return d if d <= _SMALL_D else 6
 
 
 def data_register_action(circuit: Circuit):
@@ -362,9 +376,17 @@ def data_register_chunks(circuit: Circuit, check):
     the bound for every column yielded so far, so it never decreases and
     the last one covers the whole matrix.
 
-    A register of one chunk runs on the calling thread.  More chunks run on
-    ``_WORKERS`` threads, at most ``_WORKERS + 1`` chunks in flight, and are
-    yielded in column order whatever order they finish in; ``check`` must
+    The route decides where the chunks run.  A register that leaves a
+    second thread nothing to overlap runs on the calling thread, chunk
+    after chunk, and starts no thread: on the product route one run of the
+    terms (2^d <= ``_DENSE_BATCH * _PRODUCT_BLOCKS``, d <= 10), which the
+    calling thread computes before the first block; on the dense and
+    sparse routes d <= ``_SMALL_D`` (on the sparse route, one chunk).  In
+    medians of 9 alternating in-process verifies on a 2-core Xeon, pool
+    against inline: qft 10 16.4 against 14.1 ms (21 rounds), qct2 7 10.5
+    against 8.2 ms, but qct2 8 (d = 9) 21.3 against 24.8 ms.  A larger register runs on ``_WORKERS``
+    threads, at most ``_WORKERS + 1`` chunks in flight, and is yielded in
+    column order whatever order the chunks finish in; ``check`` must
     therefore be safe to call from two threads at once.  An exception from
     a chunk or its check is raised here, and closing the stream early
     cancels the chunks not yet started: no thread outlives the stream.
@@ -386,16 +408,18 @@ def data_register_chunks(circuit: Circuit, check):
     if d > STATEVECTOR_WIDTH_CAP:
         raise ValueError(f"data registers are capped at {STATEVECTOR_WIDTH_CAP} qubits, "
                          f"got {d}")
-    _, items, simulate = _route(circuit, d)
-    return _in_order(items, simulate, check)
+    _, *route = _route(circuit, d)
+    return _in_order(*route, check)
 
 
 def _route(circuit: Circuit, d: int):
-    """``(name, items, simulate)`` of the first route whose compile takes
-    the circuit on data wires 0..d-1, where ``simulate(item, check)`` gives
-    ``(start, check's result, leak, pruned)``: "product" when each column
-    stays a sum of at most ``_MAX_TERMS`` product states and every ancilla
-    classical (the QFT, Types III and IV); "dense" on 2^d rows when
+    """``(name, items, simulate, inline)`` of the first route whose compile
+    takes the circuit on data wires 0..d-1, where ``simulate(item, check)``
+    gives ``(start, check's result, leak, pruned)`` and ``inline`` says the
+    items run on the calling thread (see ``data_register_chunks``):
+    "product" when each column stays a sum of at most ``_MAX_TERMS``
+    product states and every ancilla classical (the QFT, Types III and
+    IV); "dense" on 2^d rows when
     ``_layers`` proves in integers that the ancillas only ever hold
     classical functions of the data (the other cosine and sine circuits);
     else "sparse" (the Hartley pair, whose ancillas go superposed, and any
@@ -414,9 +438,10 @@ def _assemble(chunks):
     return np.concatenate(blocks, axis=1), residual
 
 
-def _in_order(items, simulate, check):
+def _in_order(items, simulate, inline, check):
     """The stream of ``data_register_chunks`` over ``items``, taken lazily,
-    from ``simulate(item, check)`` on one thread per item."""
+    from ``simulate(item, check)`` on the calling thread where ``inline``,
+    else on the pool."""
     leak = pruned = 0.0
 
     def fold(start, result, chunk_leak, chunk_pruned):
@@ -424,15 +449,15 @@ def _in_order(items, simulate, check):
         leak, pruned = max(leak, chunk_leak), max(pruned, chunk_pruned)
         return start, result, leak + pruned
 
-    head = list(islice(queue := iter(items), _WORKERS + 1))
-    if len(head) == 1:
-        yield fold(*simulate(head[0], check))
+    if inline:
+        for item in items:
+            yield fold(*simulate(item, check))
         return
-    # imported here: a single-chunk run never pays for the import
+    # imported here: an inline run never pays for the import
     from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(_WORKERS)
+    pool, queue = ThreadPoolExecutor(_WORKERS), iter(items)
     try:
-        pending = deque(pool.submit(simulate, item, check) for item in head)
+        pending = deque(pool.submit(simulate, item, check) for item in islice(queue, _WORKERS + 1))
         while pending:
             done = pending.popleft().result()
             pending.extend(pool.submit(simulate, item, check) for item in islice(queue, 1))
@@ -460,7 +485,7 @@ def _dense_chunks(circuit: Circuit, d: int):
         block[leak] = 0.0
         return start, check(start, block), out, 0.0
 
-    return range(0, dim, batch), simulate
+    return range(0, dim, batch), simulate, d <= _SMALL_D
 
 
 def _basis_columns(dim: int, labels) -> np.ndarray:
@@ -567,7 +592,12 @@ def _product_chunks(circuit: Circuit, d: int):
     16, 32 and 64 blocks took 108.8, 101.3 and 101.1 ms, all at 36 MB; at
     qct4 n=13, 64 and 128 peaked 8 and 22 MB above 32).  An item is one
     block: a batched matmul over the terms of half-products over the low
-    and the high data wires, into the buffer of a finished check."""
+    and the high data wires, into the buffer of a finished check.  A
+    register of one run (d <= 10) is inline: its terms are all computed
+    before the first block, and its blocks are too short for a second
+    thread to overlap (pool against inline: qft 10 16.4 against 14.1 ms,
+    qct4 9 20.3 against 18.1 ms, medians of 21 alternating in-process
+    verifies on a 2-core Xeon)."""
     if (program := _product_program(circuit, d)) is None:
         return None
     steps, _ = program
@@ -605,7 +635,7 @@ def _product_chunks(circuit: Circuit, d: int):
         spare.append(out)  # the check is done with the block
         return start, result, leak, 0.0
 
-    return blocks(), simulate
+    return blocks(), simulate, dim <= batch * _PRODUCT_BLOCKS
 
 
 _PRUNE_BELOW = 1e-14
@@ -656,7 +686,7 @@ def _sparse_chunks(circuit: Circuit, d: int):
         del keys, amps, on  # the entries are freed before the check runs
         return start, check(start, block), leak, pruned
 
-    return range(0, 1 << d, 1 << c), simulate
+    return range(0, 1 << d, 1 << c), simulate, c == d
 
 
 def _sparse_program(circuit: Circuit, c: int) -> list:

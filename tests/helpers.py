@@ -87,8 +87,8 @@ def _copy(start, block):
 
 
 def _route_action(route):
-    """``data_register_action`` on one route's ``(items, simulate)``, or
-    None where the route's compile refused the circuit."""
+    """``data_register_action`` on one route's ``(items, simulate,
+    inline)``, or None where the route's compile refused the circuit."""
     return None if route is None else simcore._assemble(simcore._in_order(*route, _copy))
 
 

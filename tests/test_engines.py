@@ -409,7 +409,7 @@ def route(circuit):
     """The route ``data_register_chunks`` takes, as ``simcore._route``
     names it, and the product route's term count."""
     d = len(circuit.data_wires)
-    name, _, _ = simcore._route(circuit, d)
+    name, *_ = simcore._route(circuit, d)
     return name, simcore._product_program(circuit, d)[1] if name == "product" else None
 
 

@@ -1,8 +1,10 @@
 """Streamed verification: ``verify`` runs the engines one column chunk at a
 time, compares each chunk with the oracle's matching columns and keeps
-running maxima, so no N x N array is built on its path.  A register of
-more than one chunk runs on a pool of two threads, each chunk checked on
-the thread that simulated it."""
+running maxima, so no N x N array is built on its path.  The route
+decides where the chunks run: a register with nothing for a second thread
+to overlap (the product route's d <= 10, the dense and sparse routes' d <=
+8) runs on the calling thread and starts no thread; a larger one runs on a
+pool of two threads, each chunk checked on the thread that simulated it."""
 import math
 import os
 import pathlib
@@ -121,57 +123,91 @@ def test_chunks_finishing_out_of_order_are_yielded_in_column_order(monkeypatch):
     assert np.array_equal(np.concatenate([block for _, block, _ in stream], axis=1), whole)
 
 
-def test_chunks_run_on_two_threads_and_a_single_chunk_runs_inline():
-    def thread_of(start, block):
-        time.sleep(0.01)
-        return threading.current_thread()
+def _thread_of(start, block):
+    time.sleep(0.002)  # long enough that both workers take chunks
+    return threading.current_thread()
 
-    qft = cli.build_transform("qft", 7)  # 4 blocks of the product route
-    threads = {t for _, t, _ in simcore.data_register_chunks(qft, thread_of)}
+
+def test_chunks_run_on_two_threads_and_a_single_chunk_runs_inline():
+    qft = cli.build_transform("qft", 11)  # 64 blocks of the product route
+    threads = {t for _, t, _ in simcore.data_register_chunks(qft, _thread_of)}
     assert len(threads) == simcore._WORKERS == 2
     assert threading.main_thread() not in threads
-    qht = cli.build_transform("qht-lcu", 5)  # d = 5: one sparse chunk
     before = threading.active_count()
-    [(_, thread, _)] = simcore.data_register_chunks(qht, thread_of)
+    qft = cli.build_transform("qft", 7)  # 4 blocks, one run of the terms
+    assert {t for _, t, _ in simcore.data_register_chunks(qft, _thread_of)} == {
+        threading.main_thread()}
+    qht = cli.build_transform("qht-lcu", 5)  # d = 5: one sparse chunk
+    [(_, thread, _)] = simcore.data_register_chunks(qht, _thread_of)
     assert thread is threading.main_thread()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("name,n,route,pooled", [
+    ("qft", 10, "product", False), ("qft", 11, "product", True),
+    ("qct2", 7, "dense", False), ("qct2", 8, "dense", True)])
+def test_the_route_decides_which_registers_take_the_pool(name, n, route, pooled):
+    # on each side of each boundary: the product route's one run of the
+    # terms (2^d <= _DENSE_BATCH * _PRODUCT_BLOCKS) and the dense route's d
+    # <= _SMALL_D; the inline registers still have many chunks
+    circuit = cli.build_transform(name, n)
+    d = len(circuit.data_wires)
+    limit = (simcore._DENSE_BATCH * simcore._PRODUCT_BLOCKS).bit_length() - 1
+    assert d == (limit if route == "product" else simcore._SMALL_D) + pooled
+    assert simcore._route(circuit, d)[0] == route
+    before = threading.active_count()
+    stream = list(simcore.data_register_chunks(circuit, _thread_of))
+    assert len(stream) == (1 << d) // simcore._DENSE_BATCH > 1
+    threads = {thread for _, thread, _ in stream}
+    if pooled:
+        assert len(threads) == simcore._WORKERS
+        assert threading.main_thread() not in threads
+    else:
+        assert threads == {threading.main_thread()}
     assert threading.active_count() == before
 
 
 def test_a_one_chunk_verify_in_a_fresh_process_never_imports_the_thread_pool():
     # the benchmark's set-up time is this path: import the CLI, then its
-    # warm-up verify, whose register is one chunk
+    # warm-up verify, whose register is one chunk; the largest registers
+    # the product (qct4 9, d = 10) and dense (qct2 7, d = 8) routes run
+    # inline take it too
+    runs = [["qft", "2"], ["qct4", "9"], ["qct2", "7"]]
     code = ("import sys\n"
             "from qrt_kit import cli\n"
-            "code = cli.main(['verify', '--transform', 'qft', '--n', '2'])\n"
-            "print(code, 'concurrent.futures' in sys.modules)\n")
+            f"for name, n in {runs!r}:\n"
+            "    code = cli.main(['verify', '--transform', name, '--n', n])\n"
+            "    print('pool:', name, n, code, 'concurrent.futures' in sys.modules)\n")
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.stderr == ""
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert [line for line in proc.stdout.splitlines() if line.startswith("pool:")] == [
+        f"pool: {name} {n} 0 False" for name, n in runs]
 
 
 def test_closing_the_stream_cancels_the_queued_chunks():
-    circuit = cli.build_transform("qft", 8)
-    n_chunks = (1 << 8) // simcore._DENSE_BATCH
-    checked = []
+    for n in (8, 11):  # inline, then on the pool
+        circuit = cli.build_transform("qft", n)
+        n_chunks = (1 << n) // simcore._DENSE_BATCH
+        checked = []
 
-    def check(start, block):
-        checked.append(start)
-        time.sleep(0.01)
-        return start
+        def check(start, block):
+            checked.append(start)
+            time.sleep(0.01)
+            return start
 
-    before = threading.active_count()
-    stream = simcore.data_register_chunks(circuit, check)
-    assert next(stream)[1] == 0
-    stream.close()
-    assert threading.active_count() == before
-    # the first chunk, the chunks in flight with it and the one submitted
-    # when it was taken: never the rest
-    assert len(checked) <= simcore._WORKERS + 2 < n_chunks
+        before = threading.active_count()
+        stream = simcore.data_register_chunks(circuit, check)
+        assert next(stream)[1] == 0
+        stream.close()
+        assert threading.active_count() == before
+        # the first chunk, the chunks in flight with it and the one
+        # submitted when it was taken: never the rest
+        assert len(checked) <= simcore._WORKERS + 2 < n_chunks
 
 
-@pytest.mark.parametrize("name,n", [("qft", 8), ("qct4", 7)])
+@pytest.mark.parametrize("name,n", [("qft", 8), ("qct4", 7), ("qft", 11), ("qct4", 10)])
 def test_a_chunk_out_of_memory_exits_2_and_leaves_no_thread(name, n, monkeypatch, capsys):
     reference_columns = cli.oracle.reference_columns
 
